@@ -39,6 +39,7 @@ from .parity import (
 )
 from .privacy import (
     AmplificationBudget,
+    FftPrecisionError,
     InfeasibleBudgetError,
     ToeplitzSpec,
     amplify,

@@ -8,6 +8,7 @@ burst mode).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -71,23 +72,41 @@ class QberEstimate:
     sampled_positions: np.ndarray
 
 
+def _kth_open(placed: list[int], k: int) -> int:
+    """Position of the k-th (0-based) unflipped bit, given the sorted flipped
+    positions. placed[i] - i counts the unflipped bits before placed[i]."""
+    lo, hi = 0, len(placed)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if placed[mid] - mid <= k:
+            lo = mid + 1
+        else:
+            hi = mid
+    return k + lo
+
+
 def _burst_flips(
     rng: np.random.Generator, length: int, qber: float, mean_run: float
 ) -> np.ndarray:
-    """Place roughly Binomial(length, qber) flips in geometric-length runs."""
+    """Place roughly Binomial(length, qber) flips in geometric-length runs.
+
+    Each run starts at a uniformly drawn unflipped bit: rng.integers(0,
+    open_count) picks its rank, the same draw rng.choice over the unflipped
+    positions makes, so the key stream stays fixed; a binary search over the
+    placed flips then finds it in O(log n).
+    """
     flips = np.zeros(length, dtype=bool)
     target = int(rng.binomial(length, qber)) if qber > 0 else 0
-    placed = 0
-    while placed < target:
-        open_positions = np.flatnonzero(~flips)
-        start = int(rng.choice(open_positions))
+    placed: list[int] = []
+    while len(placed) < target:
+        start = _kth_open(placed, int(rng.integers(0, length - len(placed))))
         run = int(rng.geometric(1.0 / mean_run))
         for j in range(start, min(start + run, length)):
-            if placed >= target:
+            if len(placed) >= target:
                 break
             if not flips[j]:
                 flips[j] = True
-                placed += 1
+                bisect.insort(placed, j)
     return flips
 
 

@@ -12,6 +12,7 @@ import configparser
 import csv
 import io
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -536,9 +537,18 @@ def _run_task(task: tuple) -> list[TrialRecord]:
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> Iterator[TrialRecord]:
     """Execute every trial of the scenario, streaming records in a fixed
-    order (mode, K, N, trial) independent of the worker count."""
-    tasks = _scenario_tasks(scenario)
-    if workers <= 1:
+    order (mode, K, N, trial) independent of the worker count.
+
+    The worker count is checked here, before the first record is requested
+    and before any pool exists: it must lie in [1, os.cpu_count()]."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ScenarioError(f"workers must be in [1, {cpus}], got {workers}")
+    return _stream_records(_scenario_tasks(scenario), workers)
+
+
+def _stream_records(tasks: list[tuple], workers: int) -> Iterator[TrialRecord]:
+    if workers == 1:
         for task in tasks:
             yield from _run_task(task)
         return

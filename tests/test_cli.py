@@ -70,6 +70,13 @@ def test_scenario_missing_file_exit_three(capsys):
     assert main(["scenario", "no-such-scenario"]) == 3
 
 
+def test_scenario_worker_count_out_of_range_exit_three(capsys, tmp_path):
+    out = tmp_path / "never.csv"
+    assert main(["scenario", "fig2", "--workers", "0", "--out", str(out)]) == 3
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_prints_table(capsys, tmp_path):
     out = tmp_path / "cmp.csv"
     code = main(

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from neurokey.adversary import AttackConfig
@@ -135,6 +137,15 @@ class TestRunScenario:
         assert header[0].startswith("#")
         assert header[1] == ",".join(CSV_COLUMNS)
         assert "wall_time" not in first
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_worker_count_out_of_range_rejected_before_any_pool(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool may be created for a rejected worker count")
+
+        monkeypatch.setattr("neurokey.harness.multiprocessing.Pool", no_pool)
+        with pytest.raises(ScenarioError, match="workers"):
+            run_scenario(SMALL_SYNC, workers=workers)
 
     def test_attack_scenario_records_overlap(self):
         scenario = Scenario(

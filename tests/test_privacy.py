@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 
 from neurokey.adversary import leakage_after
+from neurokey import privacy
 from neurokey.privacy import (
+    FftPrecisionError,
     InfeasibleBudgetError,
     ToeplitzSpec,
     amplify,
@@ -23,6 +26,31 @@ def reference_matrix(spec: ToeplitzSpec) -> np.ndarray:
     first_row = seq[: spec.cols]
     first_col = np.concatenate([[seq[0]], seq[spec.cols :]])
     return toeplitz(first_col, first_row)
+
+
+def diagonal_sequence(spec: ToeplitzSpec) -> np.ndarray:
+    seq = spec.first_row_and_col
+    return np.concatenate([seq[: spec.cols][::-1], seq[spec.cols :]])
+
+
+def seeded_case(rows: int, cols: int, seed: int) -> tuple[BitKey, ToeplitzSpec]:
+    spec = ToeplitzSpec.from_seed(rows, cols, seed=seed)
+    return BitKey.random(cols, np.random.default_rng(seed + 1)), spec
+
+
+# Either side of the direct/FFT crossover, with rows == 1, cols == 1, rows > cols.
+CROSSOVER = privacy._FFT_MIN_PRODUCT
+SHAPES_AROUND_CROSSOVER = [
+    (1, 1),
+    (1, 300),
+    (255, 257),
+    (256, 256),
+    (300, 50),
+    (400, 200),
+    (1, CROSSOVER),
+    (CROSSOVER, 1),
+    (600, 900),
+]
 
 
 class TestBudget:
@@ -144,3 +172,58 @@ class TestAmplify:
         expected = 2.0**-rows
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(rate - expected) <= 3 * sigma
+
+    @pytest.mark.parametrize("rows,cols", SHAPES_AROUND_CROSSOVER)
+    def test_matches_reference_matrix_around_crossover(self, rows, cols):
+        key, spec = seeded_case(rows, cols, seed=rows * 7919 + cols)
+        expected = reference_matrix(spec).astype(np.int64) @ key.bits.astype(np.int64) % 2
+        assert amplify(key, spec).bits.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("rows,cols", SHAPES_AROUND_CROSSOVER + [(3000, 4000)])
+    def test_direct_and_fft_paths_give_the_same_integers(self, rows, cols):
+        key, spec = seeded_case(rows, cols, seed=rows + 31 * cols)
+        diagonals = diagonal_sequence(spec)
+        direct = privacy._direct_counts(diagonals, key.bits)
+        fft = privacy._fft_counts(diagonals, key.bits)
+        assert direct.dtype == fft.dtype == np.int64
+        assert np.array_equal(direct, fft)
+
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_direct_and_fft_paths_agree_on_small_shapes(self, rows, cols, seed):
+        key, spec = seeded_case(rows, cols, seed)
+        diagonals = diagonal_sequence(spec)
+        assert np.array_equal(
+            privacy._direct_counts(diagonals, key.bits), privacy._fft_counts(diagonals, key.bits)
+        )
+
+    # sha256 of np.packbits(amplify(...).bits), computed with the direct
+    # O(rows * cols) convolution before the FFT path existed.
+    @pytest.mark.parametrize(
+        "rows,cols,seed,digest",
+        [
+            (11000, 14745, 2024, "72415a14b5019d76fc0a6982a03eb5d35065fb0ab19123b81b468141c302542d"),
+            (100000, 150000, 2025, "9c69c2d0bd2506ede8bb968c647d210c94bb474830f2371a5a270a5db76a3bd9"),
+        ],
+    )
+    def test_golden_digest_of_long_keys(self, rows, cols, seed, digest):
+        key, spec = seeded_case(rows, cols, seed)
+        out = amplify(key, spec)
+        assert hashlib.sha256(np.packbits(out.bits).tobytes()).hexdigest() == digest
+
+    def test_rounding_guard_refuses_to_return_bits(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+        key, spec = seeded_case(300, 400, seed=3)
+        assert spec.rows * spec.cols >= CROSSOVER
+        with pytest.raises(FftPrecisionError, match="from an integer"):
+            amplify(key, spec)
+
+    def test_small_products_skip_the_fft(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("small products must use the direct convolution")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        key, spec = seeded_case(8, 32, seed=4)
+        expected = reference_matrix(spec).astype(np.int64) @ key.bits.astype(np.int64) % 2
+        assert amplify(key, spec).bits.tolist() == expected.tolist()
