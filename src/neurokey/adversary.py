@@ -8,6 +8,10 @@ Eve sees every input matrix and both public +/-1 outputs. Three strategies:
 * geometric: when Eve disagrees with an agreed output, she flips the hidden
   unit with the smallest absolute local field and learns anyway.
 * ensemble: several independent passive machines; the best one counts.
+
+The parties and all Eves are rows of one weight stack, advanced each round by
+the kernel of plain synchronization (``sync._exchange_round``); which Eves
+learn is a mask over the rows, not a per-Eve step.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sync import SyncConfig, SyncTranscript, _InputStream, seed_initial_overlap
-from .tpm import Tpm, TpmParams, _hebbian_inplace, _signs
+from .sync import SyncConfig, SyncTranscript, _exchange_round, _InputStream, seed_initial_overlap
+from .tpm import Tpm, TpmParams
 
 __all__ = [
     "AttackConfig",
@@ -125,81 +129,52 @@ def run_attack(
     if config.params != alice.params:
         raise ValueError("config params do not match the machines")
     params = alice.params
-    n_eves = attack.ensemble_size
-    bound = params.L
-
-    root = np.random.SeedSequence(config.seed)
-    input_seq, eve_seq = root.spawn(2)
+    input_seq, eve_seq = np.random.SeedSequence(config.seed).spawn(2)
     stream = _InputStream(np.random.default_rng(input_seq), (params.K, params.N))
     eve_rng = np.random.default_rng(eve_seq)
 
-    w = np.empty((2 + n_eves, params.K, params.N), dtype=np.int32)
-    w[0] = alice.weights
-    w[1] = bob.weights
-    for m in range(n_eves):
+    w = np.empty((2 + attack.ensemble_size, params.K, params.N), dtype=np.int32)
+    w[:2] = alice.weights, bob.weights
+    eves = w[2:]
+    for eve in eves:
         if attack.eve_initial_overlap is None:
-            w[2 + m] = Tpm.random(params, eve_rng).weights
+            eve[...] = Tpm.random(params, eve_rng).weights
         else:
             eve_seed = int(eve_rng.integers(0, 2**63, dtype=np.uint64))
-            w[2 + m] = seed_initial_overlap(alice, attack.eve_initial_overlap, eve_seed).weights
+            eve[...] = seed_initial_overlap(alice, attack.eve_initial_overlap, eve_seed).weights
 
     iterations = 0
     ab_learning = 0
-    ab_converged = False
-    ab_converged_at = 0
+    ab_converged_at = 0  # the round the parties first coincide; 0 until then
     ab_learning_at = 0
     overlap_at_convergence = -1.0
-    eve_learning = [0] * n_eves
+    eve_learning = np.zeros(len(eves), dtype=np.int64)
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
     eve_trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
 
     eve_synced = False
     while iterations < attack.iteration_budget and not eve_synced:
-        x = stream.next()
         iterations += 1
-
-        fields = (w * x).sum(axis=2)
-        sigma = _signs(fields)
-        taus = sigma.prod(axis=1)
-        tau_public = int(taus[0])
-        if taus[0] == taus[1]:
-            _hebbian_inplace(w[:2], x, sigma[:2], taus[:2, None], bound)
+        learn = _exchange_round(w, stream.next(), params.L, geometric)
+        if learn is not None:
             ab_learning += 1
-            for m in range(n_eves):
-                row = 2 + m
-                if taus[row] == tau_public:
-                    _hebbian_inplace(w[row], x, sigma[row], tau_public, bound)
-                    eve_learning[m] += 1
-                elif geometric:
-                    weakest = int(np.argmin(np.abs(fields[row])))
-                    flipped = sigma[row].copy()
-                    flipped[weakest] = -flipped[weakest]
-                    _hebbian_inplace(w[row], x, flipped, tau_public, bound)
-                    eve_learning[m] += 1
-
-        if not ab_converged and np.array_equal(w[0], w[1]):
-            ab_converged = True
-            ab_converged_at = iterations
-            ab_learning_at = ab_learning
-            overlap_at_convergence = max(
-                float((w[2 + m] == w[0]).mean()) for m in range(n_eves)
-            )
-        if trace is not None:
+            eve_learning += learn[2:]
+        if not ab_converged_at and np.array_equal(w[0], w[1]):
+            ab_converged_at, ab_learning_at = iterations, ab_learning
+            overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())
+        if trace is not None and eve_trace is not None:
             trace.append((iterations, float((w[0] == w[1]).mean())))
-        if any(np.array_equal(w[2 + m], w[0]) for m in range(n_eves)):
-            eve_synced = True
-        if eve_trace is not None:
-            best = max(float((w[2 + m] == w[0]).mean()) for m in range(n_eves))
-            eve_trace.append((iterations, best))
+            eve_trace.append((iterations, float((eves == w[0]).mean(axis=(1, 2)).max())))
+        eve_synced = bool((eves == w[0]).all(axis=(1, 2)).any())
 
-    per_machine = [float((w[2 + m] == w[0]).mean()) for m in range(n_eves)]
+    per_machine = (eves == w[0]).mean(axis=(1, 2)).tolist()
     best_overlap = max(per_machine)
     transcript = SyncTranscript(
-        iterations=ab_converged_at if ab_converged else iterations,
-        learning_steps=ab_learning_at if ab_converged else ab_learning,
+        iterations=ab_converged_at or iterations,
+        learning_steps=ab_learning_at if ab_converged_at else ab_learning,
         digest_exchanges=0,
-        converged=ab_converged,
+        converged=ab_converged_at > 0,
         overlap_trace=trace,
     )
     result = AttackResult(
@@ -207,7 +182,7 @@ def run_attack(
         synced=best_overlap == 1.0,
         iterations_observed=iterations,
         per_machine_overlap=per_machine,
-        eve_learning_steps=eve_learning,
+        eve_learning_steps=eve_learning.tolist(),
         exchange_learning_steps=ab_learning,
         best_overlap_at_convergence=overlap_at_convergence,
         eve_overlap_trace=eve_trace,

@@ -46,6 +46,10 @@ DEFAULT_SECURITY_BITS = 30
 # near 5e4-6.5e4 products for rows/cols between 0.05 and 1 (table in CHANGES.md).
 _FFT_MIN_PRODUCT = 1 << 16
 
+# Thin shapes also need rows * cols >= _FFT_COST_RATIO * n * log2(n), n the FFT
+# length: the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3.
+_FFT_COST_RATIO = 4
+
 # Largest distance of an FFT output from the nearest integer that is still
 # read as that integer. Measured errors stay below 1e-10 at 1e6 columns.
 _ROUNDING_TOLERANCE = 0.25
@@ -191,10 +195,10 @@ def amplify(key: BitKey, spec: ToeplitzSpec) -> BitKey:
     the key. All rows come from one convolution of the key with the diagonal
     sequence (first row reversed, then the rest of the first column), without
     materializing the matrix. Products with rows * cols of at least
-    _FFT_MIN_PRODUCT use a float64 FFT convolution (O(n log n) for
-    n >= rows + cols - 1) whose rounding is checked; smaller ones use the
-    direct O(rows * cols) convolution, which is faster there. Both paths give
-    the same integers, hence the same bits.
+    _FFT_MIN_PRODUCT and _FFT_COST_RATIO * n log2 n use a float64 FFT
+    convolution (O(n log n), n >= rows + cols - 1) whose rounding is checked;
+    smaller or thinner ones use the faster direct O(rows * cols) convolution.
+    Both paths give the same integers, hence the same bits.
 
     Raises FftPrecisionError, and returns nothing, if the FFT result cannot
     be rounded safely; this has not been observed at any tested size.
@@ -204,8 +208,9 @@ def amplify(key: BitKey, spec: ToeplitzSpec) -> BitKey:
     row = spec.first_row_and_col[: spec.cols]
     col_rest = spec.first_row_and_col[spec.cols :]
     diagonals = np.concatenate([row[::-1], col_rest])
-    if spec.rows * spec.cols < _FFT_MIN_PRODUCT:
-        counts = _direct_counts(diagonals, key.bits)
-    else:
+    n = 1 << (diagonals.size - 1).bit_length()
+    if spec.rows * spec.cols >= max(_FFT_MIN_PRODUCT, _FFT_COST_RATIO * n * (n.bit_length() - 1)):
         counts = _fft_counts(diagonals, key.bits)
+    else:
+        counts = _direct_counts(diagonals, key.bits)
     return BitKey((counts & 1).astype(np.uint8))

@@ -11,13 +11,14 @@ Termination is decided in one of two modes:
 
 * simulation mode (default): an oracle compares the weight matrices every
   iteration. Used for experiment statistics.
-* protocol mode: the parties exchange a 64-bit weight digest every
-  ``digest_check_interval`` iterations and stop when the digests match; the
-  digest bits count as disclosed information.
+* protocol mode: the parties exchange a 64-bit blake2b digest of their
+  weights every ``digest_check_interval`` iterations and stop when the
+  digests match; the digest bits count as disclosed information.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -49,7 +50,7 @@ __all__ = [
     "synchronize_from_weights",
 ]
 
-# Size of the non-cryptographic weight digest exchanged in protocol mode.
+# Size of the weight digest exchanged in protocol mode.
 DIGEST_BITS = 64
 
 # Input matrices pre-drawn per RNG call inside the round loop.
@@ -63,7 +64,8 @@ _PILOT_TAG = 0x6E6B7069  # arbitrary fixed salt for pilot seeds
 class NonConvergenceError(RuntimeError):
     """Synchronization exhausted its iteration budget.
 
-    Carries the partial transcript in ``transcript``.
+    The message names the budget's source (explicit or pilot) and the final
+    party overlap; the partial transcript is carried in ``transcript``.
     """
 
     def __init__(self, message: str, transcript: "SyncTranscript") -> None:
@@ -153,15 +155,36 @@ class ReconciliationResult:
     leakage: "LeakageEstimate"
 
 
-def _fnv1a64(data: bytes) -> int:
-    value = 0xCBF29CE484222325
-    for byte in data:
-        value = ((value ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return value
+def _weight_digest(weights: np.ndarray) -> bytes:
+    data = np.ascontiguousarray(weights, dtype=np.int64).tobytes()
+    return hashlib.blake2b(data, digest_size=DIGEST_BITS // 8).digest()
 
 
-def _weight_digest(weights: np.ndarray) -> int:
-    return _fnv1a64(np.ascontiguousarray(weights, dtype=np.int64).tobytes())
+def _exchange_round(
+    w: np.ndarray, x: np.ndarray, bound: int, geometric: bool = False
+) -> np.ndarray | None:
+    """One public round, in place, on a stack ``w`` shaped (2 + E, K, N): the
+    parties in rows 0 and 1, then E eavesdroppers, all seeing the input ``x``.
+
+    Returns None, and nobody learns, when the parties' outputs differ. Else
+    returns the mask of rows that learned: those whose output is the public
+    one, or under ``geometric`` all rows, each other one first flipping the
+    sign of its unit with the smallest |local field| (the first on ties).
+    """
+    fields = (w * x).sum(axis=2)
+    sigma = _signs(fields)
+    taus = sigma.prod(axis=1)
+    if taus[0] != taus[1]:
+        return None
+    learn = taus == taus[0]
+    if geometric and not learn.all():
+        rows = np.flatnonzero(~learn)
+        sigma[rows, np.abs(fields[rows]).argmin(axis=1)] *= -1
+        taus[rows] = taus[0]
+        learn[rows] = True
+    # a row with tau 0 has no unit whose sign equals it, so it stays put
+    _hebbian_inplace(w, x, sigma, (taus * learn)[:, None], bound)
+    return learn
 
 
 class _InputStream:
@@ -223,7 +246,6 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
         raise ValueError("config params do not match the machines")
     params = alice.params
     budget = config.max_iterations or resolve_iteration_budget(params)
-    interval = config.digest_check_interval
 
     stream = _InputStream(np.random.default_rng(config.seed), (params.K, params.N))
     w = np.stack([alice.weights, bob.weights]).astype(np.int32)
@@ -231,28 +253,20 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
     iterations = 0
     learning_steps = 0
     digest_exchanges = 0
-    converged = False
     trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
 
     while True:
-        if not config.protocol_mode:
-            if np.array_equal(w[0], w[1]):
-                converged = True
-                break
-        elif iterations > 0 and iterations % interval == 0:
-            digest_exchanges += 1
-            if _weight_digest(w[0]) == _weight_digest(w[1]):
-                converged = True
-                break
-        if iterations >= budget:
+        if config.protocol_mode:
+            checked = iterations > 0 and iterations % config.digest_check_interval == 0
+            digest_exchanges += checked
+            converged = checked and _weight_digest(w[0]) == _weight_digest(w[1])
+        else:
+            converged = np.array_equal(w[0], w[1])
+        if converged or iterations >= budget:
             break
 
-        x = stream.next()
         iterations += 1
-        sigma = _signs((w * x).sum(axis=2))
-        taus = sigma.prod(axis=1)
-        if taus[0] == taus[1]:
-            _hebbian_inplace(w, x, sigma, taus[:, None], params.L)
+        if _exchange_round(w, stream.next(), params.L) is not None:
             learning_steps += 1
         if trace is not None:
             trace.append((iterations, float((w[0] == w[1]).mean())))
@@ -267,8 +281,11 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
         overlap_trace=trace,
     )
     if not converged:
+        source = "explicit max_iterations=" if config.max_iterations else "pilot budget "
         raise NonConvergenceError(
-            f"no convergence within {budget} iterations for {params}", transcript
+            f"no convergence within {budget} iterations ({source}{budget}) for {params}; "
+            f"final party overlap {float((w[0] == w[1]).mean()):.4f}",
+            transcript,
         )
     return transcript
 

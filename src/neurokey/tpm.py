@@ -218,7 +218,9 @@ def _hebbian_inplace(
     """
     active = sigma == tau
     weights += x * (sigma * active)[..., None]
-    np.clip(weights, -bound, bound, out=weights)
+    # np.clip's Python wrapper costs more than the clamp itself at these sizes
+    np.minimum(weights, bound, out=weights)
+    np.maximum(weights, -bound, out=weights)
 
 
 def hebbian_step(

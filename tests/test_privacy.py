@@ -219,6 +219,16 @@ class TestAmplify:
         with pytest.raises(FftPrecisionError, match="from an integer"):
             amplify(key, spec)
 
+    @pytest.mark.parametrize("rows,cols", [(1, 100_000), (10_000, 1), (10_000, 8)])
+    def test_thin_products_skip_the_fft(self, rows, cols, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("thin products must use the direct convolution")
+
+        monkeypatch.setattr(np.fft, "irfft", no_fft)
+        key, spec = seeded_case(rows, cols, seed=rows + cols)
+        expected = reference_matrix(spec).astype(np.int64) @ key.bits.astype(np.int64) % 2
+        assert amplify(key, spec).bits.tolist() == expected.tolist()
+
     def test_small_products_skip_the_fft(self, monkeypatch):
         def no_fft(*args, **kwargs):
             raise AssertionError("small products must use the direct convolution")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neurokey import sync
 from neurokey.channel import generate_key_pair
 from neurokey.sync import (
     NonConvergenceError,
@@ -84,6 +85,25 @@ class TestSynchronize:
         transcript = excinfo.value.transcript
         assert not transcript.converged
         assert transcript.iterations == 3
+
+    def test_non_convergence_names_an_explicit_budget_and_the_overlap(self):
+        alice, bob = fresh_pair(PARAMS, 11)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=3, seed=12))
+        overlap = weight_overlap(alice, bob)
+        assert "explicit max_iterations=3" in str(excinfo.value)
+        assert f"final party overlap {overlap:.4f}" in str(excinfo.value)
+        assert excinfo.value.transcript.iterations == 3
+
+    def test_non_convergence_names_a_pilot_budget(self, monkeypatch):
+        params = TpmParams(K=3, N=7, L=2)
+        monkeypatch.setitem(sync._budget_cache, params, 4)
+        alice, bob = fresh_pair(params, 14)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            synchronize_from_weights(alice, bob, SyncConfig(params, seed=15))
+        assert "(pilot budget 4)" in str(excinfo.value)
+        assert f"final party overlap {weight_overlap(alice, bob):.4f}" in str(excinfo.value)
+        assert excinfo.value.transcript.iterations == 4
 
     def test_shape_mismatch_rejected(self):
         alice, _ = fresh_pair(PARAMS, 13)
@@ -222,3 +242,79 @@ class TestTranscriptRecord:
         back = SyncTranscript.from_record(line)
         assert back == transcript
         assert "\n" not in line
+
+
+# Protocol-mode transcripts, captured with the FNV-1a digest that preceded
+# blake2b: (K, N, seed, interval, max_iterations) ->
+# (iterations, learning_steps, digest_exchanges, converged).
+PROTOCOL_SHAPES = ((3, 5), (4, 6), (6, 8))
+PROTOCOL_CASES = [
+    (K, N, seed, interval, budget)
+    for K, N in PROTOCOL_SHAPES
+    for seed in (1, 2)
+    for interval in (1, 10, 100)
+    for budget in (35, 20_000)
+]
+
+
+def protocol_transcript(K, N, seed, interval, budget):
+    params = TpmParams(K=K, N=N, L=2)
+    alice, bob = fresh_pair(params, 60 + seed)
+    config = SyncConfig(
+        params,
+        max_iterations=budget,
+        seed=70 + seed,
+        protocol_mode=True,
+        digest_check_interval=interval,
+    )
+    try:
+        return synchronize_from_weights(alice, bob, config)
+    except NonConvergenceError as err:
+        return err.transcript
+
+
+GOLDEN_PROTOCOL_TRANSCRIPTS = {
+    (3, 5, 1, 1, 35): (35, 18, 35, False),
+    (3, 5, 1, 1, 20000): (77, 47, 77, True),
+    (3, 5, 1, 10, 35): (35, 18, 3, False),
+    (3, 5, 1, 10, 20000): (80, 50, 8, True),
+    (3, 5, 1, 100, 35): (35, 18, 0, False),
+    (3, 5, 1, 100, 20000): (100, 70, 1, True),
+    (3, 5, 2, 1, 35): (35, 21, 35, False),
+    (3, 5, 2, 1, 20000): (47, 29, 47, True),
+    (3, 5, 2, 10, 35): (35, 21, 3, False),
+    (3, 5, 2, 10, 20000): (50, 32, 5, True),
+    (3, 5, 2, 100, 35): (35, 21, 0, False),
+    (3, 5, 2, 100, 20000): (100, 82, 1, True),
+    (4, 6, 1, 1, 35): (35, 17, 35, False),
+    (4, 6, 1, 1, 20000): (173, 100, 173, True),
+    (4, 6, 1, 10, 35): (35, 17, 3, False),
+    (4, 6, 1, 10, 20000): (180, 107, 18, True),
+    (4, 6, 1, 100, 35): (35, 17, 0, False),
+    (4, 6, 1, 100, 20000): (200, 127, 2, True),
+    (4, 6, 2, 1, 35): (35, 17, 35, False),
+    (4, 6, 2, 1, 20000): (113, 66, 113, True),
+    (4, 6, 2, 10, 35): (35, 17, 3, False),
+    (4, 6, 2, 10, 20000): (120, 73, 12, True),
+    (4, 6, 2, 100, 35): (35, 17, 0, False),
+    (4, 6, 2, 100, 20000): (200, 153, 2, True),
+    (6, 8, 1, 1, 35): (35, 17, 35, False),
+    (6, 8, 1, 1, 20000): (108, 67, 108, True),
+    (6, 8, 1, 10, 35): (35, 17, 3, False),
+    (6, 8, 1, 10, 20000): (110, 69, 11, True),
+    (6, 8, 1, 100, 35): (35, 17, 0, False),
+    (6, 8, 1, 100, 20000): (200, 159, 2, True),
+    (6, 8, 2, 1, 35): (35, 20, 35, False),
+    (6, 8, 2, 1, 20000): (212, 131, 212, True),
+    (6, 8, 2, 10, 35): (35, 20, 3, False),
+    (6, 8, 2, 10, 20000): (220, 139, 22, True),
+    (6, 8, 2, 100, 35): (35, 20, 0, False),
+    (6, 8, 2, 100, 20000): (300, 219, 3, True),
+}
+
+
+@pytest.mark.parametrize("case", PROTOCOL_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_protocol_transcripts_are_pinned(case):
+    transcript = protocol_transcript(*case)
+    expected = SyncTranscript(*GOLDEN_PROTOCOL_TRANSCRIPTS[case])
+    assert transcript.to_record() == expected.to_record()
