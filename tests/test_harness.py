@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 
 import pytest
@@ -259,3 +261,78 @@ class TestPipeline:
         )
         assert report.transcript.digest_exchanges >= 1
         assert report.stage_disclosed_bits["sync_digests"] == 64 * report.transcript.digest_exchanges
+
+
+# ---------------------------------------------------------------------------
+# golden CSV slices, captured before start-mode setup moved into StartMode
+
+
+def _qber_slice(protocol_mode):
+    # from_qber starts at two error rates; the 40-iteration cap leaves some
+    # rows unconverged
+    return Scenario(
+        name="qber",
+        kind="sync",
+        L=2,
+        K_values=(3, 4),
+        N_values=(5,),
+        start_modes=(StartMode("from_qber", 0.05), StartMode("from_qber", 0.15)),
+        trials=4,
+        base_seed=41,
+        max_iterations=40,
+        protocol_mode=protocol_mode,
+    )
+
+
+def _attack_slice(strategy, size):
+    return Scenario(
+        name=f"atk-{strategy}",
+        kind="attack",
+        L=2,
+        K_values=(4,),
+        N_values=(6,),
+        start_modes=tuple(StartMode.parse(m) for m in ("random", "overlap:0.9", "from_qber:0.05")),
+        trials=3,
+        base_seed=52,
+        attack=AttackConfig(strategy, size, 300),
+    )
+
+
+GOLDEN_SLICES = {
+    "fig4": lambda: dataclasses.replace(load_scenario("fig4"), trials=3),
+    "fig3-protocol": lambda: dataclasses.replace(load_scenario("fig3"), trials=2, protocol_mode=True),
+    "from_qber-simulation": lambda: _qber_slice(False),
+    "from_qber-protocol": lambda: _qber_slice(True),
+    "table1": lambda: dataclasses.replace(load_scenario("table1"), trials=3),
+    "attack-passive": lambda: _attack_slice("passive", 1),
+    "attack-geometric": lambda: _attack_slice("geometric", 1),
+    "attack-ensemble": lambda: _attack_slice("ensemble", 3),
+}
+
+# sha256 of each slice's CSV
+GOLDEN_SLICE_DIGESTS = {
+    "attack-ensemble": "380386de06608166af60606446c6327ea8b436092564b19b145efd10e4597045",
+    "attack-geometric": "d4c75a71590f200255c4fadb6c86bab21893700ad945ac8c3ef6eec1cbbf1ad5",
+    "attack-passive": "66bac1f9a6d18a1f577bc62dedd12332e85360a37f451aa487c804bd88b94cce",
+    "fig3-protocol": "fd0d35b49ccfd25f8da1d20d706e54d54d015b3157dad7b96ba2c6ce8c34abfb",
+    "fig4": "e7e20fe832fc4732ff6d744f96b53db14b2366209552f92c80e5d6cf86c5fdde",
+    "from_qber-protocol": "6eb904cc77a1c53b1b3a1b1f9f2a65677426245e2d3119d6106ad35ef2b51182",
+    "from_qber-simulation": "5813266cf72e946e8b7ecae4d96dbb28160e615cd8ccf9e9f2c5a5000fd50b1b",
+    "table1": "d83f56ba93467661a7df5a1559b000c15015c5da6308d3de150434f46029ae41",
+}
+
+
+def slice_digest(name):
+    csv_text = records_to_csv(run_scenario(GOLDEN_SLICES[name]()))
+    return hashlib.sha256(csv_text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SLICES))
+def test_golden_csv_slice(name):
+    assert slice_digest(name) == GOLDEN_SLICE_DIGESTS[name]
+
+
+def test_golden_from_qber_slices_include_unconverged_rows():
+    for protocol_mode in (False, True):
+        converged = {r.converged for r in run_scenario(_qber_slice(protocol_mode))}
+        assert converged == {True, False}
