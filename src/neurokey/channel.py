@@ -47,7 +47,7 @@ class NoisyKeyPair:
     def __post_init__(self) -> None:
         if self.alice.length != self.bob.length:
             raise ValueError("keys must have equal length")
-        actual = frozenset(int(i) for i in np.flatnonzero(self.alice.bits != self.bob.bits))
+        actual = frozenset(np.flatnonzero(self.alice.bits != self.bob.bits).tolist())
         if actual != self.true_error_positions:
             raise ValueError("true_error_positions does not match the keys")
 
@@ -138,7 +138,7 @@ def generate_key_pair(
     else:
         flips = _burst_flips(rng, length, qber, mean_burst_length)
     bob_bits = alice_bits ^ flips.astype(np.uint8)
-    positions = frozenset(int(i) for i in np.flatnonzero(flips))
+    positions = frozenset(np.flatnonzero(flips).tolist())
     return NoisyKeyPair(BitKey(alice_bits), BitKey(bob_bits), positions, float(qber))
 
 

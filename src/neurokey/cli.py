@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from .adversary import AttackConfig
 from .harness import (
@@ -23,14 +22,15 @@ from .harness import (
     comparison_csv,
     format_comparison_table,
     load_scenario,
+    machine_trial_seeds,
     run_pipeline,
     run_scenario,
     write_csv,
 )
 from .privacy import DEFAULT_SECURITY_BITS, InfeasibleBudgetError
-from .sync import NonConvergenceError, SyncConfig, seed_initial_overlap, synchronize_from_weights
-from .tpm import Tpm, TpmParams, bits_to_weights
-from .channel import DEFAULT_QBER_THRESHOLD, DEFAULT_SAMPLE_FRACTION, generate_key_pair
+from .sync import NonConvergenceError, SyncConfig, synchronize_from_weights
+from .tpm import TpmParams
+from .channel import DEFAULT_QBER_THRESHOLD, DEFAULT_SAMPLE_FRACTION
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,21 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sync(args) -> int:
-    params = TpmParams(K=args.K, N=args.N, L=args.L)
-    root = np.random.SeedSequence(args.seed)
-    init_seq, aux_seq, sync_seq = root.spawn(3)
-    sync_seed = int(sync_seq.generate_state(1, dtype=np.uint64)[0])
-    rng = np.random.default_rng(init_seq)
+    # trial 0 of the one-point sync scenario with base seed --seed
     if args.qber is not None:
-        pair = generate_key_pair(params.key_bits, args.qber, seed=int(init_seq.generate_state(1)[0]))
-        alice = bits_to_weights(pair.alice, params)
-        bob = bits_to_weights(pair.bob, params)
+        mode = StartMode("from_qber", args.qber)
+    elif args.overlap is not None:
+        mode = StartMode("overlap", args.overlap)
     else:
-        alice = Tpm.random(params, rng)
-        if args.overlap is not None:
-            bob = seed_initial_overlap(alice, args.overlap, seed=int(aux_seq.generate_state(1)[0]))
-        else:
-            bob = Tpm.random(params, rng)
+        mode = StartMode("random")
+    params = TpmParams(K=args.K, N=args.N, L=args.L)
+    init_seed, aux_seed, sync_seed = machine_trial_seeds(args.seed, 0, params, 0)
+    alice, bob = mode.machines(params, init_seed, aux_seed)
     config = SyncConfig(
         params=params,
         max_iterations=args.budget,
@@ -154,8 +149,6 @@ def cmd_scenario(args) -> int:
     if args.protocol_mode:
         overrides["protocol_mode"] = True
     if overrides:
-        from dataclasses import replace
-
         scenario = replace(scenario, **overrides)
     records = run_scenario(scenario, workers=args.workers)
     if args.out:

@@ -58,6 +58,7 @@ __all__ = [
     "comparison_csv",
     "format_comparison_table",
     "load_scenario",
+    "machine_trial_seeds",
     "records_to_csv",
     "run_pipeline",
     "run_scenario",
@@ -138,6 +139,19 @@ class StartMode:
             return "random"
         return f"{self.kind}:{self.value:g}"
 
+    def machines(self, params: TpmParams, init_seed: int, aux_seed: int) -> tuple[Tpm, Tpm]:
+        """The trial's starting pair: two random machines, Bob a copy of
+        Alice at this weight overlap, or both loaded from keys drawn at this
+        error rate."""
+        if self.kind == "from_qber":
+            pair = generate_key_pair(params.key_bits, self.value, seed=init_seed)
+            return bits_to_weights(pair.alice, params), bits_to_weights(pair.bob, params)
+        rng = np.random.default_rng(init_seed)
+        alice = Tpm.random(params, rng)
+        if self.kind == "random":
+            return alice, Tpm.random(params, rng)
+        return alice, seed_initial_overlap(alice, self.value, seed=aux_seed)
+
 
 @dataclass(frozen=True)
 class CompareSetting:
@@ -182,6 +196,11 @@ class Scenario:
             raise ScenarioError("attack scenarios need an [attack] section")
         if self.kind == "compare" and not self.compare_settings:
             raise ScenarioError("compare scenarios need a settings list")
+        # run_attack and the compare TPM row never read these settings
+        if self.protocol_mode and self.kind != "sync":
+            raise ScenarioError(f"protocol_mode applies only to sync scenarios, not {self.kind}")
+        if self.max_iterations is not None and self.kind == "attack":
+            raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
 
 
 @dataclass
@@ -221,13 +240,17 @@ class TrialRecord:
 
 def trial_seed(base_seed: int, *coordinates: int) -> int:
     """Stable 64-bit seed derived from the base seed and sweep coordinates."""
-    state = np.random.SeedSequence([int(base_seed), *map(int, coordinates)])
-    return int(state.generate_state(1, dtype=np.uint64)[0])
+    return _child_seeds(base_seed, coordinates, 1)[0]
 
 
 def _child_seeds(base_seed: int, coordinates: tuple[int, ...], count: int) -> list[int]:
     state = np.random.SeedSequence([int(base_seed), *map(int, coordinates)])
     return [int(v) for v in state.generate_state(count, dtype=np.uint64)]
+
+
+def machine_trial_seeds(base_seed: int, mode_index: int, params: TpmParams, trial: int) -> list[int]:
+    """The (init, aux, sync) seeds of one sync or attack trial."""
+    return _child_seeds(base_seed, (mode_index, params.L, params.K, params.N, trial), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +368,6 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
 
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario from a file path or a bundled name (fig2..fig6, table1)."""
-    import os
-
     if os.path.exists(path_or_name):
         with open(path_or_name, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -362,89 +383,45 @@ def load_scenario(path_or_name: str) -> Scenario:
 # trial execution
 
 
-def _run_sync_trial(scenario: Scenario, mode_index: int, K: int, N: int, trial: int) -> TrialRecord:
+def _run_machine_trial(
+    scenario: Scenario, name: str, trial: int, params: TpmParams, mode: StartMode, seeds: list[int]
+) -> TrialRecord:
+    """Build the pair for ``mode`` from (init, aux, sync) seeds, run an attack
+    on it (attack scenarios) or synchronize it, and record the outcome."""
     started = time.perf_counter()
-    mode = scenario.start_modes[mode_index]
-    params = TpmParams(K=K, N=N, L=scenario.L)
-    init_seed, aux_seed, sync_seed = _child_seeds(
-        scenario.base_seed, (mode_index, scenario.L, K, N, trial), 3
-    )
-    config = SyncConfig(
-        params=params,
-        max_iterations=scenario.max_iterations,
-        seed=sync_seed,
-        protocol_mode=scenario.protocol_mode,
-    )
-    converged = True
-    if mode.kind == "from_qber":
-        pair = generate_key_pair(params.key_bits, mode.value, seed=init_seed)
-        try:
-            result_a, result_b = reconcile(pair.alice, pair.bob, config)
-        except NonConvergenceError as err:
-            transcript, converged = err.transcript, False
-        else:
-            transcript = result_a.transcript
-            if result_a.final_key != result_b.final_key:
-                raise RuntimeError("converged run produced differing keys")
+    init_seed, aux_seed, sync_seed = seeds
+    alice, bob = mode.machines(params, init_seed, aux_seed)
+    best_overlap = -1.0
+    if scenario.kind == "attack":
+        config = SyncConfig(params=params, seed=sync_seed)
+        transcript, result = run_attack(alice, bob, config, scenario.attack)
+        best_overlap = result.best_overlap
     else:
-        rng = np.random.default_rng(init_seed)
-        alice = Tpm.random(params, rng)
-        if mode.kind == "random":
-            bob = Tpm.random(params, rng)
-        else:
-            bob = seed_initial_overlap(alice, mode.value, seed=aux_seed)
+        config = SyncConfig(
+            params=params,
+            max_iterations=scenario.max_iterations,
+            seed=sync_seed,
+            protocol_mode=scenario.protocol_mode,
+        )
         try:
             transcript = synchronize_from_weights(alice, bob, config)
         except NonConvergenceError as err:
-            transcript, converged = err.transcript, False
+            transcript = err.transcript
+        # a protocol-mode digest collision would end a run early
+        if transcript.converged and not np.array_equal(alice.weights, bob.weights):
+            raise RuntimeError("converged run produced differing machines")
     return TrialRecord(
-        scenario=scenario.name,
+        scenario=name,
         trial=trial,
-        K=K,
-        N=N,
-        L=scenario.L,
+        K=params.K,
+        N=params.N,
+        L=params.L,
         start_mode=str(mode),
         iterations=transcript.iterations,
         learning_steps=transcript.learning_steps,
         parity_checks=-1,
         disclosed_bits=transcript.disclosed_bits,
-        attacker_best_overlap=-1.0,
-        converged=converged,
-        wall_time=time.perf_counter() - started,
-    )
-
-
-def _run_attack_trial(scenario: Scenario, mode_index: int, K: int, N: int, trial: int) -> TrialRecord:
-    started = time.perf_counter()
-    mode = scenario.start_modes[mode_index]
-    params = TpmParams(K=K, N=N, L=scenario.L)
-    init_seed, aux_seed, sync_seed = _child_seeds(
-        scenario.base_seed, (mode_index, scenario.L, K, N, trial), 3
-    )
-    rng = np.random.default_rng(init_seed)
-    alice = Tpm.random(params, rng)
-    if mode.kind == "random":
-        bob = Tpm.random(params, rng)
-    elif mode.kind == "overlap":
-        bob = seed_initial_overlap(alice, mode.value, seed=aux_seed)
-    else:
-        pair = generate_key_pair(params.key_bits, mode.value, seed=init_seed)
-        alice = bits_to_weights(pair.alice, params)
-        bob = bits_to_weights(pair.bob, params)
-    config = SyncConfig(params=params, seed=sync_seed)
-    transcript, result = run_attack(alice, bob, config, scenario.attack)
-    return TrialRecord(
-        scenario=scenario.name,
-        trial=trial,
-        K=K,
-        N=N,
-        L=scenario.L,
-        start_mode=str(mode),
-        iterations=transcript.iterations,
-        learning_steps=transcript.learning_steps,
-        parity_checks=-1,
-        disclosed_bits=transcript.disclosed_bits,
-        attacker_best_overlap=result.best_overlap,
+        attacker_best_overlap=best_overlap,
         converged=transcript.converged,
         wall_time=time.perf_counter() - started,
     )
@@ -452,9 +429,8 @@ def _run_attack_trial(scenario: Scenario, mode_index: int, K: int, N: int, trial
 
 def _run_compare_trial(scenario: Scenario, setting_index: int, trial: int) -> list[TrialRecord]:
     setting = scenario.compare_settings[setting_index]
-    K = scenario.K_values[0]
-    params = TpmParams(K=K, N=setting.tpm_n, L=scenario.L)
-    pair_seed, parity_seed_a, parity_seed_b, init_seed, overlap_seed, sync_seed = _child_seeds(
+    params = TpmParams(K=scenario.K_values[0], N=setting.tpm_n, L=scenario.L)
+    pair_seed, parity_seed_a, parity_seed_b, *machine_seeds = _child_seeds(
         scenario.base_seed, (setting_index, trial), 6
     )
     pair = generate_key_pair(setting.key_length, setting.qber, seed=pair_seed)
@@ -481,31 +457,14 @@ def _run_compare_trial(scenario: Scenario, setting_index: int, trial: int) -> li
                 wall_time=time.perf_counter() - started,
             )
         )
-    started = time.perf_counter()
-    rng = np.random.default_rng(init_seed)
-    alice = Tpm.random(params, rng)
-    bob = seed_initial_overlap(alice, 1.0 - setting.qber, seed=overlap_seed)
-    config = SyncConfig(params=params, max_iterations=scenario.max_iterations, seed=sync_seed)
-    converged = True
-    try:
-        transcript = synchronize_from_weights(alice, bob, config)
-    except NonConvergenceError as err:
-        transcript, converged = err.transcript, False
     records.append(
-        TrialRecord(
-            scenario=f"{scenario.name}/tpm/{setting.key_length}b",
-            trial=trial,
-            K=params.K,
-            N=params.N,
-            L=params.L,
-            start_mode=f"overlap:{1.0 - setting.qber:g}",
-            iterations=transcript.iterations,
-            learning_steps=transcript.learning_steps,
-            parity_checks=-1,
-            disclosed_bits=transcript.disclosed_bits,
-            attacker_best_overlap=-1.0,
-            converged=converged,
-            wall_time=time.perf_counter() - started,
+        _run_machine_trial(
+            scenario,
+            f"{scenario.name}/tpm/{setting.key_length}b",
+            trial,
+            params,
+            StartMode("overlap", 1.0 - setting.qber),
+            machine_seeds,
         )
     )
     return records
@@ -516,23 +475,24 @@ def _scenario_tasks(scenario: Scenario) -> list[tuple]:
     if scenario.kind == "compare":
         for setting_index in range(len(scenario.compare_settings)):
             for trial in range(scenario.trials):
-                tasks.append((scenario, "compare", setting_index, 0, 0, trial))
+                tasks.append((scenario, setting_index, 0, 0, trial))
     else:
         for mode_index in range(len(scenario.start_modes)):
             for K in scenario.K_values:
                 for N in scenario.N_values:
                     for trial in range(scenario.trials):
-                        tasks.append((scenario, scenario.kind, mode_index, K, N, trial))
+                        tasks.append((scenario, mode_index, K, N, trial))
     return tasks
 
 
 def _run_task(task: tuple) -> list[TrialRecord]:
-    scenario, kind, a, b, c, trial = task
-    if kind == "sync":
-        return [_run_sync_trial(scenario, a, b, c, trial)]
-    if kind == "attack":
-        return [_run_attack_trial(scenario, a, b, c, trial)]
-    return _run_compare_trial(scenario, a, trial)
+    scenario, index, K, N, trial = task
+    if scenario.kind == "compare":
+        return _run_compare_trial(scenario, index, trial)
+    params = TpmParams(K=K, N=N, L=scenario.L)
+    seeds = machine_trial_seeds(scenario.base_seed, index, params, trial)
+    mode = scenario.start_modes[index]
+    return [_run_machine_trial(scenario, scenario.name, trial, params, mode, seeds)]
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> Iterator[TrialRecord]:

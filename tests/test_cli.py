@@ -1,4 +1,9 @@
+import re
+
+import pytest
+
 from neurokey.cli import main
+from neurokey.harness import Scenario, StartMode, run_scenario
 
 
 def test_sync_success_exit_zero(capsys):
@@ -21,6 +26,35 @@ def test_sync_trace_prints_overlaps(capsys):
 def test_sync_non_convergence_exit_two(capsys):
     code = main(["sync", "--K", "8", "--N", "20", "--L", "3", "--seed", "5", "--budget", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, mode",
+    [
+        ([], StartMode("random")),
+        (["--overlap", "0.9"], StartMode("overlap", 0.9)),
+        (["--qber", "0.15"], StartMode("from_qber", 0.15)),
+    ],
+)
+@pytest.mark.parametrize("seed", [5, 12])
+def test_sync_replays_trial_zero_of_the_one_point_scenario(capsys, flags, mode, seed):
+    shape = ["--K", "3", "--N", "4", "--L", "2"]
+    code = main(["sync", *shape, "--seed", str(seed), "--budget", "50000", *flags])
+    assert code == 0
+    out = capsys.readouterr().out
+    printed = re.search(r"iterations=(\d+) learning_steps=(\d+)", out)
+    scenario = Scenario(
+        name="sync",
+        K_values=(3,),
+        N_values=(4,),
+        start_modes=(mode,),
+        trials=1,
+        base_seed=seed,
+        max_iterations=50000,
+    )
+    (record,) = run_scenario(scenario)
+    assert record.iterations > 0
+    assert (int(printed[1]), int(printed[2])) == (record.iterations, record.learning_steps)
 
 
 def test_bad_flag_value_exit_three():
@@ -68,6 +102,11 @@ def test_scenario_bundled_name_with_overrides(tmp_path, capsys):
 
 def test_scenario_missing_file_exit_three(capsys):
     assert main(["scenario", "no-such-scenario"]) == 3
+
+
+def test_scenario_protocol_mode_on_attack_exit_three(capsys):
+    assert main(["scenario", "fig2", "--protocol-mode"]) == 3
+    assert "protocol_mode" in capsys.readouterr().err
 
 
 def test_scenario_worker_count_out_of_range_exit_three(capsys, tmp_path):

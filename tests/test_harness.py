@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from neurokey.adversary import AttackConfig
+from neurokey.channel import generate_key_pair
 from neurokey.harness import (
     CSV_COLUMNS,
     CompareSetting,
@@ -23,7 +25,8 @@ from neurokey.harness import (
     trial_seed,
 )
 from neurokey.privacy import InfeasibleBudgetError
-from neurokey.tpm import TpmParams
+from neurokey.sync import seed_initial_overlap
+from neurokey.tpm import Tpm, TpmParams, bits_to_weights
 
 SMALL_SYNC = Scenario(
     name="small",
@@ -93,6 +96,19 @@ settings = 500:0.05:25, 600:0.03:30
             CompareSetting(600, 0.03, 30),
         )
 
+    @pytest.mark.parametrize(
+        "kind, override",
+        [
+            ("attack", {"protocol_mode": True}),
+            ("compare", {"protocol_mode": True}),
+            ("attack", {"max_iterations": 500}),
+        ],
+    )
+    def test_settings_a_kind_ignores_are_rejected(self, kind, override):
+        base = load_scenario("fig2" if kind == "attack" else "table1")
+        with pytest.raises(ScenarioError):
+            dataclasses.replace(base, **override)
+
     def test_bundled_scenarios_load(self):
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "table1"):
             scenario = load_scenario(name)
@@ -114,6 +130,28 @@ class TestTrialSeeds:
         c = trial_seed(1, 2, 4)
         assert a == b
         assert a != c
+
+
+class TestStartModeMachines:
+    PARAMS = TpmParams(K=3, N=4, L=2)
+
+    def test_random_pair_is_two_draws_of_one_generator(self):
+        alice, bob = StartMode("random").machines(self.PARAMS, 11, 12)
+        rng = np.random.default_rng(11)
+        assert np.array_equal(alice.weights, Tpm.random(self.PARAMS, rng).weights)
+        assert np.array_equal(bob.weights, Tpm.random(self.PARAMS, rng).weights)
+
+    def test_overlap_pair_copies_alice_at_that_overlap(self):
+        alice, bob = StartMode("overlap", 0.75).machines(self.PARAMS, 11, 12)
+        expected = seed_initial_overlap(alice, 0.75, seed=12)
+        assert np.array_equal(bob.weights, expected.weights)
+        assert (alice.weights == bob.weights).mean() == 0.75
+
+    def test_from_qber_pair_loads_the_keys(self):
+        alice, bob = StartMode("from_qber", 0.1).machines(self.PARAMS, 11, 12)
+        pair = generate_key_pair(self.PARAMS.key_bits, 0.1, seed=11)
+        assert np.array_equal(alice.weights, bits_to_weights(pair.alice, self.PARAMS).weights)
+        assert np.array_equal(bob.weights, bits_to_weights(pair.bob, self.PARAMS).weights)
 
 
 class TestRunScenario:
@@ -165,6 +203,15 @@ class TestRunScenario:
         assert len(records) == 2
         for record in records:
             assert 0.0 <= record.attacker_best_overlap <= 1.0
+
+    def test_converged_run_with_differing_machines_raises(self, monkeypatch):
+        # every digest collides, so protocol mode stops at the first check
+        monkeypatch.setattr("neurokey.sync._weight_digest", lambda weights: b"")
+        scenario = dataclasses.replace(
+            SMALL_SYNC, start_modes=(StartMode("random"),), protocol_mode=True
+        )
+        with pytest.raises(RuntimeError, match="differing machines"):
+            list(run_scenario(scenario))
 
     def test_wide_machine_iterations_grow_with_k(self):
         # N=50, 99% initial agreement: mean rounds must rise with K
