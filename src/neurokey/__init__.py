@@ -2,14 +2,7 @@
 machines, alongside BBBSS/Cascade parity baselines, eavesdropper
 simulations, leakage accounting, and privacy amplification."""
 
-from .adversary import (
-    AttackConfig,
-    AttackResult,
-    LeakageEstimate,
-    key_space_size,
-    leakage_after,
-    run_attack,
-)
+from .adversary import AttackConfig, AttackResult, run_attack
 from .channel import (
     DEFAULT_QBER_THRESHOLD,
     DEFAULT_SAMPLE_FRACTION,
@@ -46,10 +39,12 @@ from .privacy import (
     plan_budget,
 )
 from .sync import (
+    LeakageEstimate,
     NonConvergenceError,
     ReconciliationResult,
     SyncConfig,
     SyncTranscript,
+    leakage_after,
     reconcile,
     seed_initial_overlap,
     synchronize_from_weights,

@@ -1,5 +1,4 @@
-"""Eavesdropper simulations against the mutual-learning channel, plus the
-public-information accounting used to size the final key reduction.
+"""Eavesdropper simulations against the mutual-learning channel.
 
 Eve sees every input matrix and both public +/-1 outputs. Three strategies:
 
@@ -16,20 +15,27 @@ learn is a mask over the rows, not a per-Eve step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sync import SyncConfig, SyncTranscript, _exchange_round, _InputStream, seed_initial_overlap
-from .tpm import Tpm, TpmParams
+# LeakageEstimate and leakage_after live in sync and are re-exported here
+from .sync import (
+    LeakageEstimate,
+    SyncConfig,
+    SyncTranscript,
+    _exchange_round,
+    _inputs,
+    leakage_after,
+    seed_initial_overlap,
+)
+from .tpm import Tpm
 
 __all__ = [
     "AttackConfig",
     "AttackResult",
     "LeakageEstimate",
     "STRATEGIES",
-    "key_space_size",
     "leakage_after",
     "run_attack",
 ]
@@ -78,40 +84,6 @@ class AttackResult:
     eve_overlap_trace: list[tuple[int, float]] | None = None
 
 
-@dataclass(frozen=True)
-class LeakageEstimate:
-    """How much the public outputs narrow the attacker's search space.
-
-    Each public round at most halves the candidate weight matrices, so after
-    ``iterations`` rounds the space shrinks from (2L+1)^(K*N) by a factor of
-    2^iterations, equivalent to removing ``weight_equivalent_reduction``
-    weights or ``bit_reduction`` key bits.
-    """
-
-    iterations: int
-    key_space_log2: float
-    weight_equivalent_reduction: float
-    bit_reduction: int
-
-
-def key_space_size(params: TpmParams) -> int:
-    """Exact count of distinct weight matrices, (2L+1)^(K*N)."""
-    return params.alphabet_size**params.weight_count
-
-
-def leakage_after(iterations: int, params: TpmParams) -> LeakageEstimate:
-    """Accounting for ``iterations`` public rounds of the given shape."""
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    log2_alphabet = math.log2(params.alphabet_size)
-    return LeakageEstimate(
-        iterations=iterations,
-        key_space_log2=params.weight_count * log2_alphabet - iterations,
-        weight_equivalent_reduction=iterations / log2_alphabet,
-        bit_reduction=iterations,
-    )
-
-
 def run_attack(
     alice: Tpm, bob: Tpm, config: SyncConfig, attack: AttackConfig
 ) -> tuple[SyncTranscript, AttackResult]:
@@ -130,7 +102,7 @@ def run_attack(
         raise ValueError("config params do not match the machines")
     params = alice.params
     input_seq, eve_seq = np.random.SeedSequence(config.seed).spawn(2)
-    stream = _InputStream(np.random.default_rng(input_seq), (params.K, params.N))
+    inputs = _inputs(np.random.default_rng(input_seq), (params.K, params.N))
     eve_rng = np.random.default_rng(eve_seq)
 
     w = np.empty((2 + attack.ensemble_size, params.K, params.N), dtype=np.int32)
@@ -156,7 +128,7 @@ def run_attack(
     eve_synced = False
     while iterations < attack.iteration_budget and not eve_synced:
         iterations += 1
-        learn = _exchange_round(w, stream.next(), params.L, geometric)
+        learn = _exchange_round(w, next(inputs), params.L, geometric)
         if learn is not None:
             ab_learning += 1
             eve_learning += learn[2:]

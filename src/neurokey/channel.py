@@ -34,6 +34,9 @@ DEFAULT_SAMPLE_FRACTION = 0.1
 
 ERROR_MODES = ("uniform", "burst")
 
+# Mean length of a run of flips in burst mode.
+_BURST_MEAN_RUN = 4.0
+
 
 @dataclass(frozen=True)
 class NoisyKeyPair:
@@ -54,10 +57,6 @@ class NoisyKeyPair:
     @property
     def length(self) -> int:
         return self.alice.length
-
-    @property
-    def error_count(self) -> int:
-        return len(self.true_error_positions)
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,9 @@ def _kth_open(placed: list[int], k: int) -> int:
     return k + lo
 
 
-def _burst_flips(
-    rng: np.random.Generator, length: int, qber: float, mean_run: float
-) -> np.ndarray:
-    """Place roughly Binomial(length, qber) flips in geometric-length runs.
+def _burst_flips(rng: np.random.Generator, length: int, qber: float) -> np.ndarray:
+    """Place roughly Binomial(length, qber) flips in geometric-length runs of
+    mean _BURST_MEAN_RUN.
 
     Each run starts at a uniformly drawn unflipped bit: rng.integers(0,
     open_count) picks its rank, the same draw rng.choice over the unflipped
@@ -100,7 +98,7 @@ def _burst_flips(
     placed: list[int] = []
     while len(placed) < target:
         start = _kth_open(placed, int(rng.integers(0, length - len(placed))))
-        run = int(rng.geometric(1.0 / mean_run))
+        run = int(rng.geometric(1.0 / _BURST_MEAN_RUN))
         for j in range(start, min(start + run, length)):
             if len(placed) >= target:
                 break
@@ -115,13 +113,12 @@ def generate_key_pair(
     qber: float,
     seed: int,
     error_mode: str = "uniform",
-    mean_burst_length: float = 4.0,
 ) -> NoisyKeyPair:
     """Draw Alice's key uniformly and corrupt Bob's copy at rate qber.
 
     Uniform mode flips each bit independently; burst mode clusters the same
-    expected number of flips into runs with the given mean length. The result
-    is a pure function of the arguments.
+    expected number of flips into runs of mean length 4. The result is a pure
+    function of the arguments.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -129,14 +126,12 @@ def generate_key_pair(
         raise ValueError(f"qber must be in [0, 0.5], got {qber}")
     if error_mode not in ERROR_MODES:
         raise ValueError(f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}")
-    if mean_burst_length < 1.0:
-        raise ValueError("mean_burst_length must be >= 1")
     rng = np.random.default_rng(seed)
     alice_bits = rng.integers(0, 2, size=length, dtype=np.uint8)
     if error_mode == "uniform":
         flips = rng.random(length) < qber
     else:
-        flips = _burst_flips(rng, length, qber, mean_burst_length)
+        flips = _burst_flips(rng, length, qber)
     bob_bits = alice_bits ^ flips.astype(np.uint8)
     positions = frozenset(np.flatnonzero(flips).tolist())
     return NoisyKeyPair(BitKey(alice_bits), BitKey(bob_bits), positions, float(qber))

@@ -205,7 +205,7 @@ def cmd_attack(args) -> int:
         base_seed=args.seed,
         attack=AttackConfig(
             strategy=args.strategy,
-            ensemble_size=args.ensemble_size if args.strategy == "ensemble" else 1,
+            ensemble_size=args.ensemble_size,
             iteration_budget=args.budget,
         ),
     )

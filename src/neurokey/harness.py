@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .adversary import AttackConfig, LeakageEstimate, run_attack
+from .adversary import AttackConfig, run_attack
 from .channel import (
     DEFAULT_QBER_THRESHOLD,
     DEFAULT_SAMPLE_FRACTION,
@@ -37,6 +36,7 @@ from .privacy import (
     plan_budget,
 )
 from .sync import (
+    LeakageEstimate,
     NonConvergenceError,
     SyncConfig,
     SyncTranscript,
@@ -62,7 +62,6 @@ __all__ = [
     "records_to_csv",
     "run_pipeline",
     "run_scenario",
-    "trial_seed",
     "write_csv",
 ]
 
@@ -162,6 +161,12 @@ class CompareSetting:
     qber: float
     tpm_n: int
 
+    def __post_init__(self) -> None:
+        if self.key_length < 1 or self.tpm_n < 1:
+            raise ScenarioError(f"compare key length and tpm_N must be positive in {self}")
+        if not 0.0 < self.qber <= 0.5:
+            raise ScenarioError(f"compare qber must be in (0, 0.5], got {self.qber}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -185,13 +190,14 @@ class Scenario:
             raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ScenarioError("trials must be >= 1")
-        if self.kind != "compare":
-            if not self.K_values or not self.N_values:
-                raise ScenarioError("K and N sweeps must be non-empty")
-            if min(self.K_values) < 1 or min(self.N_values) < 1 or self.L < 1:
-                raise ScenarioError("K, N, L must be positive")
-            if not self.start_modes:
-                raise ScenarioError("at least one start mode is required")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ScenarioError("max_iterations must be >= 1")
+        if not self.K_values or not self.N_values:
+            raise ScenarioError("K and N sweeps must be non-empty")
+        if min(self.K_values) < 1 or min(self.N_values) < 1 or self.L < 1:
+            raise ScenarioError("K, N, L must be positive")
+        if not self.start_modes:
+            raise ScenarioError("at least one start mode is required")
         if self.kind == "attack" and self.attack is None:
             raise ScenarioError("attack scenarios need an [attack] section")
         if self.kind == "compare" and not self.compare_settings:
@@ -236,11 +242,6 @@ class TrialRecord:
             f"{self.attacker_best_overlap:.6f}",
             str(int(self.converged)),
         ]
-
-
-def trial_seed(base_seed: int, *coordinates: int) -> int:
-    """Stable 64-bit seed derived from the base seed and sweep coordinates."""
-    return _child_seeds(base_seed, coordinates, 1)[0]
 
 
 def _child_seeds(base_seed: int, coordinates: tuple[int, ...], count: int) -> list[int]:
@@ -314,7 +315,7 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
         trials = section.getint("trials", 1000)
         base_seed = section.getint("base_seed", 0)
         protocol_mode = section.getboolean("protocol_mode", False)
-        max_iterations = section.getint("max_iterations", fallback=0) or None
+        max_iterations = section.getint("max_iterations", fallback=None)
         L = section.getint("L", 2)
     except ValueError as err:
         raise ScenarioError(f"bad scalar in [scenario]: {err}") from err
@@ -512,10 +513,20 @@ def _stream_records(tasks: list[tuple], workers: int) -> Iterator[TrialRecord]:
         for task in tasks:
             yield from _run_task(task)
         return
+    # imported here: the pool modules cost ~15 ms, which serial runs never need
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (workers * 8))
-    with multiprocessing.Pool(workers) as pool:
-        for records in pool.imap(_run_task, tasks, chunksize=chunk):
+    # a dead worker raises BrokenProcessPool; a consumer that stops early
+    # cancels the queued tasks instead of waiting for them. Spawned workers
+    # inherit no locks from threads of the caller.
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        for records in executor.map(_run_task, tasks, chunksize=chunk):
             yield from records
+    finally:
+        executor.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import LeakageEstimate
+from .sync import LeakageEstimate
 from .tpm import BitKey
 
 __all__ = [
@@ -148,12 +148,6 @@ class ToeplitzSpec:
         """Hex encoding of first_row_and_col (big-endian bit packing,
         zero-padded to a whole byte)."""
         return np.packbits(self.first_row_and_col).tobytes().hex()
-
-    @classmethod
-    def from_hex(cls, rows: int, cols: int, encoded: str) -> "ToeplitzSpec":
-        packed = np.frombuffer(bytes.fromhex(encoded), dtype=np.uint8)
-        bits = np.unpackbits(packed)[: rows + cols - 1]
-        return cls(rows=rows, cols=cols, first_row_and_col=bits)
 
 
 def _direct_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Mutual synchronization of two tree parity machines over a simulated
-public channel, and the three-step key-reconciliation flow built on it:
-load keys into weights, synchronize, dump weights back to bits.
+public channel, the three-step key-reconciliation flow built on it (load keys
+into weights, synchronize, dump weights back to bits), and the accounting of
+what the public outputs leak.
 
 Per round, one party draws a random input matrix, both evaluate, and the
 +/-1 outputs are exchanged; on agreement both apply the bounded Hebbian
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Iterator
 
 import numpy as np
 
@@ -35,15 +37,14 @@ from .tpm import (
     weights_to_bits,
 )
 
-if TYPE_CHECKING:
-    from .adversary import LeakageEstimate
-
 __all__ = [
     "DIGEST_BITS",
+    "LeakageEstimate",
     "NonConvergenceError",
     "ReconciliationResult",
     "SyncConfig",
     "SyncTranscript",
+    "leakage_after",
     "reconcile",
     "resolve_iteration_budget",
     "seed_initial_overlap",
@@ -56,7 +57,8 @@ DIGEST_BITS = 64
 # Input matrices pre-drawn per RNG call inside the round loop.
 _INPUT_CHUNK = 256
 
-# Hard cap used while measuring pilot runs for automatic budgets.
+# Pilot runs averaged for an automatic budget, and the hard cap on each.
+_PILOTS = 5
 _PILOT_CAP = 500_000
 _PILOT_TAG = 0x6E6B7069  # arbitrary fixed salt for pilot seeds
 
@@ -129,20 +131,34 @@ class SyncTranscript:
         payload = {name: getattr(self, name) for name in self.RECORD_FIELDS}
         return json.dumps(payload, separators=(",", ":"))
 
-    @classmethod
-    def from_record(cls, line: str) -> "SyncTranscript":
-        payload = json.loads(line)
-        trace = payload.get("overlap_trace")
-        if trace is not None:
-            trace = [(int(i), float(v)) for i, v in trace]
-        return cls(
-            iterations=int(payload["iterations"]),
-            learning_steps=int(payload["learning_steps"]),
-            digest_exchanges=int(payload["digest_exchanges"]),
-            converged=bool(payload["converged"]),
-            overlap_trace=trace,
-            truncated_bits=int(payload.get("truncated_bits", 0)),
-        )
+
+@dataclass(frozen=True)
+class LeakageEstimate:
+    """How much the public outputs narrow the attacker's search space.
+
+    Each public round at most halves the candidate weight matrices, so after
+    ``iterations`` rounds the space shrinks from (2L+1)^(K*N) by a factor of
+    2^iterations, equivalent to removing ``weight_equivalent_reduction``
+    weights or ``bit_reduction`` key bits.
+    """
+
+    iterations: int
+    key_space_log2: float
+    weight_equivalent_reduction: float
+    bit_reduction: int
+
+
+def leakage_after(iterations: int, params: TpmParams) -> LeakageEstimate:
+    """Accounting for ``iterations`` public rounds of the given shape."""
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    log2_alphabet = math.log2(params.alphabet_size)
+    return LeakageEstimate(
+        iterations=iterations,
+        key_space_log2=params.weight_count * log2_alphabet - iterations,
+        weight_equivalent_reduction=iterations / log2_alphabet,
+        bit_reduction=iterations,
+    )
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,7 @@ class ReconciliationResult:
 
     final_key: BitKey
     transcript: SyncTranscript
-    leakage: "LeakageEstimate"
+    leakage: LeakageEstimate
 
 
 def _weight_digest(weights: np.ndarray) -> bytes:
@@ -187,37 +203,23 @@ def _exchange_round(
     return learn
 
 
-class _InputStream:
-    """Chunked uniform +/-1 input matrices from one seeded generator."""
-
-    def __init__(self, rng: np.random.Generator, shape: tuple[int, int]) -> None:
-        self._rng = rng
-        self._shape = shape
-        self._buffer = np.empty((0,) + shape, dtype=np.int32)
-        self._cursor = 0
-
-    def next(self) -> np.ndarray:
-        if self._cursor >= self._buffer.shape[0]:
-            self._buffer = (
-                self._rng.integers(0, 2, size=(_INPUT_CHUNK,) + self._shape, dtype=np.int32) * 2 - 1
-            )
-            self._cursor = 0
-        x = self._buffer[self._cursor]
-        self._cursor += 1
-        return x
+def _inputs(rng: np.random.Generator, shape: tuple[int, int]) -> Iterator[np.ndarray]:
+    """Uniform +/-1 input matrices from one seeded generator, drawn in chunks."""
+    while True:
+        yield from rng.integers(0, 2, size=(_INPUT_CHUNK,) + shape, dtype=np.int32) * 2 - 1
 
 
 _budget_cache: dict[TpmParams, int] = {}
 
 
-def resolve_iteration_budget(params: TpmParams, pilots: int = 5) -> int:
+def resolve_iteration_budget(params: TpmParams) -> int:
     """Automatic iteration budget: ten times the mean random-start
     synchronization length over a few fixed-seed pilot runs (cached)."""
     cached = _budget_cache.get(params)
     if cached is not None:
         return cached
     total = 0
-    for pilot in range(pilots):
+    for pilot in range(_PILOTS):
         entropy = np.random.SeedSequence([_PILOT_TAG, params.K, params.N, params.L, pilot])
         init_seed, sync_seed = (int(s) for s in entropy.generate_state(2, dtype=np.uint64))
         rng = np.random.default_rng(init_seed)
@@ -228,7 +230,7 @@ def resolve_iteration_budget(params: TpmParams, pilots: int = 5) -> int:
             total += synchronize_from_weights(a, b, config).iterations
         except NonConvergenceError:
             total += _PILOT_CAP
-    budget = max(1_000, 10 * total // pilots)
+    budget = max(1_000, 10 * total // _PILOTS)
     _budget_cache[params] = budget
     return budget
 
@@ -247,7 +249,7 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
     params = alice.params
     budget = config.max_iterations or resolve_iteration_budget(params)
 
-    stream = _InputStream(np.random.default_rng(config.seed), (params.K, params.N))
+    inputs = _inputs(np.random.default_rng(config.seed), (params.K, params.N))
     w = np.stack([alice.weights, bob.weights]).astype(np.int32)
 
     iterations = 0
@@ -266,7 +268,7 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
             break
 
         iterations += 1
-        if _exchange_round(w, stream.next(), params.L) is not None:
+        if _exchange_round(w, next(inputs), params.L) is not None:
             learning_steps += 1
         if trace is not None:
             trace.append((iterations, float((w[0] == w[1]).mean())))
@@ -321,8 +323,6 @@ def reconcile(
     bit-identical and have length K*N*b. Key bits beyond K*N*b are dropped
     (the count is recorded on the transcript).
     """
-    from .adversary import leakage_after
-
     params = config.params
     alice = bits_to_weights(alice_key, params)
     bob = bits_to_weights(bob_key, params)

@@ -123,19 +123,9 @@ class BitKey:
     def to01(self) -> str:
         return (self.bits + ord("0")).tobytes().decode("ascii")
 
-    def mismatches(self, other: "BitKey") -> int:
-        if self.length != other.length:
-            raise ValueError("mismatch count requires equal lengths")
-        return int((self.bits != other.bits).sum())
-
     def without(self, positions: np.ndarray) -> "BitKey":
         """Key with the given positions removed (order preserved)."""
         return BitKey(np.delete(self.bits, positions))
-
-    def prefix(self, count: int) -> "BitKey":
-        if count > self.length:
-            raise KeyMaterialError(f"cannot take {count} bits from {self.length}")
-        return BitKey(self.bits[:count])
 
 
 @dataclass(eq=False)

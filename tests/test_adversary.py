@@ -8,14 +8,9 @@ import numpy as np
 import pytest
 
 from neurokey import harness
-from neurokey.adversary import (
-    AttackConfig,
-    key_space_size,
-    leakage_after,
-    run_attack,
-)
+from neurokey.adversary import AttackConfig, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
-from neurokey.sync import SyncConfig, _exchange_round, _InputStream, seed_initial_overlap
+from neurokey.sync import SyncConfig, _exchange_round, _inputs, seed_initial_overlap
 from neurokey.tpm import (
     Tpm,
     TpmEvaluation,
@@ -61,12 +56,6 @@ class TestLeakage:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             leakage_after(-1, PARAMS)
-
-    def test_tiny_key_space_enumerates(self):
-        params = TpmParams(K=1, N=2, L=1)
-        assert key_space_size(params) == 9
-        matrices = set(itertools.product(range(-1, 2), repeat=2))
-        assert len(matrices) == key_space_size(params)
 
 
 class TestAttackConfig:
@@ -363,12 +352,12 @@ def test_run_attack_replays_with_the_reference_operations(strategy):
         transcript, result = run_attack(alice, bob, config, attack)
 
         input_seq, eve_seq = np.random.SeedSequence(config.seed).spawn(2)
-        stream = _InputStream(np.random.default_rng(input_seq), (PARAMS.K, PARAMS.N))
+        inputs = _inputs(np.random.default_rng(input_seq), (PARAMS.K, PARAMS.N))
         machines = [alice, bob, Tpm.random(PARAMS, np.random.default_rng(eve_seq))]
         eve_steps = party_steps = 0
         party_trace, eve_trace = [], []
         for _ in range(attack.iteration_budget):
-            machines, learned = oracle_round(machines, stream.next(), strategy == "geometric")
+            machines, learned = oracle_round(machines, next(inputs), strategy == "geometric")
             if learned is not None:
                 party_steps += 1
                 eve_steps += learned[2]

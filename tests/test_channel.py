@@ -66,7 +66,7 @@ class TestGenerateKeyPair:
         length, qber = 10_000, 0.03
         pair = generate_key_pair(length, qber, seed=7)
         sigma = math.sqrt(qber * (1 - qber) / length)
-        assert abs(pair.error_count / length - qber) <= 3 * sigma
+        assert abs(len(pair.true_error_positions) / length - qber) <= 3 * sigma
 
     def test_same_seed_is_deterministic(self):
         a = generate_key_pair(256, 0.05, seed=42)
@@ -87,9 +87,9 @@ class TestGenerateKeyPair:
     def test_burst_mode_clusters_and_matches_rate(self):
         length, qber = 20_000, 0.05
         uniform = generate_key_pair(length, qber, seed=5)
-        burst = generate_key_pair(length, qber, seed=5, error_mode="burst", mean_burst_length=4.0)
+        burst = generate_key_pair(length, qber, seed=5, error_mode="burst")
         sigma = math.sqrt(qber * (1 - qber) / length)
-        assert abs(burst.error_count / length - qber) <= 4 * sigma
+        assert abs(len(burst.true_error_positions) / length - qber) <= 4 * sigma
 
         def mean_run_length(pair):
             flags = np.zeros(length, dtype=int)
@@ -137,8 +137,8 @@ class TestEstimateQber:
         assert est.remaining_alice.length == 400
         assert est.remaining_bob.length == 400
         # mismatches left over must be exactly the undisclosed errors
-        left = est.remaining_alice.mismatches(est.remaining_bob)
-        assert left == pair.error_count - est.mismatches
+        left = int((est.remaining_alice.bits != est.remaining_bob.bits).sum())
+        assert left == len(pair.true_error_positions) - est.mismatches
 
     def test_sample_fraction_bounds(self):
         pair = generate_key_pair(100, 0.0, seed=1)

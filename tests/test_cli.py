@@ -116,6 +116,31 @@ def test_scenario_worker_count_out_of_range_exit_three(capsys, tmp_path):
     assert not out.exists()
 
 
+BAD_SYNC = "[scenario]\nkind = sync\nK = 3\nN = 4\nmax_iterations = {}\n"
+BAD_COMPARE = "[scenario]\nkind = compare\ntrials = 2\nL = {}\n[compare]\nsettings = {}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        BAD_COMPARE.format(2, "200:0.7:5"),
+        BAD_COMPARE.format(2, "0:0.05:5"),
+        BAD_COMPARE.format(2, "200:0.0:5"),
+        BAD_COMPARE.format(0, "200:0.05:5"),
+        BAD_SYNC.format(-5),
+        BAD_SYNC.format(0),
+    ],
+    ids=["qber-0.7", "length-0", "qber-0", "L-0", "max_iterations-negative", "max_iterations-0"],
+)
+def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, text):
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    out = tmp_path / "never.csv"
+    assert main(["scenario", str(config), "--out", str(out)]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_prints_table(capsys, tmp_path):
     out = tmp_path / "cmp.csv"
     code = main(
@@ -162,6 +187,13 @@ def test_attack_summary_and_csv(tmp_path, capsys):
     assert code == 0
     assert "eve_success_rate" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == 2 + 3
+
+
+def test_attack_ensemble_size_without_ensemble_strategy_exit_three(capsys):
+    code = main(["attack", "--K", "4", "--N", "6", "--strategy", "passive", "--ensemble-size", "4",
+                 "--trials", "1"])
+    assert code == 3
+    assert "ensemble_size" in capsys.readouterr().err
 
 
 def test_help_exit_zero(capsys):

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from neurokey import harness
 from neurokey.adversary import AttackConfig
 from neurokey.channel import generate_key_pair
 from neurokey.harness import (
@@ -18,11 +21,11 @@ from neurokey.harness import (
     comparison_csv,
     format_comparison_table,
     load_scenario,
+    machine_trial_seeds,
     parse_scenario,
     records_to_csv,
     run_pipeline,
     run_scenario,
-    trial_seed,
 )
 from neurokey.privacy import InfeasibleBudgetError
 from neurokey.sync import seed_initial_overlap
@@ -39,6 +42,16 @@ SMALL_SYNC = Scenario(
     base_seed=77,
     max_iterations=50_000,
 )
+
+
+_run_task = harness._run_task
+
+
+def _die_on_trial_one(task):
+    # a worker killed mid-scenario
+    if task[-1] == 1:
+        os._exit(1)
+    return _run_task(task)
 
 
 class TestStartMode:
@@ -109,6 +122,27 @@ settings = 500:0.05:25, 600:0.03:30
         with pytest.raises(ScenarioError):
             dataclasses.replace(base, **override)
 
+    @pytest.mark.parametrize(
+        "kind, override",
+        [
+            ("sync", {"max_iterations": -5}),
+            ("sync", {"max_iterations": 0}),
+            ("compare", {"L": 0}),
+            ("compare", {"K_values": (0,)}),
+        ],
+    )
+    def test_out_of_range_values_are_rejected(self, kind, override):
+        base = load_scenario("fig4" if kind == "sync" else "table1")
+        with pytest.raises(ScenarioError):
+            dataclasses.replace(base, **override)
+
+    @pytest.mark.parametrize(
+        "setting", [(0, 0.05, 5), (200, 0.0, 5), (200, 0.7, 5), (200, -0.1, 5), (200, 0.05, 0)]
+    )
+    def test_out_of_range_compare_settings_are_rejected(self, setting):
+        with pytest.raises(ScenarioError):
+            CompareSetting(*setting)
+
     def test_bundled_scenarios_load(self):
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "table1"):
             scenario = load_scenario(name)
@@ -125,11 +159,12 @@ settings = 500:0.05:25, 600:0.03:30
 
 class TestTrialSeeds:
     def test_distinct_and_stable(self):
-        a = trial_seed(1, 2, 3)
-        b = trial_seed(1, 2, 3)
-        c = trial_seed(1, 2, 4)
+        params = TpmParams(K=3, N=4, L=2)
+        a = machine_trial_seeds(1, 2, params, 3)
+        b = machine_trial_seeds(1, 2, params, 3)
+        c = machine_trial_seeds(1, 2, params, 4)
         assert a == b
-        assert a != c
+        assert len(set(a + c)) == 6
 
 
 class TestStartModeMachines:
@@ -183,9 +218,26 @@ class TestRunScenario:
         def no_pool(*args, **kwargs):
             raise AssertionError("no pool may be created for a rejected worker count")
 
-        monkeypatch.setattr("neurokey.harness.multiprocessing.Pool", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(ScenarioError, match="workers"):
             run_scenario(SMALL_SYNC, workers=workers)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two workers")
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_task", _die_on_trial_one)
+        errors = []
+
+        def drain():
+            try:
+                list(run_scenario(SMALL_SYNC, workers=2))
+            except Exception as err:
+                errors.append(err)
+
+        thread = threading.Thread(target=drain, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "the scenario hung after its worker died"
+        assert len(errors) == 1 and isinstance(errors[0], BrokenProcessPool)
 
     def test_attack_scenario_records_overlap(self):
         scenario = Scenario(

@@ -67,7 +67,7 @@ class TestRunParity:
             flips = outcome.flipped_positions
             assert len(flips) == len(set(flips))
             assert set(flips) <= set(pair.true_error_positions)
-            assert outcome.residual_errors == pair.error_count - len(flips)
+            assert outcome.residual_errors == len(pair.true_error_positions) - len(flips)
 
     @pytest.mark.parametrize("algorithm", ["bbbss", "cascade"])
     def test_disclosed_equals_checks_and_alice_untouched(self, algorithm):

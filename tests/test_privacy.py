@@ -102,11 +102,6 @@ class TestToeplitzSpec:
         b = ToeplitzSpec.from_seed(8, 32, seed=5)
         assert np.array_equal(a.first_row_and_col, b.first_row_and_col)
 
-    def test_hex_round_trip(self):
-        spec = ToeplitzSpec.from_seed(8, 32, seed=9)
-        back = ToeplitzSpec.from_hex(8, 32, spec.to_hex())
-        assert np.array_equal(back.first_row_and_col, spec.first_row_and_col)
-
     def test_diagonals_constant(self):
         spec = ToeplitzSpec.from_seed(5, 7, seed=11)
         matrix = reference_matrix(spec)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -239,8 +241,14 @@ class TestTranscriptRecord:
         )
         line = transcript.to_record()
         assert line.index('"iterations"') < line.index('"learning_steps"') < line.index('"converged"')
-        back = SyncTranscript.from_record(line)
-        assert back == transcript
+        assert json.loads(line) == {
+            "iterations": 12,
+            "learning_steps": 8,
+            "digest_exchanges": 1,
+            "converged": True,
+            "truncated_bits": 3,
+            "overlap_trace": [[1, 0.5], [2, 1.0]],
+        }
         assert "\n" not in line
 
 

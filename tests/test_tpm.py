@@ -227,7 +227,6 @@ class TestBitKey:
         c = BitKey.from_string("1110")
         assert a == b and a != c
         assert (a ^ c).to01() == "1000"
-        assert a.mismatches(c) == 1
 
     def test_value_semantics(self):
         raw = np.array([0, 1, 1], dtype=np.uint8)
@@ -235,9 +234,6 @@ class TestBitKey:
         raw[0] = 1
         assert key.to01() == "011"
 
-    def test_without_and_prefix(self):
+    def test_without(self):
         key = BitKey.from_string("10110")
         assert key.without(np.array([0, 3])).to01() == "010"
-        assert key.prefix(2).to01() == "10"
-        with pytest.raises(KeyMaterialError):
-            key.prefix(9)
