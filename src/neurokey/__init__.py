@@ -12,8 +12,8 @@ from .channel import (
     generate_key_pair,
 )
 from .harness import (
-    ComparisonRow,
     PipelineReport,
+    PointSummary,
     QberAbortError,
     Scenario,
     ScenarioError,
@@ -23,6 +23,7 @@ from .harness import (
     load_scenario,
     run_pipeline,
     run_scenario,
+    summarize,
 )
 from .parity import (
     ParityConfig,

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: sync (single run with overlap trace), scenario (sweep from a
-config file), compare (algorithm comparison), pipeline (end-to-end run),
-attack (eavesdropper study). Exit codes: 0 success, 2 non-convergence or
+config file: trial CSV on --out or stdout, per-point summary on stderr),
+pipeline (end-to-end run). Exit codes: 0 success, 2 non-convergence or
 protocol abort, 3 configuration error.
 """
 
@@ -12,19 +12,16 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .adversary import AttackConfig
 from .harness import (
     QberAbortError,
-    Scenario,
     ScenarioError,
     StartMode,
-    compare_algorithms,
-    comparison_csv,
-    format_comparison_table,
+    format_summary,
     load_scenario,
     machine_trial_seeds,
     run_pipeline,
     run_scenario,
+    summarize,
     write_csv,
 )
 from .privacy import DEFAULT_SECURITY_BITS, InfeasibleBudgetError
@@ -40,10 +37,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _add_shape_flags(parser: argparse.ArgumentParser, k=10, n=25, l=2) -> None:
-    parser.add_argument("--K", type=int, default=k, help="hidden units")
+def _add_shape_flags(parser: argparse.ArgumentParser, n=25) -> None:
+    parser.add_argument("--K", type=int, default=10, help="hidden units")
     parser.add_argument("--N", type=int, default=n, help="inputs per hidden unit")
-    parser.add_argument("--L", type=int, default=l, help="weight bound")
+    parser.add_argument("--L", type=int, default=2, help="weight bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,16 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--protocol-mode", action="store_true")
     p_scen.set_defaults(func=cmd_scenario)
 
-    p_cmp = sub.add_parser("compare", help="BBBSS vs Cascade vs mutual learning")
-    p_cmp.add_argument("--length", type=int, default=500)
-    p_cmp.add_argument("--qber", type=float, default=0.05)
-    p_cmp.add_argument("--trials", type=int, default=1000)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--workers", type=int, default=1)
-    p_cmp.add_argument("--out", default=None, help="also write a summary CSV here")
-    _add_shape_flags(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
     p_pipe = sub.add_parser("pipeline", help="generate, estimate, reconcile, amplify")
     p_pipe.add_argument("--length", type=int, default=2250)
     p_pipe.add_argument("--qber", type=float, default=0.03)
@@ -92,18 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--protocol-mode", action="store_true")
     p_pipe.add_argument("--digest-interval", type=int, default=100)
     p_pipe.set_defaults(func=cmd_pipeline)
-
-    p_atk = sub.add_parser("attack", help="eavesdropper study over many trials")
-    _add_shape_flags(p_atk, k=6, n=8)
-    p_atk.add_argument("--strategy", choices=("passive", "geometric", "ensemble"), default="passive")
-    p_atk.add_argument("--ensemble-size", type=int, default=1)
-    p_atk.add_argument("--budget", type=int, default=1000)
-    p_atk.add_argument("--overlap", type=float, default=None, help="Alice/Bob initial agreement")
-    p_atk.add_argument("--trials", type=int, default=500)
-    p_atk.add_argument("--seed", type=int, default=0)
-    p_atk.add_argument("--workers", type=int, default=1)
-    p_atk.add_argument("--out", default=None, help="CSV output path")
-    p_atk.set_defaults(func=cmd_attack)
 
     return parser
 
@@ -150,29 +125,14 @@ def cmd_scenario(args) -> int:
         overrides["protocol_mode"] = True
     if overrides:
         scenario = replace(scenario, **overrides)
-    records = run_scenario(scenario, workers=args.workers)
+    # every record exists before --out is opened, so a failed run leaves no file
+    records = list(run_scenario(scenario, workers=args.workers))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            count = write_csv(records, handle)
-        print(f"wrote {count} records to {args.out}", file=sys.stderr)
+            write_csv(records, handle)
     else:
         write_csv(records, sys.stdout)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    rows = compare_algorithms(
-        args.length,
-        args.qber,
-        args.trials,
-        args.seed,
-        tpm_params=TpmParams(K=args.K, N=args.N, L=args.L),
-        workers=args.workers,
-    )
-    print(format_comparison_table(rows))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(comparison_csv(rows))
+    print(format_summary(summarize(records)), file=sys.stderr)
     return 0
 
 
@@ -189,38 +149,6 @@ def cmd_pipeline(args) -> int:
         digest_check_interval=args.digest_interval,
     )
     print(report.summary())
-    return 0
-
-
-def cmd_attack(args) -> int:
-    start = StartMode("random") if args.overlap is None else StartMode("overlap", args.overlap)
-    scenario = Scenario(
-        name=f"attack-{args.strategy}",
-        kind="attack",
-        L=args.L,
-        K_values=(args.K,),
-        N_values=(args.N,),
-        start_modes=(start,),
-        trials=args.trials,
-        base_seed=args.seed,
-        attack=AttackConfig(
-            strategy=args.strategy,
-            ensemble_size=args.ensemble_size,
-            iteration_budget=args.budget,
-        ),
-    )
-    records = list(run_scenario(scenario, workers=args.workers))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_csv(records, handle)
-    synced = sum(1 for r in records if r.attacker_best_overlap >= 1.0)
-    converged = [r.iterations for r in records if r.converged]
-    median = sorted(converged)[len(converged) // 2] if converged else -1
-    print(
-        f"trials={len(records)} ab_converged={len(converged)} "
-        f"ab_median_iterations={median} "
-        f"eve_synced={synced} eve_success_rate={synced / len(records):.4f}"
-    )
     return 0
 
 

@@ -1,5 +1,5 @@
 """Monte-Carlo experiment harness: scenario configs, seeded trial sweeps,
-CSV emission, the end-to-end pipeline, and algorithm comparisons.
+CSV emission, per-point summaries, and the end-to-end pipeline.
 
 Every trial derives its own generator from hashing the scenario base seed
 with the sweep coordinates and trial index, so runs are reproducible
@@ -13,7 +13,7 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -47,21 +47,21 @@ from .sync import (
 from .tpm import BitKey, Tpm, TpmParams, bits_to_weights
 
 __all__ = [
-    "ComparisonRow",
     "PipelineReport",
+    "PointSummary",
     "QberAbortError",
     "Scenario",
     "ScenarioError",
     "StartMode",
     "TrialRecord",
     "compare_algorithms",
-    "comparison_csv",
-    "format_comparison_table",
+    "format_summary",
     "load_scenario",
     "machine_trial_seeds",
     "records_to_csv",
     "run_pipeline",
     "run_scenario",
+    "summarize",
     "write_csv",
 ]
 
@@ -533,17 +533,12 @@ def _stream_records(tasks: list[tuple], workers: int) -> Iterator[TrialRecord]:
 # CSV emission
 
 
-def write_csv(records: Iterable[TrialRecord], handle) -> int:
-    """Write the schema comment, header, and one row per record. Returns the
-    row count."""
+def write_csv(records: Iterable[TrialRecord], handle) -> None:
+    """Write the schema comment, header, and one row per record."""
     handle.write(f"# {CSV_SCHEMA}\n")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    count = 0
-    for record in records:
-        writer.writerow(record.csv_row())
-        count += 1
-    return count
+    writer.writerows(record.csv_row() for record in records)
 
 
 def records_to_csv(records: Iterable[TrialRecord]) -> str:
@@ -553,22 +548,75 @@ def records_to_csv(records: Iterable[TrialRecord]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# algorithm comparison
+# summaries
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    """Mean public-channel cost of one algorithm at one setting. For the
-    parity baselines an iteration is one block-parity check; for the
-    mutual-learning column it is one input draw plus output exchange."""
+class PointSummary:
+    """Statistics over every record of one (scenario, start_mode, K, N) point.
 
-    algorithm: str
-    key_length: int
-    qber: float
+    Non-converged runs count at their censored iteration count, beside the
+    ``converged`` count. For the parity rows of a compare scenario an
+    iteration is one parity check, and ``converged`` counts runs left
+    without residual errors. Wall time is left out of equality, so reruns
+    compare equal."""
+
+    scenario: str
+    start_mode: str
+    K: int
+    N: int
     trials: int
+    converged: int
     mean_iterations: float
+    median_iterations: float
+    p90_iterations: float
     mean_disclosed_bits: float
-    residual_rate: float
+    eve_synced: int
+    wall_time: float = field(compare=False)
+
+    @property
+    def algorithm(self) -> str:
+        """bbbss, cascade or tpm: compare rows are named
+        <name>/<algorithm>/<length>b, and every other trial is mutual learning."""
+        parts = self.scenario.split("/")
+        return parts[1] if len(parts) == 3 else "tpm"
+
+
+def summarize(records: Iterable[TrialRecord]) -> list[PointSummary]:
+    """One summary per point, in the order the points first appear."""
+    points: dict[tuple, list[TrialRecord]] = {}
+    for record in records:
+        points.setdefault((record.scenario, record.start_mode, record.K, record.N), []).append(record)
+    summaries = []
+    for point, group in points.items():
+        cost = np.array([r.parity_checks if r.parity_checks >= 0 else r.iterations for r in group])
+        summaries.append(
+            PointSummary(
+                *point,
+                trials=len(group),
+                converged=sum(int(r.converged) for r in group),
+                mean_iterations=float(np.mean(cost)),
+                median_iterations=float(np.median(cost)),
+                p90_iterations=float(np.percentile(cost, 90)),
+                mean_disclosed_bits=float(np.mean([r.disclosed_bits for r in group])),
+                eve_synced=sum(int(r.attacker_best_overlap >= 1.0) for r in group),
+                wall_time=sum(r.wall_time for r in group),
+            )
+        )
+    return summaries
+
+
+def format_summary(summaries: list[PointSummary]) -> str:
+    """An aligned text table: a header line, then one line per point."""
+    header = [f.name for f in fields(PointSummary)]
+    rows = [header] + [
+        [f"{v:.2f}" if isinstance(v, float) else str(v) for v in astuple(s)] for s in summaries
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return "\n".join(
+        "  ".join(c.ljust(w) if i < 2 else c.rjust(w) for i, (c, w) in enumerate(zip(row, widths)))
+        for row in rows
+    )
 
 
 def compare_algorithms(
@@ -578,10 +626,10 @@ def compare_algorithms(
     seed: int,
     tpm_params: TpmParams | None = None,
     workers: int = 1,
-) -> list[ComparisonRow]:
-    """Run both parity baselines on identical noisy key pairs and the
-    mutual-learning method on machines seeded at matching agreement
-    (weight overlap 1-qber), returning per-algorithm means."""
+) -> list[PointSummary]:
+    """Summaries of both parity baselines on identical noisy key pairs and of
+    mutual learning on machines seeded at matching agreement (weight overlap
+    1-qber), in the order bbbss, cascade, tpm."""
     if trials < 100:
         raise ValueError("trials must be >= 100 for meaningful means")
     params = tpm_params or TpmParams(K=10, N=25, L=2)
@@ -594,66 +642,7 @@ def compare_algorithms(
         base_seed=seed,
         compare_settings=(CompareSetting(key_length, qber, params.N),),
     )
-    sums: dict[str, list[float]] = {}
-    counts: dict[str, int] = {}
-    for record in run_scenario(scenario, workers=workers):
-        algorithm = record.scenario.split("/")[1]
-        cost = record.parity_checks if record.parity_checks >= 0 else record.iterations
-        # for parity rows the converged flag encodes residual_errors == 0
-        residual = 0.0 if record.converged else 1.0
-        entry = sums.setdefault(algorithm, [0.0, 0.0, 0.0])
-        entry[0] += cost
-        entry[1] += record.disclosed_bits
-        entry[2] += residual
-        counts[algorithm] = counts.get(algorithm, 0) + 1
-    rows = []
-    for algorithm in ("bbbss", "cascade", "tpm"):
-        total, disclosed, residual = sums[algorithm]
-        n = counts[algorithm]
-        rows.append(
-            ComparisonRow(
-                algorithm=algorithm,
-                key_length=key_length,
-                qber=qber,
-                trials=n,
-                mean_iterations=total / n,
-                mean_disclosed_bits=disclosed / n,
-                residual_rate=residual / n,
-            )
-        )
-    return rows
-
-
-def format_comparison_table(rows: list[ComparisonRow]) -> str:
-    header = f"{'algorithm':<10} {'key_length':>10} {'qber':>6} {'trials':>7} {'mean_iterations':>16}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.algorithm:<10} {row.key_length:>10} {row.qber:>6g} "
-            f"{row.trials:>7} {row.mean_iterations:>16.2f}"
-        )
-    return "\n".join(lines)
-
-
-def comparison_csv(rows: list[ComparisonRow]) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# {CSV_SCHEMA} comparison\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["algorithm", "key_length", "qber", "trials", "mean_iterations", "mean_disclosed_bits"]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                row.algorithm,
-                row.key_length,
-                f"{row.qber:g}",
-                row.trials,
-                f"{row.mean_iterations:.4f}",
-                f"{row.mean_disclosed_bits:.4f}",
-            ]
-        )
-    return buffer.getvalue()
+    return summarize(run_scenario(scenario, workers=workers))
 
 
 # ---------------------------------------------------------------------------

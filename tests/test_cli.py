@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from neurokey import harness
 from neurokey.cli import main
 from neurokey.harness import Scenario, StartMode, run_scenario
 
@@ -118,6 +119,7 @@ def test_scenario_worker_count_out_of_range_exit_three(capsys, tmp_path):
 
 BAD_SYNC = "[scenario]\nkind = sync\nK = 3\nN = 4\nmax_iterations = {}\n"
 BAD_COMPARE = "[scenario]\nkind = compare\ntrials = 2\nL = {}\n[compare]\nsettings = {}\n"
+BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\nensemble_size = {}\n"
 
 
 @pytest.mark.parametrize(
@@ -129,8 +131,17 @@ BAD_COMPARE = "[scenario]\nkind = compare\ntrials = 2\nL = {}\n[compare]\nsettin
         BAD_COMPARE.format(0, "200:0.05:5"),
         BAD_SYNC.format(-5),
         BAD_SYNC.format(0),
+        BAD_ATTACK.format("passive", 4),
     ],
-    ids=["qber-0.7", "length-0", "qber-0", "L-0", "max_iterations-negative", "max_iterations-0"],
+    ids=[
+        "qber-0.7",
+        "length-0",
+        "qber-0",
+        "L-0",
+        "max_iterations-negative",
+        "max_iterations-0",
+        "ensemble_size-passive",
+    ],
 )
 def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, text):
     config = tmp_path / "bad.ini"
@@ -141,16 +152,44 @@ def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, tex
     assert not out.exists()
 
 
-def test_compare_prints_table(capsys, tmp_path):
-    out = tmp_path / "cmp.csv"
-    code = main(
-        ["compare", "--length", "200", "--qber", "0.05", "--trials", "100", "--seed", "2",
-         "--K", "4", "--N", "5", "--L", "2", "--out", str(out)]
-    )
-    assert code == 0
-    table = capsys.readouterr().out
-    assert "cascade" in table
-    assert out.read_text().startswith("#")
+def test_scenario_summary_on_stderr_and_csv_on_out(capsys, tmp_path):
+    out = tmp_path / "table1.csv"
+    assert main(["scenario", "table1", "--trials", "2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    names = [line.split()[0] for line in captured.err.splitlines()[1:]]
+    assert names == [
+        f"table1/{algorithm}/{length}b" for length in (500, 600) for algorithm in ("bbbss", "cascade", "tpm")
+    ]
+
+    out = tmp_path / "fig2.csv"
+    assert main(["scenario", "fig2", "--trials", "3", "--out", str(out)]) == 0
+    assert "eve_synced" in capsys.readouterr().err.splitlines()[0].split()
+    assert len(out.read_text().splitlines()) == 2 + 3
+
+
+@pytest.mark.parametrize(
+    "name, points", [("fig2", 1), ("fig3", 18), ("fig4", 18), ("fig5", 8), ("fig6", 8), ("table1", 6)]
+)
+def test_bundled_scenario_runs_with_one_summary_line_per_point(capsys, tmp_path, name, points):
+    out = tmp_path / f"{name}.csv"
+    assert main(["scenario", name, "--trials", "1", "--out", str(out)]) == 0
+    assert len(capsys.readouterr().err.splitlines()) == 1 + points
+
+
+def test_scenario_run_failure_leaves_no_output(monkeypatch, tmp_path):
+    run_task = harness._run_task
+
+    def fail_on_trial_one(task):
+        if task[-1] == 1:
+            raise RuntimeError("trial 1 failed")
+        return run_task(task)
+
+    monkeypatch.setattr(harness, "_run_task", fail_on_trial_one)
+    out = tmp_path / "f.csv"
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        main(["scenario", "fig4", "--trials", "2", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_pipeline_success(capsys):
@@ -178,23 +217,6 @@ def test_pipeline_infeasible_budget_exit_three(capsys):
     assert code == 3
 
 
-def test_attack_summary_and_csv(tmp_path, capsys):
-    out = tmp_path / "attack.csv"
-    code = main(
-        ["attack", "--K", "4", "--N", "6", "--L", "2", "--strategy", "passive",
-         "--budget", "200", "--trials", "3", "--seed", "9", "--out", str(out)]
-    )
-    assert code == 0
-    assert "eve_success_rate" in capsys.readouterr().out
-    assert len(out.read_text().splitlines()) == 2 + 3
-
-
-def test_attack_ensemble_size_without_ensemble_strategy_exit_three(capsys):
-    code = main(["attack", "--K", "4", "--N", "6", "--strategy", "passive", "--ensemble-size", "4",
-                 "--trials", "1"])
-    assert code == 3
-    assert "ensemble_size" in capsys.readouterr().err
-
-
 def test_help_exit_zero(capsys):
     assert main(["--help"]) == 0
+    assert "{sync,scenario,pipeline}" in capsys.readouterr().out

@@ -17,15 +17,16 @@ from neurokey.harness import (
     Scenario,
     ScenarioError,
     StartMode,
+    TrialRecord,
     compare_algorithms,
-    comparison_csv,
-    format_comparison_table,
+    format_summary,
     load_scenario,
     machine_trial_seeds,
     parse_scenario,
     records_to_csv,
     run_pipeline,
     run_scenario,
+    summarize,
 )
 from neurokey.privacy import InfeasibleBudgetError
 from neurokey.sync import seed_initial_overlap
@@ -302,16 +303,54 @@ class TestRunScenario:
         assert all(r.converged for r in records)
 
 
+def _record(iterations=10, parity_checks=-1, converged=True, overlap=-1.0, wall_time=0.0):
+    return TrialRecord("s", 0, 3, 4, 2, "random", iterations, 0, parity_checks, 7, overlap, converged, wall_time)
+
+
+class TestSummarize:
+    def test_point_without_a_converged_trial_has_finite_statistics(self):
+        fig2 = load_scenario("fig2")
+        attack = dataclasses.replace(fig2.attack, iteration_budget=2)
+        (summary,) = summarize(run_scenario(dataclasses.replace(fig2, trials=3, attack=attack)))
+        assert (summary.trials, summary.converged) == (3, 0)
+        assert summary.mean_iterations == summary.median_iterations == summary.p90_iterations == 2
+
+    def test_median_interpolates_and_p90_covers_every_record(self):
+        (summary,) = summarize([_record(10), _record(20, converged=False)])
+        assert (summary.median_iterations, summary.mean_iterations, summary.p90_iterations) == (15, 15, 19)
+        assert (summary.trials, summary.converged, summary.mean_disclosed_bits) == (2, 1, 7)
+
+    def test_parity_rows_count_parity_checks_and_tpm_rows_iterations(self):
+        (parity,) = summarize([_record(-1, parity_checks=30), _record(-1, parity_checks=50)])
+        (tpm,) = summarize([_record(30), _record(50)])
+        assert parity.mean_iterations == tpm.mean_iterations == 40
+
+    def test_eve_synced_counts_full_overlap(self):
+        (summary,) = summarize([_record(overlap=1.0), _record(overlap=0.99), _record(overlap=1.0)])
+        assert summary.eve_synced == 2
+
+    def test_one_summary_per_point_in_record_order(self):
+        records = list(run_scenario(dataclasses.replace(load_scenario("fig4"), trials=2)))
+        summaries = summarize(records)
+        assert len(summaries) == 18
+        assert [(s.K, s.N) for s in summaries] == list(dict.fromkeys((r.K, r.N) for r in records))
+        assert all(s.trials == 2 and s.algorithm == "tpm" for s in summaries)
+
+    def test_equality_ignores_wall_time(self):
+        assert summarize([_record(wall_time=1.0)]) == summarize([_record(wall_time=2.0)])
+        assert summarize(run_scenario(SMALL_SYNC)) == summarize(run_scenario(SMALL_SYNC))
+
+
 class TestCompare:
     def test_rows_and_formats(self):
         rows = compare_algorithms(200, 0.05, trials=100, seed=3, tpm_params=TpmParams(4, 5, 2))
         assert [r.algorithm for r in rows] == ["bbbss", "cascade", "tpm"]
         assert all(r.trials == 100 for r in rows)
         assert all(r.mean_iterations > 0 for r in rows)
-        table = format_comparison_table(rows)
-        assert "bbbss" in table and "tpm" in table
-        csv_text = comparison_csv(rows)
-        assert csv_text.splitlines()[1].startswith("algorithm,")
+        lines = format_summary(rows).splitlines()
+        assert lines[0].split()[:2] == ["scenario", "start_mode"]
+        names = [line.split()[0] for line in lines[1:]]
+        assert names == ["compare/bbbss/200b", "compare/cascade/200b", "compare/tpm/200b"]
 
     def test_deterministic(self):
         a = compare_algorithms(200, 0.05, trials=100, seed=3, tpm_params=TpmParams(4, 5, 2))
