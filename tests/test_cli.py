@@ -152,7 +152,7 @@ def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, tex
     assert not out.exists()
 
 
-def test_scenario_summary_on_stderr_and_csv_on_out(capsys, tmp_path):
+def test_compare_prints_table(capsys, tmp_path):
     out = tmp_path / "table1.csv"
     assert main(["scenario", "table1", "--trials", "2", "--out", str(out)]) == 0
     captured = capsys.readouterr()
@@ -162,6 +162,8 @@ def test_scenario_summary_on_stderr_and_csv_on_out(capsys, tmp_path):
         f"table1/{algorithm}/{length}b" for length in (500, 600) for algorithm in ("bbbss", "cascade", "tpm")
     ]
 
+
+def test_attack_summary_and_csv(capsys, tmp_path):
     out = tmp_path / "fig2.csv"
     assert main(["scenario", "fig2", "--trials", "3", "--out", str(out)]) == 0
     assert "eve_synced" in capsys.readouterr().err.splitlines()[0].split()
