@@ -172,6 +172,26 @@ class TestSynchronize:
         assert resolve_iteration_budget(params) == budget
 
 
+# Pilot budgets of every shape the bundled scenarios (fig2-fig6, table1) and
+# the benchmark workloads use, captured from five serial pilot runs.
+GOLDEN_BUDGETS = {
+    (6, 8): 2384,
+    (6, 20): 1538, (6, 21): 2292, (6, 22): 3004, (6, 23): 2898, (6, 24): 2416, (6, 25): 2822,
+    (8, 20): 2652, (8, 21): 3200, (8, 22): 3264, (8, 23): 2716, (8, 24): 3284, (8, 25): 4002,
+    (10, 20): 4092, (10, 21): 3726, (10, 22): 3800, (10, 23): 4728, (10, 24): 4162, (10, 25): 3576,
+    (6, 30): 3190, (8, 30): 4336, (10, 30): 4768, (12, 30): 4850,
+    (6, 50): 2848, (8, 50): 3156, (10, 50): 4686, (12, 50): 6416,
+}
+
+
+def test_pilot_budgets_are_pinned(monkeypatch):
+    monkeypatch.setattr(sync, "_budget_cache", {})
+    budgets = {
+        shape: resolve_iteration_budget(TpmParams(*shape, L=2)) for shape in GOLDEN_BUDGETS
+    }
+    assert budgets == GOLDEN_BUDGETS
+
+
 class TestSeedInitialOverlap:
     def test_exact_count_and_genuine_differences(self):
         params = TpmParams(K=10, N=25, L=2)
