@@ -37,12 +37,12 @@ from .privacy import (
 )
 from .sync import (
     LeakageEstimate,
-    NonConvergenceError,
     SyncConfig,
     SyncTranscript,
     reconcile,
     seed_initial_overlap,
-    synchronize_from_weights,
+    synchronize_batch,
+    synchronize_from_weights,  # noqa: F401  traced benchmark runs wrap this name here
 )
 from .tpm import BitKey, Tpm, TpmParams, bits_to_weights
 
@@ -211,7 +211,13 @@ class Scenario:
 
 @dataclass
 class TrialRecord:
-    """One Monte-Carlo outcome row; -1 marks fields a trial kind never sets."""
+    """One Monte-Carlo outcome row; -1 marks fields a trial kind never sets.
+
+    ``wall_time`` is the time of the batch that ran the trial, split evenly
+    across the batch's trials: the trials of a sweep point (or of its slice,
+    when workers share the point) form one batch, and so do the
+    mutual-learning rows of a compare setting, while each parity row is timed
+    on its own. Summed over a point it is the point's time."""
 
     scenario: str
     trial: int
@@ -384,128 +390,151 @@ def load_scenario(path_or_name: str) -> Scenario:
 # trial execution
 
 
-def _run_machine_trial(
-    scenario: Scenario, name: str, trial: int, params: TpmParams, mode: StartMode, seeds: list[int]
-) -> TrialRecord:
-    """Build the pair for ``mode`` from (init, aux, sync) seeds, run an attack
-    on it (attack scenarios) or synchronize it, and record the outcome."""
+def _run_machine_trials(
+    scenario: Scenario,
+    name: str,
+    params: TpmParams,
+    mode: StartMode,
+    trials: range,
+    seeds: list[list[int]],
+) -> list[TrialRecord]:
+    """Build each trial's pair for ``mode`` from its (init, aux, sync) seeds,
+    run an attack on each (attack scenarios) or synchronize them all in
+    lockstep, and record the outcomes."""
     started = time.perf_counter()
-    init_seed, aux_seed, sync_seed = seeds
-    alice, bob = mode.machines(params, init_seed, aux_seed)
-    best_overlap = -1.0
+    pairs = [mode.machines(params, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
     if scenario.kind == "attack":
-        config = SyncConfig(params=params, seed=sync_seed)
-        transcript, result = run_attack(alice, bob, config, scenario.attack)
-        best_overlap = result.best_overlap
+        outcomes = [
+            run_attack(alice, bob, SyncConfig(params=params, seed=sync_seed), scenario.attack)
+            for (alice, bob), (*_, sync_seed) in zip(pairs, seeds)
+        ]
+        transcripts = [transcript for transcript, _ in outcomes]
+        best_overlaps = [result.best_overlap for _, result in outcomes]
     else:
-        config = SyncConfig(
-            params=params,
-            max_iterations=scenario.max_iterations,
-            seed=sync_seed,
-            protocol_mode=scenario.protocol_mode,
-        )
-        try:
-            transcript = synchronize_from_weights(alice, bob, config)
-        except NonConvergenceError as err:
-            transcript = err.transcript
+        configs = [
+            SyncConfig(
+                params=params,
+                max_iterations=scenario.max_iterations,
+                seed=sync_seed,
+                protocol_mode=scenario.protocol_mode,
+            )
+            for *_, sync_seed in seeds
+        ]
+        transcripts = synchronize_batch(pairs, configs)
+        best_overlaps = [-1.0] * len(pairs)
         # a protocol-mode digest collision would end a run early
-        if transcript.converged and not np.array_equal(alice.weights, bob.weights):
-            raise RuntimeError("converged run produced differing machines")
-    return TrialRecord(
-        scenario=name,
-        trial=trial,
-        K=params.K,
-        N=params.N,
-        L=params.L,
-        start_mode=str(mode),
-        iterations=transcript.iterations,
-        learning_steps=transcript.learning_steps,
-        parity_checks=-1,
-        disclosed_bits=transcript.disclosed_bits,
-        attacker_best_overlap=best_overlap,
-        converged=transcript.converged,
-        wall_time=time.perf_counter() - started,
-    )
+        for (alice, bob), transcript in zip(pairs, transcripts):
+            if transcript.converged and not np.array_equal(alice.weights, bob.weights):
+                raise RuntimeError("converged run produced differing machines")
+    wall_time = (time.perf_counter() - started) / len(pairs)
+    return [
+        TrialRecord(
+            scenario=name,
+            trial=trial,
+            K=params.K,
+            N=params.N,
+            L=params.L,
+            start_mode=str(mode),
+            iterations=transcript.iterations,
+            learning_steps=transcript.learning_steps,
+            parity_checks=-1,
+            disclosed_bits=transcript.disclosed_bits,
+            attacker_best_overlap=best_overlap,
+            converged=transcript.converged,
+            wall_time=wall_time,
+        )
+        for trial, transcript, best_overlap in zip(trials, transcripts, best_overlaps)
+    ]
 
 
-def _run_compare_trial(scenario: Scenario, setting_index: int, trial: int) -> list[TrialRecord]:
+def _run_compare_trials(scenario: Scenario, setting_index: int, trials: range) -> list[TrialRecord]:
+    """Per trial, the BBBSS and Cascade rows on one noisy key pair, then the
+    mutual-learning row; the mutual-learning rows of all trials run as one
+    lockstep batch."""
     setting = scenario.compare_settings[setting_index]
     params = TpmParams(K=scenario.K_values[0], N=setting.tpm_n, L=scenario.L)
-    pair_seed, parity_seed_a, parity_seed_b, *machine_seeds = _child_seeds(
-        scenario.base_seed, (setting_index, trial), 6
-    )
-    pair = generate_key_pair(setting.key_length, setting.qber, seed=pair_seed)
-    records: list[TrialRecord] = []
-    for algorithm, seed in (("bbbss", parity_seed_a), ("cascade", parity_seed_b)):
-        started = time.perf_counter()
-        outcome = run_parity_reconciliation(
-            pair, ParityConfig(qber_hint=setting.qber, seed=seed, algorithm=algorithm)
+    parity_rows: list[list[TrialRecord]] = []
+    machine_seeds: list[list[int]] = []
+    for trial in trials:
+        pair_seed, parity_seed_a, parity_seed_b, *seeds = _child_seeds(
+            scenario.base_seed, (setting_index, trial), 6
         )
-        records.append(
-            TrialRecord(
-                scenario=f"{scenario.name}/{algorithm}/{setting.key_length}b",
-                trial=trial,
-                K=-1,
-                N=-1,
-                L=-1,
-                start_mode=f"from_qber:{setting.qber:g}",
-                iterations=-1,
-                learning_steps=-1,
-                parity_checks=outcome.parity_checks,
-                disclosed_bits=outcome.disclosed_bits,
-                attacker_best_overlap=-1.0,
-                converged=outcome.residual_errors == 0,
-                wall_time=time.perf_counter() - started,
+        machine_seeds.append(seeds)
+        pair = generate_key_pair(setting.key_length, setting.qber, seed=pair_seed)
+        records = []
+        for algorithm, seed in (("bbbss", parity_seed_a), ("cascade", parity_seed_b)):
+            started = time.perf_counter()
+            outcome = run_parity_reconciliation(
+                pair, ParityConfig(qber_hint=setting.qber, seed=seed, algorithm=algorithm)
             )
-        )
-    records.append(
-        _run_machine_trial(
-            scenario,
-            f"{scenario.name}/tpm/{setting.key_length}b",
-            trial,
-            params,
-            StartMode("overlap", 1.0 - setting.qber),
-            machine_seeds,
-        )
+            records.append(
+                TrialRecord(
+                    scenario=f"{scenario.name}/{algorithm}/{setting.key_length}b",
+                    trial=trial,
+                    K=-1,
+                    N=-1,
+                    L=-1,
+                    start_mode=f"from_qber:{setting.qber:g}",
+                    iterations=-1,
+                    learning_steps=-1,
+                    parity_checks=outcome.parity_checks,
+                    disclosed_bits=outcome.disclosed_bits,
+                    attacker_best_overlap=-1.0,
+                    converged=outcome.residual_errors == 0,
+                    wall_time=time.perf_counter() - started,
+                )
+            )
+        parity_rows.append(records)
+    tpm_rows = _run_machine_trials(
+        scenario,
+        f"{scenario.name}/tpm/{setting.key_length}b",
+        params,
+        StartMode("overlap", 1.0 - setting.qber),
+        trials,
+        machine_seeds,
     )
-    return records
+    return [record for parity, tpm in zip(parity_rows, tpm_rows) for record in (*parity, tpm)]
 
 
-def _scenario_tasks(scenario: Scenario) -> list[tuple]:
-    tasks: list[tuple] = []
+def _scenario_tasks(scenario: Scenario, workers: int) -> list[tuple]:
+    """One task (scenario, index, K, N, trials) per sweep point, or per
+    contiguous slice of its trials when ``workers`` processes share it."""
     if scenario.kind == "compare":
-        for setting_index in range(len(scenario.compare_settings)):
-            for trial in range(scenario.trials):
-                tasks.append((scenario, setting_index, 0, 0, trial))
+        points = [(index, 0, 0) for index in range(len(scenario.compare_settings))]
     else:
-        for mode_index in range(len(scenario.start_modes)):
-            for K in scenario.K_values:
-                for N in scenario.N_values:
-                    for trial in range(scenario.trials):
-                        tasks.append((scenario, mode_index, K, N, trial))
-    return tasks
+        points = [
+            (index, K, N)
+            for index in range(len(scenario.start_modes))
+            for K in scenario.K_values
+            for N in scenario.N_values
+        ]
+    count = scenario.trials
+    slices = [range(count * i // workers, count * (i + 1) // workers) for i in range(workers)]
+    return [(scenario, *point, trials) for point in points for trials in slices if trials]
 
 
 def _run_task(task: tuple) -> list[TrialRecord]:
-    scenario, index, K, N, trial = task
+    scenario, index, K, N, trials = task
     if scenario.kind == "compare":
-        return _run_compare_trial(scenario, index, trial)
+        return _run_compare_trials(scenario, index, trials)
     params = TpmParams(K=K, N=N, L=scenario.L)
-    seeds = machine_trial_seeds(scenario.base_seed, index, params, trial)
+    seeds = [machine_trial_seeds(scenario.base_seed, index, params, trial) for trial in trials]
     mode = scenario.start_modes[index]
-    return [_run_machine_trial(scenario, scenario.name, trial, params, mode, seeds)]
+    return _run_machine_trials(scenario, scenario.name, params, mode, trials, seeds)
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> Iterator[TrialRecord]:
     """Execute every trial of the scenario, streaming records in a fixed
-    order (mode, K, N, trial) independent of the worker count.
+    order (mode, K, N, trial) independent of the worker count. The trials of
+    a sync sweep point advance in lockstep as one batch, or as one batch per
+    contiguous slice when several workers share the point.
 
     The worker count is checked here, before the first record is requested
     and before any pool exists: it must lie in [1, os.cpu_count()]."""
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ScenarioError(f"workers must be in [1, {cpus}], got {workers}")
-    return _stream_records(_scenario_tasks(scenario), workers)
+    return _stream_records(_scenario_tasks(scenario, workers), workers)
 
 
 def _stream_records(tasks: list[tuple], workers: int) -> Iterator[TrialRecord]:
@@ -517,13 +546,12 @@ def _stream_records(tasks: list[tuple], workers: int) -> Iterator[TrialRecord]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (workers * 8))
     # a dead worker raises BrokenProcessPool; a consumer that stops early
     # cancels the queued tasks instead of waiting for them. Spawned workers
     # inherit no locks from threads of the caller.
     executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
-        for records in executor.map(_run_task, tasks, chunksize=chunk):
+        for records in executor.map(_run_task, tasks):
             yield from records
     finally:
         executor.shutdown(cancel_futures=True)

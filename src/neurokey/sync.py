@@ -22,8 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "reconcile",
     "resolve_iteration_budget",
     "seed_initial_overlap",
+    "synchronize_batch",
     "synchronize_from_weights",
 ]
 
@@ -179,34 +180,47 @@ def _weight_digest(weights: np.ndarray) -> bytes:
 def _exchange_round(
     w: np.ndarray, x: np.ndarray, bound: int, geometric: bool = False
 ) -> np.ndarray | None:
-    """One public round, in place, on a stack ``w`` shaped (2 + E, K, N): the
-    parties in rows 0 and 1, then E eavesdroppers, all seeing the input ``x``.
+    """One public round, in place, on a stack ``w`` shaped (..., 2 + E, K, N):
+    per trial, the parties in rows 0 and 1, then E eavesdroppers, all seeing
+    the trial's input ``x``, shaped (..., 1, K, N) or, with no trial axis,
+    (K, N).
 
-    Returns None, and nobody learns, when the parties' outputs differ. Else
-    returns the mask of rows that learned: those whose output is the public
-    one, or under ``geometric`` all rows, each other one first flipping the
-    sign of its unit with the smallest |local field| (the first on ties).
+    Returns None, and nobody learns, when the parties' outputs differ in every
+    trial. Else returns the mask (..., 2 + E) of rows that learned: in trials
+    whose parties agree, those whose output is the public one, or under
+    ``geometric`` all rows, each other one first flipping the sign of its
+    unit with the smallest |local field| (the first on ties).
     """
-    fields = (w * x).sum(axis=2)
+    fields = (w * x).sum(axis=-1, dtype=np.int32)
     sigma = _signs(fields)
-    taus = sigma.prod(axis=1)
-    if taus[0] != taus[1]:
+    taus = sigma.prod(axis=-1)
+    learn = taus == taus[..., :1]
+    agree = learn[..., 1]
+    if agree.ndim:  # a trial whose parties disagree learns nothing
+        if not np.count_nonzero(agree):
+            return None
+        learn &= agree[..., None]
+    elif not agree:
         return None
-    learn = taus == taus[0]
     if geometric and not learn.all():
-        rows = np.flatnonzero(~learn)
-        sigma[rows, np.abs(fields[rows]).argmin(axis=1)] *= -1
-        taus[rows] = taus[0]
+        rows = np.nonzero(~learn & agree[..., None])
+        sigma[rows + (np.abs(fields[rows]).argmin(axis=-1),)] *= -1
+        taus[rows] = taus[rows[:-1]][..., 0]
         learn[rows] = True
     # a row with tau 0 has no unit whose sign equals it, so it stays put
-    _hebbian_inplace(w, x, sigma, (taus * learn)[:, None], bound)
+    _hebbian_inplace(w, x, sigma, (taus * learn)[..., None], bound)
     return learn
 
 
+def _draw_inputs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """The next chunk of uniform +/-1 input matrices from a seeded generator."""
+    return rng.integers(0, 2, size=(_INPUT_CHUNK,) + shape, dtype=np.int32) * 2 - 1
+
+
 def _inputs(rng: np.random.Generator, shape: tuple[int, int]) -> Iterator[np.ndarray]:
-    """Uniform +/-1 input matrices from one seeded generator, drawn in chunks."""
+    """Input matrices from one seeded generator, one chunk at a time."""
     while True:
-        yield from rng.integers(0, 2, size=(_INPUT_CHUNK,) + shape, dtype=np.int32) * 2 - 1
+        yield from _draw_inputs(rng, shape)
 
 
 _budget_cache: dict[TpmParams, int] = {}
@@ -214,22 +228,20 @@ _budget_cache: dict[TpmParams, int] = {}
 
 def resolve_iteration_budget(params: TpmParams) -> int:
     """Automatic iteration budget: ten times the mean random-start
-    synchronization length over a few fixed-seed pilot runs (cached)."""
+    synchronization length over a few fixed-seed pilot runs, run as one
+    lockstep batch (cached)."""
     cached = _budget_cache.get(params)
     if cached is not None:
         return cached
-    total = 0
+    pairs, configs = [], []
     for pilot in range(_PILOTS):
         entropy = np.random.SeedSequence([_PILOT_TAG, params.K, params.N, params.L, pilot])
         init_seed, sync_seed = (int(s) for s in entropy.generate_state(2, dtype=np.uint64))
         rng = np.random.default_rng(init_seed)
-        a = Tpm.random(params, rng)
-        b = Tpm.random(params, rng)
-        config = SyncConfig(params, max_iterations=_PILOT_CAP, seed=sync_seed)
-        try:
-            total += synchronize_from_weights(a, b, config).iterations
-        except NonConvergenceError:
-            total += _PILOT_CAP
+        pairs.append((Tpm.random(params, rng), Tpm.random(params, rng)))
+        configs.append(SyncConfig(params, max_iterations=_PILOT_CAP, seed=sync_seed))
+    # a pilot that hits the cap counts at the cap
+    total = sum(t.iterations for t in synchronize_batch(pairs, configs))
     budget = max(1_000, 10 * total // _PILOTS)
     _budget_cache[params] = budget
     return budget
@@ -242,54 +254,123 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
     identical. Raises NonConvergenceError (with the partial transcript) when
     the budget runs out first.
     """
-    if alice.params != bob.params:
-        raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
-    if config.params != alice.params:
-        raise ValueError("config params do not match the machines")
-    params = alice.params
-    budget = config.max_iterations or resolve_iteration_budget(params)
-
-    inputs = _inputs(np.random.default_rng(config.seed), (params.K, params.N))
-    w = np.stack([alice.weights, bob.weights]).astype(np.int32)
-
-    iterations = 0
-    learning_steps = 0
-    digest_exchanges = 0
-    trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
-
-    while True:
-        if config.protocol_mode:
-            checked = iterations > 0 and iterations % config.digest_check_interval == 0
-            digest_exchanges += checked
-            converged = checked and _weight_digest(w[0]) == _weight_digest(w[1])
-        else:
-            converged = np.array_equal(w[0], w[1])
-        if converged or iterations >= budget:
-            break
-
-        iterations += 1
-        if _exchange_round(w, next(inputs), params.L) is not None:
-            learning_steps += 1
-        if trace is not None:
-            trace.append((iterations, float((w[0] == w[1]).mean())))
-
-    alice.weights[...] = w[0]
-    bob.weights[...] = w[1]
-    transcript = SyncTranscript(
-        iterations=iterations,
-        learning_steps=learning_steps,
-        digest_exchanges=digest_exchanges,
-        converged=converged,
-        overlap_trace=trace,
-    )
-    if not converged:
+    [transcript] = synchronize_batch([(alice, bob)], [config])
+    if not transcript.converged:
+        budget = transcript.iterations
         source = "explicit max_iterations=" if config.max_iterations else "pilot budget "
         raise NonConvergenceError(
-            f"no convergence within {budget} iterations ({source}{budget}) for {params}; "
-            f"final party overlap {float((w[0] == w[1]).mean()):.4f}",
+            f"no convergence within {budget} iterations ({source}{budget}) for {config.params}; "
+            f"final party overlap {float((alice.weights == bob.weights).mean()):.4f}",
             transcript,
         )
     return transcript
+
+
+def synchronize_batch(
+    pairs: Sequence[tuple[Tpm, Tpm]], configs: Sequence[SyncConfig]
+) -> list[SyncTranscript]:
+    """Synchronize independent machine pairs in lockstep, one config each.
+
+    The configs may differ only in ``seed``. Each pair draws its inputs from
+    its own generator, exactly as on its own, so its transcript and final
+    weights equal those of ``synchronize_from_weights``; machines are updated
+    in place. A pair that exhausts the budget gets a transcript with
+    ``converged=False`` instead of an error.
+
+    The pairs are rows of one (T, 2, K, N) stack that ``_exchange_round``
+    advances together, with an int8 buffer of 256 inputs per trial
+    (T * 256 * K * N bytes) refilled at the same round for every trial. A
+    trial retires when it converges or reaches the budget; retired rows run
+    on unread until fewer than half the rows are live, and then the stack,
+    buffer and row ids are compacted.
+    """
+    if len(pairs) != len(configs) or not pairs:
+        raise ValueError("need one config per machine pair, and at least one pair")
+    config = configs[0]
+    if len({replace(c, seed=0) for c in configs}) != 1:
+        raise ValueError("batched configs may differ only in seed")
+    params = config.params
+    for alice, bob in pairs:
+        if alice.params != bob.params:
+            raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
+        if params != alice.params:
+            raise ValueError("config params do not match the machines")
+    budget = config.max_iterations or resolve_iteration_budget(params)
+
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    w = np.array([(alice.weights, bob.weights) for alice, bob in pairs], dtype=np.int32)
+    inputs = np.empty((len(pairs), _INPUT_CHUNK, 1, params.K, params.N), dtype=np.int8)
+    # whether a trial's parties agreed, per round of the current input chunk
+    agreed = np.zeros((len(pairs), _INPUT_CHUNK), dtype=bool)
+    learning_steps = np.zeros(len(pairs), dtype=np.int64)  # before the chunk
+    trial_of_row = np.arange(len(pairs))
+    live = np.ones(len(pairs), dtype=bool)
+    traces: list[list[tuple[int, float]]] | None = (
+        [[] for _ in pairs] if config.record_overlap else None
+    )
+    transcripts: list[SyncTranscript] = [None] * len(pairs)  # type: ignore[list-item]
+
+    remaining = len(pairs)
+    iterations = 0
+    digest_exchanges = 0  # every live trial checks digests at the same rounds
+    learned = True  # after a round nobody learned in, no new pair coincides
+    while True:
+        converged = None
+        if config.protocol_mode:
+            if iterations and iterations % config.digest_check_interval == 0:
+                digest_exchanges += 1
+                converged = np.zeros(len(w), dtype=bool)
+                for r in live.nonzero()[0]:
+                    converged[r] = _weight_digest(w[r, 0]) == _weight_digest(w[r, 1])
+        elif learned:
+            # a pair that retired converged stays equal, so a count above
+            # theirs means some live pair has just coincided
+            flat = w.reshape(len(w), 2, -1)
+            equal = (flat[:, 0] == flat[:, 1]).all(axis=1)
+            if np.count_nonzero(equal) > len(w) - remaining:
+                converged = equal & live
+        done = live if iterations >= budget else converged
+        retiring = () if done is None else done.nonzero()[0]
+        if len(retiring):
+            for r in retiring:
+                trial = trial_of_row[r]
+                alice, bob = pairs[trial]
+                alice.weights[...] = w[r, 0]
+                bob.weights[...] = w[r, 1]
+                transcripts[trial] = SyncTranscript(
+                    iterations=iterations,
+                    learning_steps=int(learning_steps[r] + np.count_nonzero(agreed[r])),
+                    digest_exchanges=digest_exchanges,
+                    converged=converged is not None and bool(converged[r]),
+                    overlap_trace=None if traces is None else traces[trial],
+                )
+            live[retiring] = False
+            remaining -= len(retiring)
+            if not remaining:
+                return transcripts
+            if 2 * remaining < len(w):
+                w, inputs, agreed = w[live], inputs[live], agreed[live]
+                trial_of_row, learning_steps = trial_of_row[live], learning_steps[live]
+                live = live[live]
+
+        slot = iterations % _INPUT_CHUNK
+        if slot == 0:
+            learning_steps += agreed.sum(axis=1)
+            agreed[...] = False
+            for r in live.nonzero()[0]:
+                inputs[r, :, 0] = _draw_inputs(rngs[trial_of_row[r]], (params.K, params.N))
+        iterations += 1
+        if len(w) == 1:  # a lone trial skips the cost of the trial axis
+            learn = _exchange_round(w[0], inputs[0, slot, 0], params.L)
+        else:
+            learn = _exchange_round(w, inputs[:, slot], params.L)
+        learned = learn is not None
+        if learned:
+            agreed[:, slot] = learn[..., 0]
+        if traces is not None:
+            overlaps = (w[:, 0] == w[:, 1]).mean(axis=(1, 2))
+            for r in live.nonzero()[0]:
+                traces[trial_of_row[r]].append((iterations, float(overlaps[r])))
 
 
 def seed_initial_overlap(base: Tpm, overlap: float, seed: int) -> Tpm:

@@ -181,8 +181,8 @@ def random_input(params: TpmParams, rng: np.random.Generator) -> np.ndarray:
 
 
 def _signs(local_fields: np.ndarray) -> np.ndarray:
-    # zero counts as negative
-    return (local_fields > 0).astype(np.int32) * 2 - 1
+    # zero counts as negative: 2h - 1 is odd, so never zero
+    return np.sign(local_fields * 2 - 1)
 
 
 def evaluate(tpm: Tpm, entries: np.ndarray) -> TpmEvaluation:

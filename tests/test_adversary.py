@@ -340,6 +340,26 @@ def test_exchange_round_matches_the_oracle_round_by_round(geometric):
         assert np.array_equal(w, np.stack([m.weights for m in machines]))
     assert silent > 0
 
+    # the same kernel on a 3-trial stack, each trial with its own input,
+    # checked trial by trial; a trial whose parties disagree learns nothing
+    trials = [[Tpm.random(params, rng) for _ in range(7)] for _ in range(3)]
+    stack = np.stack([[m.weights for m in machines] for machines in trials])
+    all_silent = mixed = 0
+    for _ in range(300):
+        x = (rng.integers(0, 2, size=(3, 1, params.K, params.N), dtype=np.int32) * 2 - 1).astype(np.int8)
+        learn = _exchange_round(stack, x, params.L, geometric)
+        outcomes = [oracle_round(machines, x[t, 0], geometric) for t, machines in enumerate(trials)]
+        trials = [machines for machines, _ in outcomes]
+        learned = [flags for _, flags in outcomes]
+        if all(flags is None for flags in learned):
+            all_silent += 1
+            assert learn is None
+        else:
+            mixed += None in learned
+            assert learn.tolist() == [flags or [False] * 7 for flags in learned]
+        assert np.array_equal(stack, np.stack([[m.weights for m in machines] for machines in trials]))
+    assert all_silent > 0 and mixed > 0
+
 
 @pytest.mark.parametrize("strategy", ["passive", "geometric"])
 def test_run_attack_replays_with_the_reference_operations(strategy):

@@ -183,7 +183,8 @@ def test_scenario_run_failure_leaves_no_output(monkeypatch, tmp_path):
     run_task = harness._run_task
 
     def fail_on_trial_one(task):
-        if task[-1] == 1:
+        # the task whose trial slice holds trial 1
+        if 1 in task[-1]:
             raise RuntimeError("trial 1 failed")
         return run_task(task)
 

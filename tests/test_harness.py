@@ -49,8 +49,8 @@ _run_task = harness._run_task
 
 
 def _die_on_trial_one(task):
-    # a worker killed mid-scenario
-    if task[-1] == 1:
+    # a worker killed mid-scenario, on the task whose trial slice holds trial 1
+    if 1 in task[-1]:
         os._exit(1)
     return _run_task(task)
 
@@ -213,6 +213,27 @@ class TestRunScenario:
         assert header[0].startswith("#")
         assert header[1] == ",".join(CSV_COLUMNS)
         assert "wall_time" not in first
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two workers")
+    def test_one_point_sliced_across_workers_is_worker_invariant(self):
+        # one sweep point of many trials: two workers each run a contiguous slice
+        scenario = dataclasses.replace(
+            SMALL_SYNC, N_values=(4,), start_modes=(StartMode("random"),), trials=41
+        )
+        tasks = harness._scenario_tasks(scenario, 2)
+        assert [task[-1] for task in tasks] == [range(0, 20), range(20, 41)]
+        serial = records_to_csv(run_scenario(scenario))
+        assert records_to_csv(run_scenario(scenario, workers=2)) == serial
+        assert serial.count("\n") == 2 + 41
+
+    def test_batch_wall_time_is_split_across_its_trials(self):
+        records = list(run_scenario(SMALL_SYNC))
+        for point in summarize(records):
+            times = {r.wall_time for r in records if r.N == point.N}
+            assert len(times) == 1 and times.pop() > 0
+            assert point.wall_time == pytest.approx(
+                sum(r.wall_time for r in records if r.N == point.N)
+            )
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_worker_count_out_of_range_rejected_before_any_pool(self, workers, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from neurokey import sync
 from neurokey.channel import generate_key_pair
+from neurokey.harness import StartMode, machine_trial_seeds
 from neurokey.sync import (
     NonConvergenceError,
     SyncConfig,
@@ -12,6 +14,7 @@ from neurokey.sync import (
     reconcile,
     resolve_iteration_budget,
     seed_initial_overlap,
+    synchronize_batch,
     synchronize_from_weights,
 )
 from neurokey.tpm import (
@@ -346,3 +349,78 @@ def test_protocol_transcripts_are_pinned(case):
     transcript = protocol_transcript(*case)
     expected = SyncTranscript(*GOLDEN_PROTOCOL_TRANSCRIPTS[case])
     assert transcript.to_record() == expected.to_record()
+
+
+# Lockstep batches against the batch of one. At K=4, N=6 and a 120-round
+# budget the matrix holds batches whose trials all converge, batches where
+# some retire at the budget while others converged earlier, and batches that
+# compact their stack down to a lone trial.
+BATCH_PARAMS = TpmParams(K=4, N=6, L=2)
+BATCH_BUDGET = 120
+
+
+def batch_trials(start, count, protocol, interval, record):
+    mode = StartMode.parse(start)
+    seeds = [machine_trial_seeds(90, 0, BATCH_PARAMS, trial) for trial in range(count)]
+    configs = [
+        SyncConfig(
+            BATCH_PARAMS,
+            max_iterations=BATCH_BUDGET,
+            seed=sync_seed,
+            protocol_mode=protocol,
+            digest_check_interval=interval,
+            record_overlap=record,
+        )
+        for *_, sync_seed in seeds
+    ]
+    return mode, seeds, configs
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["notrace", "trace"])
+@pytest.mark.parametrize(
+    "protocol, interval", [(False, 10), (True, 1), (True, 10), (True, 100)],
+    ids=["simulation", "protocol1", "protocol10", "protocol100"],
+)
+@pytest.mark.parametrize("count", [1, 2, 3, 7])
+@pytest.mark.parametrize("start", ["random", "overlap:0.95", "from_qber:0.05"])
+def test_batch_matches_the_batch_of_one(start, count, protocol, interval, record):
+    mode, seeds, configs = batch_trials(start, count, protocol, interval, record)
+    pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
+    transcripts = synchronize_batch(pairs, configs)
+    assert len(transcripts) == count
+    for (alice, bob), transcript, (init_seed, aux_seed, _), config in zip(
+        pairs, transcripts, seeds, configs
+    ):
+        alone_a, alone_b = mode.machines(BATCH_PARAMS, init_seed, aux_seed)
+        try:
+            alone = synchronize_from_weights(alone_a, alone_b, config)
+        except NonConvergenceError as err:
+            alone = err.transcript
+            assert not transcript.converged and transcript.iterations == BATCH_BUDGET
+        assert transcript.to_record() == alone.to_record()
+        assert (transcript.overlap_trace is not None) == record
+        assert np.array_equal(alice.weights, alone_a.weights)
+        assert np.array_equal(bob.weights, alone_b.weights)
+
+
+def test_batch_retires_trials_mid_batch_and_at_the_budget():
+    # random starts: two of seven converge, five reach the budget
+    mode, seeds, configs = batch_trials("random", 7, False, 10, False)
+    pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
+    transcripts = synchronize_batch(pairs, configs)
+    converged = [t.iterations for t in transcripts if t.converged]
+    capped = [t.iterations for t in transcripts if not t.converged]
+    assert converged and capped
+    assert max(converged) < BATCH_BUDGET and set(capped) == {BATCH_BUDGET}
+    for (alice, bob), transcript in zip(pairs, transcripts):
+        assert np.array_equal(alice.weights, bob.weights) == transcript.converged
+
+
+def test_batch_rejects_configs_that_differ_beyond_the_seed():
+    mode, seeds, configs = batch_trials("random", 2, False, 10, False)
+    pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
+    configs[1] = dataclasses.replace(configs[1], max_iterations=5)
+    with pytest.raises(ValueError, match="only in seed"):
+        synchronize_batch(pairs, configs)
+    with pytest.raises(ValueError, match="one config per machine pair"):
+        synchronize_batch(pairs, configs[:1])
