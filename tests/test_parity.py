@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -145,3 +148,49 @@ class TestRunParity:
         second = run_parity_reconciliation(pair, ParityConfig(qber_hint=0.05, seed=4, algorithm="cascade"))
         assert first.parity_checks == second.parity_checks
         assert first.flipped_positions == second.flipped_positions
+
+
+# The parity engine pinned over key lengths, error rates, error modes and
+# pass counts; each digest covers one (algorithm, length) and hashes, per run,
+# the check count, the flipped positions in order and Bob's corrected bits.
+GOLDEN_LENGTHS = (1, 2, 7, 500, 600, 2048, 4096, 16384)
+GOLDEN_QBERS = (0.02, 0.03, 0.05)
+
+
+def parity_digest(algorithm: str, length: int) -> str:
+    digest = hashlib.sha256()
+    cases = itertools.product(GOLDEN_QBERS, ("uniform", "burst"), (1, 4))
+    for index, (qber, mode, passes) in enumerate(cases):
+        pair = generate_key_pair(length, qber, seed=length * 100 + index, error_mode=mode)
+        outcome = run_parity_reconciliation(
+            pair, ParityConfig(qber_hint=qber, passes=passes, seed=index, algorithm=algorithm)
+        )
+        digest.update(f"{outcome.parity_checks}:{outcome.flipped_positions}:".encode())
+        digest.update(np.packbits(outcome.corrected_bob.bits).tobytes())
+    return digest.hexdigest()[:16]
+
+
+GOLDEN_PARITY_DIGESTS = {
+    "bbbss-1": "7a6fa5048721ed87",
+    "bbbss-2": "1691f1dd76259a15",
+    "bbbss-7": "8129fc7f3279add0",
+    "bbbss-500": "fffd1b4379a0ebb4",
+    "bbbss-600": "86c3e91b2e4b9113",
+    "bbbss-2048": "de138f6d7c8a458f",
+    "bbbss-4096": "66854afe8958a2ea",
+    "bbbss-16384": "27468a4d6ffb5718",
+    "cascade-1": "7a6fa5048721ed87",
+    "cascade-2": "1691f1dd76259a15",
+    "cascade-7": "8129fc7f3279add0",
+    "cascade-500": "ba05bdd2c84de7ea",
+    "cascade-600": "90247efa3e9c8762",
+    "cascade-2048": "0337f39031d3ab0e",
+    "cascade-4096": "68fa10136387733b",
+    "cascade-16384": "47b57934ce87a46c",
+}
+
+
+@pytest.mark.parametrize("algorithm", ["bbbss", "cascade"])
+@pytest.mark.parametrize("length", GOLDEN_LENGTHS)
+def test_parity_engine_matches_golden_digest(algorithm, length):
+    assert parity_digest(algorithm, length) == GOLDEN_PARITY_DIGESTS[f"{algorithm}-{length}"]
