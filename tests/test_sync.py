@@ -424,3 +424,18 @@ def test_batch_rejects_configs_that_differ_beyond_the_seed():
         synchronize_batch(pairs, configs)
     with pytest.raises(ValueError, match="one config per machine pair"):
         synchronize_batch(pairs, configs[:1])
+
+
+def test_input_stream_does_not_depend_on_the_chunk_size(monkeypatch):
+    # a seeded generator yields the same +/-1 inputs whether they are drawn in
+    # chunks of 64, 64, 1 and 127 or in one chunk of 256
+    shape = (5, 7)
+    chunks = []
+    rng = np.random.default_rng(41)
+    for size in (64, 64, 1, 127):
+        monkeypatch.setattr(sync, "_INPUT_CHUNK", size)
+        chunks.append(sync._draw_inputs(rng, shape))
+    monkeypatch.setattr(sync, "_INPUT_CHUNK", 256)
+    whole = sync._draw_inputs(np.random.default_rng(41), shape)
+    assert whole.shape == (256,) + shape
+    assert np.array_equal(np.concatenate(chunks), whole)
