@@ -17,6 +17,11 @@ Accounting: one parity check = one disclosed bit. Comparing a whole block at
 the top of a pass costs one check; each binary-search split compares the
 first half only (the other half's parity is inferred), costing one check per
 level. Passes stop early once a full pass finds no mismatch at all.
+
+The simulation runs on the difference vector alice ^ bob: a block's parities
+mismatch exactly when its difference bits XOR to 1. One reduceat gives every
+block parity of a pass and one prefix XOR serves a whole binary search; the
+checks are counted as above, as if each comparison were made in turn.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "ALGORITHMS",
     "ParityConfig",
     "ParityOutcome",
-    "block_parity",
     "block_size_for",
     "run_parity_reconciliation",
 ]
@@ -83,35 +87,29 @@ def block_size_for(qber: float) -> int:
     return max(1, int(math.floor(0.73 / qber + 0.5)))
 
 
-def block_parity(bits: np.ndarray, positions: np.ndarray) -> int:
-    """Parity of the selected positions."""
-    return int(bits[positions].sum() & 1)
-
-
-def _binary_locate(
-    alice: np.ndarray, bob: np.ndarray, block: np.ndarray
-) -> tuple[int, int]:
+def _locate(diff: np.ndarray, block: np.ndarray) -> tuple[int, int]:
     """Binary-search an odd-parity block down to one position.
 
     Returns (position, parity checks spent). Each level compares the first
-    half (size ceil(n/2)) only.
+    half (size ceil(n/2)) only, read off the block's prefix parities.
     """
+    prefix = [0, *np.bitwise_xor.accumulate(diff[block]).tolist()]
+    lo, hi = 0, len(block)
     checks = 0
-    while block.size > 1:
-        half = (block.size + 1) // 2
-        first = block[:half]
+    while hi - lo > 1:
+        mid = lo + (hi - lo + 1) // 2
         checks += 1
-        if block_parity(alice, first) != block_parity(bob, first):
-            block = first
+        if prefix[mid] != prefix[lo]:
+            hi = mid
         else:
-            block = block[half:]
-    return int(block[0]), checks
+            lo = mid
+    return int(block[lo]), checks
 
 
 def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> ParityOutcome:
     """Correct Bob's key toward Alice's with the configured parity protocol."""
     alice = pair.alice.bits
-    bob = pair.bob.bits.copy()
+    diff = alice ^ pair.bob.bits
     n = pair.length
     rng = np.random.default_rng(config.seed)
     cascade = config.algorithm == "cascade"
@@ -119,47 +117,50 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
 
     checks = 0
     flips: list[int] = []
-    partitions: list[list[np.ndarray]] = []
-    position_block: list[np.ndarray] = []
-    odd: list[np.ndarray] = []
+    orders: list[np.ndarray] = []
+    sizes: list[int] = []
+    position_block: list[list[int]] = []
+    odd: list[list[int]] = []
 
-    for p in range(config.passes):
+    def block_length(q: int, index: int) -> int:
+        return min(sizes[q], n - index * sizes[q])
+
+    for p in range(config.passes if n else 0):  # an empty key needs no pass
         size = min(n, base_size << p)
         order = np.arange(n) if p == 0 else rng.permutation(n)
-        blocks = [order[i : i + size] for i in range(0, n, size)]
-        partitions.append(blocks)
+        orders.append(order)
+        sizes.append(size)
         lookup = np.empty(n, dtype=np.int64)
-        for index, block in enumerate(blocks):
-            lookup[block] = index
-        position_block.append(lookup)
-        state = np.zeros(len(blocks), dtype=bool)
-        odd.append(state)
+        lookup[order] = np.arange(n) // size
+        position_block.append(lookup.tolist())
+        parities = np.bitwise_xor.reduceat(diff[order], np.arange(0, n, size))
+        odd.append(parities.tolist())
+        checks += len(parities)
 
         # heap keyed by block size: searches run cheapest-first; the tie
         # counter keeps the order deterministic
-        pending: list[tuple[int, int, int, int]] = []
-        tie = 0
-        for index, block in enumerate(blocks):
-            checks += 1
-            if block_parity(alice, block) != block_parity(bob, block):
-                state[index] = True
-                heapq.heappush(pending, (block.size, tie, p, index))
-                tie += 1
+        pending = [
+            (block_length(p, index), tie, p, index)
+            for tie, index in enumerate(np.flatnonzero(parities).tolist())
+        ]
+        heapq.heapify(pending)
+        tie = len(pending)
         clean_pass = not pending
 
         while pending:
             _, _, q, index = heapq.heappop(pending)
             if not odd[q][index]:
                 continue
-            position, spent = _binary_locate(alice, bob, partitions[q][index])
+            start = index * sizes[q]
+            position, spent = _locate(diff, orders[q][start : start + sizes[q]])
             checks += spent
-            bob[position] ^= 1
+            diff[position] ^= 1
             flips.append(position)
-            for q2 in range(len(partitions)):
-                index2 = int(position_block[q2][position])
-                odd[q2][index2] = not odd[q2][index2]
+            for q2 in range(len(orders)):
+                index2 = position_block[q2][position]
+                odd[q2][index2] ^= 1
                 if odd[q2][index2] and (cascade or q2 == p):
-                    heapq.heappush(pending, (partitions[q2][index2].size, tie, q2, index2))
+                    heapq.heappush(pending, (block_length(q2, index2), tie, q2, index2))
                     tie += 1
 
         if clean_pass:
@@ -167,9 +168,9 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
 
     return ParityOutcome(
         corrected_alice=pair.alice,
-        corrected_bob=BitKey(bob),
+        corrected_bob=BitKey(alice ^ diff),
         parity_checks=checks,
         disclosed_bits=checks,
-        residual_errors=int((alice != bob).sum()),
+        residual_errors=int(diff.sum()),
         flipped_positions=flips,
     )

@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from neurokey.channel import generate_key_pair
-from neurokey.parity import (
-    ParityConfig,
-    block_parity,
-    block_size_for,
-    run_parity_reconciliation,
-)
+from neurokey.channel import NoisyKeyPair, generate_key_pair
+from neurokey.parity import ParityConfig, block_size_for, run_parity_reconciliation
+from neurokey.tpm import BitKey
 
 
 class TestBlockSize:
@@ -37,15 +33,24 @@ class TestConfig:
 
 @given(st.integers(2, 64), st.integers(0, 2**32 - 1))
 def test_parity_mismatch_iff_odd_errors(block_len, seed):
+    # one BBBSS pass at block size block_len searches a block, and flips one
+    # of its errors, exactly when the block's parities mismatch
     rng = np.random.default_rng(seed)
-    alice = rng.integers(0, 2, size=block_len, dtype=np.uint8)
+    blocks = int(rng.integers(1, 5))
+    alice = rng.integers(0, 2, size=blocks * block_len, dtype=np.uint8)
     bob = alice.copy()
-    errors = rng.integers(0, block_len + 1)
-    positions = rng.choice(block_len, size=errors, replace=False)
-    bob[positions] ^= 1
-    block = np.arange(block_len)
-    mismatch = block_parity(alice, block) != block_parity(bob, block)
-    assert mismatch == (errors % 2 == 1)
+    errors = rng.integers(0, block_len + 1, size=blocks)
+    for block, count in enumerate(errors):
+        bob[block * block_len + rng.choice(block_len, size=count, replace=False)] ^= 1
+    pair = NoisyKeyPair(
+        BitKey(alice), BitKey(bob), frozenset(np.flatnonzero(alice != bob).tolist()), 0.5
+    )
+    config = ParityConfig(qber_hint=0.73 / block_len, passes=1, algorithm="bbbss")
+    assert block_size_for(config.qber_hint) == block_len
+    flips = run_parity_reconciliation(pair, config).flipped_positions
+    searched = [position // block_len for position in flips]
+    assert searched == sorted(set(searched))
+    assert set(searched) == {block for block, count in enumerate(errors) if count % 2 == 1}
 
 
 class TestRunParity:
@@ -97,9 +102,6 @@ class TestRunParity:
     def test_single_pass_even_errors_survive_and_are_reported(self):
         # two errors in one block of size 2, one pass: parity matches, early
         # exit, residual reported
-        from neurokey.channel import NoisyKeyPair
-        from neurokey.tpm import BitKey
-
         alice = BitKey.from_string("0000")
         bob = BitKey.from_string("1100")
         pair = NoisyKeyPair(alice, bob, frozenset({0, 1}), 0.5)
@@ -110,6 +112,29 @@ class TestRunParity:
         assert outcome.parity_checks == 2
         assert outcome.residual_errors == 2
         assert outcome.flipped_positions == []
+
+    @pytest.mark.parametrize("algorithm", ["bbbss", "cascade"])
+    @pytest.mark.parametrize(
+        "alice,bob,checks,flips,residual",
+        [("", "", 0, [], 0), ("0", "1", 2, [0], 0), ("00", "11", 1, [], 2)],
+        ids=["empty", "one-bit", "two-bits"],
+    )
+    def test_keys_of_zero_one_and_two_bits(self, algorithm, alice, bob, checks, flips, residual):
+        # an empty key runs no pass; one bit is a single block, searched for
+        # free and then confirmed by pass 2; two errors in one block go unseen
+        pair = NoisyKeyPair(
+            BitKey.from_string(alice),
+            BitKey.from_string(bob),
+            frozenset(i for i, (a, b) in enumerate(zip(alice, bob)) if a != b),
+            0.5,
+        )
+        outcome = run_parity_reconciliation(
+            pair, ParityConfig(qber_hint=0.05, seed=3, algorithm=algorithm)
+        )
+        assert outcome.parity_checks == outcome.disclosed_bits == checks
+        assert outcome.flipped_positions == flips
+        assert outcome.residual_errors == residual
+        assert outcome.corrected_bob.length == len(alice)
 
     def test_block_size_one_corrects_everything_in_pass_one(self):
         pair = generate_key_pair(32, 0.3, seed=77)
