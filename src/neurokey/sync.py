@@ -56,7 +56,7 @@ __all__ = [
 DIGEST_BITS = 64
 
 # Input matrices pre-drawn per RNG call inside the round loop.
-_INPUT_CHUNK = 256
+_INPUT_CHUNK = 64
 
 # Pilot runs averaged for an automatic budget, and the hard cap on each.
 _PILOTS = 5
