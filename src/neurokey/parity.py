@@ -18,10 +18,9 @@ the top of a pass costs one check; each binary-search split compares the
 first half only (the other half's parity is inferred), costing one check per
 level. Passes stop early once a full pass finds no mismatch at all.
 
-The simulation runs on the difference vector alice ^ bob: a block's parities
-mismatch exactly when its difference bits XOR to 1. One reduceat gives every
-block parity of a pass and one prefix XOR serves a whole binary search; the
-checks are counted as above, as if each comparison were made in turn.
+The simulation runs on the difference vector alice ^ bob, whose XOR over a
+block is 1 exactly when the parties' parities mismatch: one reduceat per pass,
+one prefix XOR per binary search, and every comparison still counted as above.
 """
 
 from __future__ import annotations
@@ -144,9 +143,9 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
             for tie, index in enumerate(np.flatnonzero(parities).tolist())
         ]
         heapq.heapify(pending)
+        if not pending:  # a clean pass ends the run
+            break
         tie = len(pending)
-        clean_pass = not pending
-
         while pending:
             _, _, q, index = heapq.heappop(pending)
             if not odd[q][index]:
@@ -162,9 +161,6 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
                 if odd[q2][index2] and (cascade or q2 == p):
                     heapq.heappush(pending, (block_length(q2, index2), tie, q2, index2))
                     tie += 1
-
-        if clean_pass:
-            break
 
     return ParityOutcome(
         corrected_alice=pair.alice,

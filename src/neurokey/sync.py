@@ -278,8 +278,8 @@ def synchronize_batch(
     ``converged=False`` instead of an error.
 
     The pairs are rows of one (T, 2, K, N) stack that ``_exchange_round``
-    advances together, with an int8 buffer of 256 inputs per trial
-    (T * 256 * K * N bytes) refilled at the same round for every trial. A
+    advances together, with an int8 buffer of 64 inputs per trial
+    (T * 64 * K * N bytes) refilled at the same round for every trial. A
     trial retires when it converges or reaches the budget; retired rows run
     on unread until fewer than half the rows are live, and then the stack,
     buffer and row ids are compacted.
