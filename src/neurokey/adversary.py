@@ -116,30 +116,29 @@ def run_attack(
             eve[...] = seed_initial_overlap(alice, attack.eve_initial_overlap, eve_seed).weights
 
     iterations = 0
-    ab_learning = 0
+    learning = np.zeros(len(w), dtype=np.int64)  # per row; the parties learn on every agreed round
     ab_converged_at = 0  # the round the parties first coincide; 0 until then
     ab_learning_at = 0
     overlap_at_convergence = -1.0
-    eve_learning = np.zeros(len(eves), dtype=np.int64)
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
     eve_trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
 
-    eve_synced = False
-    while iterations < attack.iteration_budget and not eve_synced:
+    while iterations < attack.iteration_budget:
         iterations += 1
         learn = _exchange_round(w, next(inputs), params.L, geometric)
         if learn is not None:
-            ab_learning += 1
-            eve_learning += learn[2:]
+            learning += learn
         if not ab_converged_at and np.array_equal(w[0], w[1]):
-            ab_converged_at, ab_learning_at = iterations, ab_learning
+            ab_converged_at, ab_learning_at = iterations, int(learning[0])
             overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())
         if trace is not None and eve_trace is not None:
             trace.append((iterations, float((w[0] == w[1]).mean())))
             eve_trace.append((iterations, float((eves == w[0]).mean(axis=(1, 2)).max())))
-        eve_synced = bool((eves == w[0]).all(axis=(1, 2)).any())
+        if (eves == w[0]).all(axis=(1, 2)).any():
+            break
 
+    ab_learning = int(learning[0])
     per_machine = (eves == w[0]).mean(axis=(1, 2)).tolist()
     best_overlap = max(per_machine)
     transcript = SyncTranscript(
@@ -154,7 +153,7 @@ def run_attack(
         synced=best_overlap == 1.0,
         iterations_observed=iterations,
         per_machine_overlap=per_machine,
-        eve_learning_steps=eve_learning.tolist(),
+        eve_learning_steps=learning[2:].tolist(),
         exchange_learning_steps=ab_learning,
         best_overlap_at_convergence=overlap_at_convergence,
         eve_overlap_trace=eve_trace,

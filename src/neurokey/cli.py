@@ -3,7 +3,7 @@
 Subcommands: sync (single run with overlap trace), scenario (sweep from a
 config file: trial CSV on --out or stdout, per-point summary on stderr),
 pipeline (end-to-end run). Exit codes: 0 success, 2 non-convergence or
-protocol abort, 3 configuration error.
+protocol abort (QBER over threshold, budget exhausted), 3 configuration error.
 """
 
 from __future__ import annotations
@@ -137,10 +137,13 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    params = TpmParams(K=args.K, N=args.N, L=args.L)
+    if args.security_bits >= params.key_bits:
+        raise ScenarioError(f"security_bits={args.security_bits} must be < {params.key_bits} = K*N*b")
     report = run_pipeline(
         length=args.length,
         qber=args.qber,
-        params=TpmParams(K=args.K, N=args.N, L=args.L),
+        params=params,
         security_bits=args.security_bits,
         seed=args.seed,
         sample_fraction=args.sample_fraction,
@@ -163,10 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"neurokey: non-convergence: {exc}", file=sys.stderr)
         return 2
-    except QberAbortError as exc:
+    except (QberAbortError, InfeasibleBudgetError) as exc:
         print(f"neurokey: abort: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, InfeasibleBudgetError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError and every other validation error
         print(f"neurokey: config error: {exc}", file=sys.stderr)
         return 3
 

@@ -67,28 +67,11 @@ __all__ = [
 
 CSV_SCHEMA = "neurokey-trials v1"
 
-# Column order for trial CSVs. Wall time is kept on the record for ad-hoc
-# inspection but deliberately left out of the CSV so reruns are byte-identical.
-CSV_COLUMNS = (
-    "scenario",
-    "trial",
-    "K",
-    "N",
-    "L",
-    "start_mode",
-    "iterations",
-    "learning_steps",
-    "parity_checks",
-    "disclosed_bits",
-    "attacker_best_overlap",
-    "converged",
-)
-
 SCENARIO_KINDS = ("sync", "attack", "compare")
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario configuration."""
+    """Malformed configuration: a scenario file or value, or a command-line input."""
 
 
 class QberAbortError(RuntimeError):
@@ -234,23 +217,21 @@ class TrialRecord:
     wall_time: float
 
     def csv_row(self) -> list[str]:
+        """One cell per CSV column: a float to 6 decimals, a bool as 0/1."""
         return [
-            self.scenario,
-            str(self.trial),
-            str(self.K),
-            str(self.N),
-            str(self.L),
-            self.start_mode,
-            str(self.iterations),
-            str(self.learning_steps),
-            str(self.parity_checks),
-            str(self.disclosed_bits),
-            f"{self.attacker_best_overlap:.6f}",
-            str(int(self.converged)),
+            f"{v:.6f}" if isinstance(v, float) else str(int(v) if isinstance(v, bool) else v)
+            for v in (getattr(self, column) for column in CSV_COLUMNS)
         ]
 
 
+# Trial CSV columns: the record's fields in order, less the wall time, which
+# differs between reruns and would keep them from being byte-identical.
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time")
+
+
 def _child_seeds(base_seed: int, coordinates: tuple[int, ...], count: int) -> list[int]:
+    if base_seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {base_seed}")
     state = np.random.SeedSequence([int(base_seed), *map(int, coordinates)])
     return [int(v) for v in state.generate_state(count, dtype=np.uint64)]
 
@@ -340,14 +321,16 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
             raise ScenarioError(f"bad [attack] section: {err}") from err
 
     compare_settings: tuple[CompareSetting, ...] = ()
-    K_values: tuple[int, ...] = (1,)
     N_values: tuple[int, ...] = (1,)
     start_modes: tuple[StartMode, ...] = (StartMode("random"),)
     if kind == "compare":
         if "compare" not in parser:
             raise ScenarioError("compare scenarios need a [compare] section")
         compare_settings = _parse_compare_settings(parser["compare"].get("settings", ""))
-        K_values = (parser["compare"].getint("tpm_K", 10),)
+        try:
+            K_values = (parser["compare"].getint("tpm_K", 10),)
+        except ValueError as err:
+            raise ScenarioError(f"bad tpm_K in [compare]: {err}") from err
     else:
         K_values = _parse_int_list(section.get("K", ""), "K")
         N_values = _parse_int_list(section.get("N", ""), "N")
@@ -375,9 +358,12 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
 
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario from a file path or a bundled name (fig2..fig6, table1)."""
-    if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    if os.path.isfile(path_or_name):
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ScenarioError(f"cannot read scenario file {path_or_name!r}: {err}") from err
         fallback = os.path.splitext(os.path.basename(path_or_name))[0]
         return parse_scenario(text, fallback)
     bundle = resources.files("neurokey") / "scenarios" / f"{path_or_name}.ini"
@@ -408,8 +394,8 @@ def _run_machine_trials(
             run_attack(alice, bob, SyncConfig(params=params, seed=sync_seed), scenario.attack)
             for (alice, bob), (*_, sync_seed) in zip(pairs, seeds)
         ]
-        transcripts = [transcript for transcript, _ in outcomes]
-        best_overlaps = [result.best_overlap for _, result in outcomes]
+        transcripts, results = zip(*outcomes)
+        best_overlaps = [result.best_overlap for result in results]
     else:
         configs = [
             SyncConfig(
@@ -714,6 +700,7 @@ class PipelineReport:
             f"disclosed: estimation {stages['qber_estimation']}, sync outputs"
             f" {stages['sync_outputs']}, digests {stages['sync_digests']}",
             f"reconciled length     {self.budget.reconciled_length}",
+            f"dropped key bits      {self.transcript.truncated_bits}",
             f"removed (known+margin) {self.budget.eve_known_bits}+{self.budget.security_bits}",
             f"final key length      {self.budget.final_length}",
             f"keys identical        {self.identical}",

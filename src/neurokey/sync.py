@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -100,27 +100,14 @@ class SyncConfig:
 
 @dataclass
 class SyncTranscript:
-    """Public-channel record of one synchronization session.
-
-    Serialized record field order: iterations, learning_steps,
-    digest_exchanges, converged, truncated_bits, overlap_trace.
-    """
+    """Public-channel record of one synchronization session, serialized in field order."""
 
     iterations: int
     learning_steps: int
     digest_exchanges: int
     converged: bool
-    overlap_trace: list[tuple[int, float]] | None = None
     truncated_bits: int = 0
-
-    RECORD_FIELDS = (
-        "iterations",
-        "learning_steps",
-        "digest_exchanges",
-        "converged",
-        "truncated_bits",
-        "overlap_trace",
-    )
+    overlap_trace: list[tuple[int, float]] | None = None
 
     @property
     def disclosed_bits(self) -> int:
@@ -128,9 +115,8 @@ class SyncTranscript:
         return DIGEST_BITS * self.digest_exchanges
 
     def to_record(self) -> str:
-        """One-line JSON record with the documented field order."""
-        payload = {name: getattr(self, name) for name in self.RECORD_FIELDS}
-        return json.dumps(payload, separators=(",", ":"))
+        """One-line JSON record of the fields."""
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 @dataclass(frozen=True)

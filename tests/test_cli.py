@@ -4,7 +4,7 @@ import pytest
 
 from neurokey import harness
 from neurokey.cli import main
-from neurokey.harness import Scenario, StartMode, run_scenario
+from neurokey.harness import Scenario, ScenarioError, StartMode, load_scenario, run_scenario
 
 
 def test_sync_success_exit_zero(capsys):
@@ -152,6 +152,39 @@ def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, tex
     assert not out.exists()
 
 
+def test_scenario_directory_exit_three(capsys, tmp_path):
+    assert main(["scenario", str(tmp_path)]) == 3
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(ScenarioError):
+        load_scenario(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "fig4", "--trials", "1", "--seed", "-1"],
+        ["scenario", "{ini}"],
+        ["sync", "--K", "3", "--N", "4", "--seed", "-1"],
+        ["pipeline", "--seed", "-1"],
+    ],
+    ids=["scenario", "base_seed", "sync", "pipeline"],
+)
+def test_negative_seed_is_a_named_config_error(capsys, tmp_path, argv):
+    config = tmp_path / "neg.ini"
+    config.write_text("[scenario]\nK = 3\nN = 4\ntrials = 1\nbase_seed = -1\n")
+    assert main([arg.format(ini=config) for arg in argv]) == 3
+    assert "config error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_compare_tpm_K_not_an_integer_is_a_named_config_error(capsys, tmp_path):
+    config = tmp_path / "bad.ini"
+    config.write_text(BAD_COMPARE.format(2, "200:0.05:5") + "tpm_K = ten\n")
+    assert main(["scenario", str(config)]) == 3
+    assert "tpm_K" in capsys.readouterr().err
+    with pytest.raises(ScenarioError, match="tpm_K"):
+        load_scenario(str(config))
+
+
 def test_compare_prints_table(capsys, tmp_path):
     out = tmp_path / "table1.csv"
     assert main(["scenario", "table1", "--trials", "2", "--out", str(out)]) == 0
@@ -218,6 +251,18 @@ def test_pipeline_infeasible_budget_exit_three(capsys):
          "--security-bits", "100", "--seed", "4"]
     )
     assert code == 3
+
+
+def test_pipeline_exhausted_budget_is_an_abort_exit_two(capsys):
+    # seeds 0 and 2 leave a key with these flags; seed 1 discloses too much
+    assert main(["pipeline", "--protocol-mode", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("neurokey: abort: security_bits=30")
+
+
+def test_pipeline_summary_reports_dropped_key_bits(capsys):
+    # 2250 raw bits less 225 sampled leave 2025, and the K=10, N=30 machine holds 900
+    assert main(["pipeline"]) == 0
+    assert "dropped key bits      1125" in capsys.readouterr().out.splitlines()
 
 
 def test_help_exit_zero(capsys):
