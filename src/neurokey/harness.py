@@ -220,7 +220,7 @@ class TrialRecord:
         """One cell per CSV column: a float to 6 decimals, a bool as 0/1."""
         return [
             f"{v:.6f}" if isinstance(v, float) else str(int(v) if isinstance(v, bool) else v)
-            for v in (getattr(self, column) for column in CSV_COLUMNS)
+            for v in map(self.__getattribute__, CSV_COLUMNS)
         ]
 
 
