@@ -173,6 +173,8 @@ class Scenario:
             raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ScenarioError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ScenarioError(f"seed must be a non-negative integer, got {self.base_seed}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ScenarioError("max_iterations must be >= 1")
         if not self.K_values or not self.N_values:
@@ -192,7 +194,7 @@ class Scenario:
             raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialRecord:
     """One Monte-Carlo outcome row; -1 marks fields a trial kind never sets.
 
@@ -204,15 +206,15 @@ class TrialRecord:
 
     scenario: str
     trial: int
-    K: int
-    N: int
-    L: int
+    K: int = -1
+    N: int = -1
+    L: int = -1
     start_mode: str
-    iterations: int
-    learning_steps: int
-    parity_checks: int
+    iterations: int = -1
+    learning_steps: int = -1
+    parity_checks: int = -1
     disclosed_bits: int
-    attacker_best_overlap: float
+    attacker_best_overlap: float = -1.0
     converged: bool
     wall_time: float
 
@@ -287,7 +289,36 @@ def _parse_compare_settings(text: str) -> tuple[CompareSetting, ...]:
     return tuple(settings)
 
 
+# the configparser getter per annotated field type; a field of another type
+# (a sweep list, a nested config) is no scalar key
+_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean", "str": "get"}
+
+
+def _scalar_types(cls) -> dict[str, str]:
+    # field types are annotation strings, as harness and adversary postpone
+    # the evaluation of annotations
+    return {f.name: f.type.split(" ")[0] for f in fields(cls) if f.type.split(" ")[0] in _GETTERS}
+
+
+def _read_section(parser: configparser.ConfigParser, name: str, types: dict[str, str]) -> dict:
+    """The keys section [name] sets, each converted by its type in ``types``.
+    A key outside ``types`` is an error, unless a [DEFAULT] section sets it."""
+    section = parser[name]
+    unknown = set(section) - set(parser.defaults()) - set(map(parser.optionxform, types))
+    if unknown:
+        raise ScenarioError(f"unknown key {', '.join(sorted(unknown))} in [{name}]")
+    values = {}
+    for key in filter(section.__contains__, types):
+        try:
+            values[key] = getattr(section, _GETTERS[types[key]])(key)
+        except ValueError as err:
+            raise ScenarioError(f"bad {key} in [{name}]: {section[key]!r}") from err
+    return values
+
+
 def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
+    """Each key of [scenario] and [attack] sets the field of the same name of
+    ``Scenario`` or ``AttackConfig``; a key left out keeps its default."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -295,65 +326,30 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"cannot parse scenario file: {err}") from err
     if "scenario" not in parser:
         raise ScenarioError("missing [scenario] section")
-    section = parser["scenario"]
-    kind = section.get("kind", "sync").strip()
-    try:
-        name = section.get("name", fallback_name).strip()
-        trials = section.getint("trials", 1000)
-        base_seed = section.getint("base_seed", 0)
-        protocol_mode = section.getboolean("protocol_mode", False)
-        max_iterations = section.getint("max_iterations", fallback=None)
-        L = section.getint("L", 2)
-    except ValueError as err:
-        raise ScenarioError(f"bad scalar in [scenario]: {err}") from err
-
-    attack = None
+    types = {**_scalar_types(Scenario), "K": "str", "N": "str", "start_mode": "str"}
+    values = {"name": fallback_name, **_read_section(parser, "scenario", types)}
+    K_text, N_text, modes = (values.pop(key, None) for key in ("K", "N", "start_mode"))
     if "attack" in parser:
-        a = parser["attack"]
+        attack = _read_section(parser, "attack", _scalar_types(AttackConfig))
         try:
-            attack = AttackConfig(
-                strategy=a.get("strategy", "passive").strip(),
-                ensemble_size=a.getint("ensemble_size", 1),
-                iteration_budget=a.getint("iteration_budget", 1000),
-                eve_initial_overlap=a.getfloat("eve_initial_overlap", fallback=None),
-            )
+            values["attack"] = AttackConfig(**attack)
         except ValueError as err:
             raise ScenarioError(f"bad [attack] section: {err}") from err
 
-    compare_settings: tuple[CompareSetting, ...] = ()
-    N_values: tuple[int, ...] = (1,)
-    start_modes: tuple[StartMode, ...] = (StartMode("random"),)
-    if kind == "compare":
+    if values.get("kind") == "compare":
         if "compare" not in parser:
             raise ScenarioError("compare scenarios need a [compare] section")
-        compare_settings = _parse_compare_settings(parser["compare"].get("settings", ""))
-        try:
-            K_values = (parser["compare"].getint("tpm_K", 10),)
-        except ValueError as err:
-            raise ScenarioError(f"bad tpm_K in [compare]: {err}") from err
+        compare = _read_section(parser, "compare", {"tpm_K": "int", "settings": "str"})
+        values["compare_settings"] = _parse_compare_settings(compare.get("settings", ""))
+        values["N_values"] = (1,)
+        if "tpm_K" in compare:
+            values["K_values"] = (compare["tpm_K"],)
     else:
-        K_values = _parse_int_list(section.get("K", ""), "K")
-        N_values = _parse_int_list(section.get("N", ""), "N")
-        start_modes = tuple(
-            StartMode.parse(part)
-            for part in section.get("start_mode", "random").split(",")
-            if part.strip()
-        )
-
-    return Scenario(
-        name=name,
-        kind=kind,
-        L=L,
-        K_values=K_values,
-        N_values=N_values,
-        start_modes=start_modes,
-        trials=trials,
-        base_seed=base_seed,
-        max_iterations=max_iterations,
-        protocol_mode=protocol_mode,
-        attack=attack,
-        compare_settings=compare_settings,
-    )
+        values["K_values"] = _parse_int_list(K_text or "", "K")
+        values["N_values"] = _parse_int_list(N_text or "", "N")
+        if modes is not None:
+            values["start_modes"] = tuple(StartMode.parse(m) for m in modes.split(",") if m.strip())
+    return Scenario(**values)
 
 
 def load_scenario(path_or_name: str) -> Scenario:
@@ -395,7 +391,7 @@ def _run_machine_trials(
             for (alice, bob), (*_, sync_seed) in zip(pairs, seeds)
         ]
         transcripts, results = zip(*outcomes)
-        best_overlaps = [result.best_overlap for result in results]
+        cells = [{"attacker_best_overlap": result.best_overlap} for result in results]
     else:
         configs = [
             SyncConfig(
@@ -407,7 +403,7 @@ def _run_machine_trials(
             for *_, sync_seed in seeds
         ]
         transcripts = synchronize_batch(pairs, configs)
-        best_overlaps = [-1.0] * len(pairs)
+        cells = [{}] * len(pairs)
         # a protocol-mode digest collision would end a run early
         for (alice, bob), transcript in zip(pairs, transcripts):
             if transcript.converged and not np.array_equal(alice.weights, bob.weights):
@@ -423,13 +419,12 @@ def _run_machine_trials(
             start_mode=str(mode),
             iterations=transcript.iterations,
             learning_steps=transcript.learning_steps,
-            parity_checks=-1,
             disclosed_bits=transcript.disclosed_bits,
-            attacker_best_overlap=best_overlap,
             converged=transcript.converged,
             wall_time=wall_time,
+            **extra,
         )
-        for trial, transcript, best_overlap in zip(trials, transcripts, best_overlaps)
+        for trial, transcript, extra in zip(trials, transcripts, cells)
     ]
 
 
@@ -457,15 +452,9 @@ def _run_compare_trials(scenario: Scenario, setting_index: int, trials: range) -
                 TrialRecord(
                     scenario=f"{scenario.name}/{algorithm}/{setting.key_length}b",
                     trial=trial,
-                    K=-1,
-                    N=-1,
-                    L=-1,
                     start_mode=f"from_qber:{setting.qber:g}",
-                    iterations=-1,
-                    learning_steps=-1,
                     parity_checks=outcome.parity_checks,
                     disclosed_bits=outcome.disclosed_bits,
-                    attacker_best_overlap=-1.0,
                     converged=outcome.residual_errors == 0,
                     wall_time=time.perf_counter() - started,
                 )

@@ -124,7 +124,6 @@ class ToeplitzSpec:
     rows: int
     cols: int
     first_row_and_col: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -142,7 +141,7 @@ class ToeplitzSpec:
     def from_seed(cls, rows: int, cols: int, seed: int) -> "ToeplitzSpec":
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=rows + cols - 1, dtype=np.uint8)
-        return cls(rows=rows, cols=cols, first_row_and_col=bits, seed=seed)
+        return cls(rows=rows, cols=cols, first_row_and_col=bits)
 
     def to_hex(self) -> str:
         """Hex encoding of first_row_and_col (big-endian bit packing,

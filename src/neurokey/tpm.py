@@ -102,9 +102,6 @@ class BitKey:
     def length(self) -> int:
         return int(self.bits.size)
 
-    def __len__(self) -> int:
-        return self.length
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitKey):
             return NotImplemented

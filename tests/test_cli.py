@@ -176,6 +176,15 @@ def test_negative_seed_is_a_named_config_error(capsys, tmp_path, argv):
     assert "config error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+def test_negative_seed_fails_before_a_worker_pool_starts(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_scenario called with a negative seed")
+
+    monkeypatch.setattr("neurokey.cli.run_scenario", no_run)
+    assert main(["scenario", "fig4", "--seed", "-1", "--workers", "2"]) == 3
+    assert "config error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_compare_tpm_K_not_an_integer_is_a_named_config_error(capsys, tmp_path):
     config = tmp_path / "bad.ini"
     config.write_text(BAD_COMPARE.format(2, "200:0.05:5") + "tpm_K = ten\n")

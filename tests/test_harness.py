@@ -157,6 +157,66 @@ settings = 500:0.05:25, 600:0.03:30
         with pytest.raises(ScenarioError):
             parse_scenario("[scenario]\nkind = sync\nK = 8-6\nN = 4\n")
 
+    def test_wide_machine_scenarios_pinned(self):
+        # no CSV golden covers fig5 and fig6
+        for name, N, overlap, seed in (("fig5", 30, 0.97, 1005), ("fig6", 50, 0.99, 1006)):
+            assert load_scenario(name) == Scenario(
+                name=name,
+                kind="sync",
+                L=2,
+                K_values=(6, 8, 10, 12),
+                N_values=(N,),
+                start_modes=(StartMode("random"), StartMode("overlap", overlap)),
+                trials=1000,
+                base_seed=seed,
+            )
+
+    def test_left_out_keys_keep_the_dataclass_defaults(self):
+        scenario = parse_scenario("[scenario]\nK = 3\nN = 4\n[attack]\n", "bare")
+        assert scenario == Scenario(name="bare", K_values=(3,), N_values=(4,), attack=AttackConfig())
+
+    def test_keys_convert_by_field_type(self):
+        scenario = parse_scenario(
+            "[scenario]\nkind = attack\nK = 3\nN = 4\nL = 3\n[attack]\n"
+            "strategy = ensemble\nensemble_size = 2\neve_initial_overlap = 0.5\n"
+        )
+        assert (scenario.L, scenario.attack) == (3, AttackConfig("ensemble", 2, 1000, 0.5))
+        assert parse_scenario("[scenario]\nK = 3\nN = 4\nprotocol_mode = yes\n").protocol_mode is True
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[scenario]\nK = 3\nN = 4\ntrails = 10\n", "unknown key trails in [scenario]"),
+            (
+                "[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\nstratgy = geometric\n",
+                "unknown key stratgy in [attack]",
+            ),
+            (
+                "[scenario]\nkind = compare\n[compare]\nsettings = 200:0.05:5\ntpm_N = 5\n",
+                "unknown key tpm_n in [compare]",
+            ),
+            ("[scenario]\nK = 3\nN = 4\ntrials = ten\n", "bad trials in [scenario]: 'ten'"),
+            ("[scenario]\nK = 3\nN = 4\nprotocol_mode = maybe\n", "bad protocol_mode in [scenario]: 'maybe'"),
+            (
+                "[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\nensemble_size = x\n",
+                "bad ensemble_size in [attack]: 'x'",
+            ),
+        ],
+        ids=["unknown-scenario", "unknown-attack", "unknown-compare", "bad-int", "bad-bool", "bad-attack-int"],
+    )
+    def test_unknown_keys_and_bad_values_name_key_and_section(self, text, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
+
+    def test_default_section_keys_are_not_unknown(self):
+        text = "[DEFAULT]\ntrials = 7\n[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\n"
+        assert parse_scenario(text).trials == 7
+
+    def test_negative_base_seed_is_rejected_before_any_run(self):
+        with pytest.raises(ScenarioError, match="seed must be a non-negative integer, got -1"):
+            dataclasses.replace(load_scenario("fig4"), base_seed=-1)
+
 
 class TestTrialSeeds:
     def test_distinct_and_stable(self):
@@ -325,7 +385,21 @@ class TestRunScenario:
 
 
 def _record(iterations=10, parity_checks=-1, converged=True, overlap=-1.0, wall_time=0.0):
-    return TrialRecord("s", 0, 3, 4, 2, "random", iterations, 0, parity_checks, 7, overlap, converged, wall_time)
+    return TrialRecord(
+        scenario="s",
+        trial=0,
+        K=3,
+        N=4,
+        L=2,
+        start_mode="random",
+        iterations=iterations,
+        learning_steps=0,
+        parity_checks=parity_checks,
+        disclosed_bits=7,
+        attacker_best_overlap=overlap,
+        converged=converged,
+        wall_time=wall_time,
+    )
 
 
 class TestSummarize:
