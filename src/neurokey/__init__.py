@@ -42,7 +42,6 @@ from .privacy import (
 from .sync import (
     LeakageEstimate,
     NonConvergenceError,
-    ReconciliationResult,
     SyncConfig,
     SyncTranscript,
     leakage_after,

@@ -39,6 +39,7 @@ from .sync import (
     LeakageEstimate,
     SyncConfig,
     SyncTranscript,
+    leakage_after,
     reconcile,
     seed_initial_overlap,
     synchronize_batch,
@@ -185,8 +186,12 @@ class Scenario:
             raise ScenarioError("at least one start mode is required")
         if self.kind == "attack" and self.attack is None:
             raise ScenarioError("attack scenarios need an [attack] section")
+        if self.kind != "attack" and self.attack is not None:
+            raise ScenarioError(f"an [attack] section applies only to attack scenarios, not {self.kind}")
         if self.kind == "compare" and not self.compare_settings:
             raise ScenarioError("compare scenarios need a settings list")
+        if self.kind != "compare" and self.compare_settings:
+            raise ScenarioError(f"compare settings apply only to compare scenarios, not {self.kind}")
         # run_attack and the compare TPM row never read these settings
         if self.protocol_mode and self.kind != "sync":
             raise ScenarioError(f"protocol_mode applies only to sync scenarios, not {self.kind}")
@@ -326,6 +331,8 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
         raise ScenarioError(f"cannot parse scenario file: {err}") from err
     if "scenario" not in parser:
         raise ScenarioError("missing [scenario] section")
+    if unknown := sorted(set(parser.sections()) - {"scenario", "attack", "compare"}):
+        raise ScenarioError(f"unknown section [{'], ['.join(unknown)}]")
     types = {**_scalar_types(Scenario), "K": "str", "N": "str", "start_mode": "str"}
     values = {"name": fallback_name, **_read_section(parser, "scenario", types)}
     K_text, N_text, modes = (values.pop(key, None) for key in ("K", "N", "start_mode"))
@@ -336,14 +343,19 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
         except ValueError as err:
             raise ScenarioError(f"bad [attack] section: {err}") from err
 
-    if values.get("kind") == "compare":
+    kind = values.get("kind", Scenario.kind)
+    if kind == "compare":
         if "compare" not in parser:
             raise ScenarioError("compare scenarios need a [compare] section")
+        # the TPM row takes its shape from [compare] and its start from the qber
+        if unused := [key for key in ("K", "N", "start_mode") if key in parser["scenario"]]:
+            raise ScenarioError(f"key {unused[0]} in [scenario] does not apply to compare scenarios")
         compare = _read_section(parser, "compare", {"tpm_K": "int", "settings": "str"})
         values["compare_settings"] = _parse_compare_settings(compare.get("settings", ""))
-        values["N_values"] = (1,)
         if "tpm_K" in compare:
             values["K_values"] = (compare["tpm_K"],)
+    elif "compare" in parser:
+        raise ScenarioError(f"a [compare] section applies only to compare scenarios, not {kind}")
     else:
         values["K_values"] = _parse_int_list(K_text or "", "K")
         values["N_values"] = _parse_int_list(N_text or "", "N")
@@ -393,16 +405,10 @@ def _run_machine_trials(
         transcripts, results = zip(*outcomes)
         cells = [{"attacker_best_overlap": result.best_overlap} for result in results]
     else:
-        configs = [
-            SyncConfig(
-                params=params,
-                max_iterations=scenario.max_iterations,
-                seed=sync_seed,
-                protocol_mode=scenario.protocol_mode,
-            )
-            for *_, sync_seed in seeds
-        ]
-        transcripts = synchronize_batch(pairs, configs)
+        config = SyncConfig(
+            params=params, max_iterations=scenario.max_iterations, protocol_mode=scenario.protocol_mode
+        )
+        transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
         cells = [{}] * len(pairs)
         # a protocol-mode digest collision would end a run early
         for (alice, bob), transcript in zip(pairs, transcripts):
@@ -661,7 +667,6 @@ class PipelineReport:
     transcript: SyncTranscript
     leakage: LeakageEstimate
     budget: AmplificationBudget
-    hash_spec_hex: str
     final_alice: BitKey
     final_bob: BitKey
 
@@ -727,22 +732,21 @@ def run_pipeline(
         protocol_mode=protocol_mode,
         digest_check_interval=digest_check_interval,
     )
-    result_a, result_b = reconcile(estimate.remaining_alice, estimate.remaining_bob, config)
-    reconciled_length = result_a.final_key.length
-    disclosed = estimate.sampled_count + result_a.transcript.disclosed_bits
-    budget = plan_budget(reconciled_length, result_a.leakage, disclosed, security_bits)
-    spec = ToeplitzSpec.from_seed(budget.final_length, reconciled_length, hash_seed)
-    final_a = amplify(result_a.final_key, spec)
-    final_b = amplify(result_b.final_key, spec)
+    key_a, key_b, transcript = reconcile(estimate.remaining_alice, estimate.remaining_bob, config)
+    leakage = leakage_after(transcript.iterations, params)
+    disclosed = estimate.sampled_count + transcript.disclosed_bits
+    budget = plan_budget(key_a.length, leakage, disclosed, security_bits)
+    spec = ToeplitzSpec.from_seed(budget.final_length, key_a.length, hash_seed)
+    final_a = amplify(key_a, spec)
+    final_b = amplify(key_b, spec)
     if final_a != final_b:
         raise RuntimeError("pipeline produced differing final keys")
     return PipelineReport(
         raw_length=length,
         qber_estimate=estimate,
-        transcript=result_a.transcript,
-        leakage=result_a.leakage,
+        transcript=transcript,
+        leakage=leakage,
         budget=budget,
-        hash_spec_hex=spec.to_hex(),
         final_alice=final_a,
         final_bob=final_b,
     )

@@ -143,11 +143,6 @@ class ToeplitzSpec:
         bits = rng.integers(0, 2, size=rows + cols - 1, dtype=np.uint8)
         return cls(rows=rows, cols=cols, first_row_and_col=bits)
 
-    def to_hex(self) -> str:
-        """Hex encoding of first_row_and_col (big-endian bit packing,
-        zero-padded to a whole byte)."""
-        return np.packbits(self.first_row_and_col).tobytes().hex()
-
 
 def _direct_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Row-by-key dot products over the integers by direct convolution; the

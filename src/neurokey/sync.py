@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "DIGEST_BITS",
     "LeakageEstimate",
     "NonConvergenceError",
-    "ReconciliationResult",
     "SyncConfig",
     "SyncTranscript",
     "leakage_after",
@@ -148,16 +147,6 @@ def leakage_after(iterations: int, params: TpmParams) -> LeakageEstimate:
     )
 
 
-@dataclass(frozen=True)
-class ReconciliationResult:
-    """One party's view after reconciliation: corrected key, session record,
-    and the public-information accounting for it."""
-
-    final_key: BitKey
-    transcript: SyncTranscript
-    leakage: LeakageEstimate
-
-
 def _weight_digest(weights: np.ndarray) -> bytes:
     data = np.ascontiguousarray(weights, dtype=np.int64).tobytes()
     return hashlib.blake2b(data, digest_size=DIGEST_BITS // 8).digest()
@@ -219,15 +208,16 @@ def resolve_iteration_budget(params: TpmParams) -> int:
     cached = _budget_cache.get(params)
     if cached is not None:
         return cached
-    pairs, configs = [], []
+    pairs, seeds = [], []
     for pilot in range(_PILOTS):
         entropy = np.random.SeedSequence([_PILOT_TAG, params.K, params.N, params.L, pilot])
         init_seed, sync_seed = (int(s) for s in entropy.generate_state(2, dtype=np.uint64))
         rng = np.random.default_rng(init_seed)
         pairs.append((Tpm.random(params, rng), Tpm.random(params, rng)))
-        configs.append(SyncConfig(params, max_iterations=_PILOT_CAP, seed=sync_seed))
+        seeds.append(sync_seed)
     # a pilot that hits the cap counts at the cap
-    total = sum(t.iterations for t in synchronize_batch(pairs, configs))
+    config = SyncConfig(params, max_iterations=_PILOT_CAP)
+    total = sum(t.iterations for t in synchronize_batch(pairs, config, seeds))
     budget = max(1_000, 10 * total // _PILOTS)
     _budget_cache[params] = budget
     return budget
@@ -240,7 +230,7 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
     identical. Raises NonConvergenceError (with the partial transcript) when
     the budget runs out first.
     """
-    [transcript] = synchronize_batch([(alice, bob)], [config])
+    [transcript] = synchronize_batch([(alice, bob)], config, [config.seed])
     if not transcript.converged:
         budget = transcript.iterations
         source = "explicit max_iterations=" if config.max_iterations else "pilot budget "
@@ -253,15 +243,15 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTr
 
 
 def synchronize_batch(
-    pairs: Sequence[tuple[Tpm, Tpm]], configs: Sequence[SyncConfig]
+    pairs: Sequence[tuple[Tpm, Tpm]], config: SyncConfig, seeds: Sequence[int]
 ) -> list[SyncTranscript]:
-    """Synchronize independent machine pairs in lockstep, one config each.
+    """Synchronize independent machine pairs in lockstep under one config.
 
-    The configs may differ only in ``seed``. Each pair draws its inputs from
-    its own generator, exactly as on its own, so its transcript and final
-    weights equal those of ``synchronize_from_weights``; machines are updated
-    in place. A pair that exhausts the budget gets a transcript with
-    ``converged=False`` instead of an error.
+    Pair i draws its inputs from ``default_rng(seeds[i])``; the batch never
+    reads ``config.seed``. So a pair's transcript and final weights equal
+    those of ``synchronize_from_weights`` with ``seed=seeds[i]``; machines
+    are updated in place. A pair that exhausts the budget gets a transcript
+    with ``converged=False`` instead of an error.
 
     The pairs are rows of one (T, 2, K, N) stack that ``_exchange_round``
     advances together, with an int8 buffer of 64 inputs per trial
@@ -270,11 +260,8 @@ def synchronize_batch(
     on unread until fewer than half the rows are live, and then the stack,
     buffer and row ids are compacted.
     """
-    if len(pairs) != len(configs) or not pairs:
-        raise ValueError("need one config per machine pair, and at least one pair")
-    config = configs[0]
-    if len({replace(c, seed=0) for c in configs}) != 1:
-        raise ValueError("batched configs may differ only in seed")
+    if len(pairs) != len(seeds) or not pairs:
+        raise ValueError("need one seed per machine pair, and at least one pair")
     params = config.params
     for alice, bob in pairs:
         if alice.params != bob.params:
@@ -283,7 +270,7 @@ def synchronize_batch(
             raise ValueError("config params do not match the machines")
     budget = config.max_iterations or resolve_iteration_budget(params)
 
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     w = np.array([(alice.weights, bob.weights) for alice, bob in pairs], dtype=np.int32)
     inputs = np.empty((len(pairs), _INPUT_CHUNK, 1, params.K, params.N), dtype=np.int8)
     # whether a trial's parties agreed, per round of the current input chunk
@@ -383,24 +370,21 @@ def seed_initial_overlap(base: Tpm, overlap: float, seed: int) -> Tpm:
 
 def reconcile(
     alice_key: BitKey, bob_key: BitKey, config: SyncConfig
-) -> tuple[ReconciliationResult, ReconciliationResult]:
+) -> tuple[BitKey, BitKey, SyncTranscript]:
     """Three-step reconciliation: keys to weights, synchronize, weights to keys.
 
-    Returns one result per party; on convergence the final keys are
-    bit-identical and have length K*N*b. Key bits beyond K*N*b are dropped
-    (the count is recorded on the transcript).
+    Returns both parties' final keys and the one public transcript; on
+    convergence the keys are bit-identical and have length K*N*b. Key bits
+    beyond K*N*b are dropped (the count is recorded on the transcript).
     """
     params = config.params
     alice = bits_to_weights(alice_key, params)
     bob = bits_to_weights(bob_key, params)
+    dropped = alice_key.length - params.key_bits
     try:
         transcript = synchronize_from_weights(alice, bob, config)
     except NonConvergenceError as err:
-        err.transcript.truncated_bits = alice_key.length - params.key_bits
+        err.transcript.truncated_bits = dropped
         raise
-    transcript.truncated_bits = alice_key.length - params.key_bits
-    leakage = leakage_after(transcript.iterations, params)
-    return (
-        ReconciliationResult(weights_to_bits(alice), transcript, leakage),
-        ReconciliationResult(weights_to_bits(bob), transcript, leakage),
-    )
+    transcript.truncated_bits = dropped
+    return weights_to_bits(alice), weights_to_bits(bob), transcript

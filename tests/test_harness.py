@@ -116,6 +116,10 @@ settings = 500:0.05:25, 600:0.03:30
             ("attack", {"protocol_mode": True}),
             ("compare", {"protocol_mode": True}),
             ("attack", {"max_iterations": 500}),
+            ("attack", {"kind": "sync"}),
+            ("attack", {"compare_settings": (CompareSetting(500, 0.05, 25),)}),
+            ("compare", {"kind": "sync"}),
+            ("compare", {"attack": AttackConfig()}),
         ],
     )
     def test_settings_a_kind_ignores_are_rejected(self, kind, override):
@@ -171,9 +175,23 @@ settings = 500:0.05:25, 600:0.03:30
                 base_seed=seed,
             )
 
+    def test_compare_scenario_pinned(self):
+        # the same Scenario that compare_algorithms builds for these settings
+        assert load_scenario("table1") == Scenario(
+            name="table1",
+            kind="compare",
+            L=2,
+            K_values=(10,),
+            trials=1000,
+            base_seed=1010,
+            compare_settings=(CompareSetting(500, 0.05, 25), CompareSetting(600, 0.03, 30)),
+        )
+
     def test_left_out_keys_keep_the_dataclass_defaults(self):
-        scenario = parse_scenario("[scenario]\nK = 3\nN = 4\n[attack]\n", "bare")
-        assert scenario == Scenario(name="bare", K_values=(3,), N_values=(4,), attack=AttackConfig())
+        scenario = parse_scenario("[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\n", "bare")
+        assert scenario == Scenario(
+            name="bare", kind="attack", K_values=(3,), N_values=(4,), attack=AttackConfig()
+        )
 
     def test_keys_convert_by_field_type(self):
         scenario = parse_scenario(
@@ -201,8 +219,44 @@ settings = 500:0.05:25, 600:0.03:30
                 "[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\nensemble_size = x\n",
                 "bad ensemble_size in [attack]: 'x'",
             ),
+            (
+                "[scenario]\nkind = compare\nK = 3\n[compare]\nsettings = 200:0.05:5\n",
+                "key K in [scenario] does not apply to compare scenarios",
+            ),
+            (
+                "[scenario]\nkind = compare\nN = 5\n[compare]\nsettings = 200:0.05:5\n",
+                "key N in [scenario] does not apply to compare scenarios",
+            ),
+            (
+                "[scenario]\nkind = compare\nstart_mode = random\n[compare]\nsettings = 200:0.05:5\n",
+                "key start_mode in [scenario] does not apply to compare scenarios",
+            ),
+            ("[scenario]\nK = 3\nN = 4\n[bogus]\n", "unknown section [bogus]"),
+            (
+                "[scenario]\nK = 3\nN = 4\n[compare]\nsettings = 200:0.05:5\n",
+                "a [compare] section applies only to compare scenarios, not sync",
+            ),
+            (
+                "[scenario]\nkind = sync\nK = 3\nN = 4\n[attack]\nstrategy = geometric\n",
+                "an [attack] section applies only to attack scenarios, not sync",
+            ),
+            ("[scenario]\nkind = compare\n", "compare scenarios need a [compare] section"),
         ],
-        ids=["unknown-scenario", "unknown-attack", "unknown-compare", "bad-int", "bad-bool", "bad-attack-int"],
+        ids=[
+            "unknown-scenario",
+            "unknown-attack",
+            "unknown-compare",
+            "bad-int",
+            "bad-bool",
+            "bad-attack-int",
+            "compare-K",
+            "compare-N",
+            "compare-start_mode",
+            "unknown-section",
+            "compare-section-in-sync",
+            "attack-section-in-sync",
+            "compare-without-section",
+        ],
     )
     def test_unknown_keys_and_bad_values_name_key_and_section(self, text, message):
         with pytest.raises(ScenarioError) as info:

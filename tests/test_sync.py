@@ -229,27 +229,26 @@ class TestReconcile:
     def test_corrects_noisy_keys_bit_identically(self):
         params = TpmParams(K=6, N=10, L=2)
         pair = generate_key_pair(params.key_bits, 0.05, seed=31)
-        result_a, result_b = reconcile(
+        key_a, key_b, transcript = reconcile(
             pair.alice, pair.bob, SyncConfig(params, max_iterations=50_000, seed=32)
         )
-        assert result_a.final_key == result_b.final_key
-        assert result_a.final_key.length == params.key_bits
-        assert result_a.transcript.converged
-        assert result_a.leakage.iterations == result_a.transcript.iterations
+        assert key_a == key_b
+        assert key_a.length == params.key_bits
+        assert transcript.converged
 
     def test_records_truncated_bits(self):
         params = TpmParams(K=2, N=3, L=2)  # needs 18 bits
         rng = np.random.default_rng(33)
         key = BitKey.random(25, rng)
-        result_a, _ = reconcile(key, key, SyncConfig(params, max_iterations=100, seed=34))
-        assert result_a.transcript.truncated_bits == 7
+        *_, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100, seed=34))
+        assert transcript.truncated_bits == 7
 
     def test_identical_keys_need_zero_learning(self):
         params = TpmParams(K=3, N=4, L=2)
         key = BitKey.random(params.key_bits, np.random.default_rng(35))
-        result_a, result_b = reconcile(key, key, SyncConfig(params, max_iterations=100, seed=36))
-        assert result_a.transcript.iterations == 0
-        assert result_a.final_key == result_b.final_key
+        key_a, key_b, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100, seed=36))
+        assert transcript.iterations == 0
+        assert key_a == key_b
 
 
 class TestTranscriptRecord:
@@ -362,18 +361,14 @@ BATCH_BUDGET = 120
 def batch_trials(start, count, protocol, interval, record):
     mode = StartMode.parse(start)
     seeds = [machine_trial_seeds(90, 0, BATCH_PARAMS, trial) for trial in range(count)]
-    configs = [
-        SyncConfig(
-            BATCH_PARAMS,
-            max_iterations=BATCH_BUDGET,
-            seed=sync_seed,
-            protocol_mode=protocol,
-            digest_check_interval=interval,
-            record_overlap=record,
-        )
-        for *_, sync_seed in seeds
-    ]
-    return mode, seeds, configs
+    config = SyncConfig(
+        BATCH_PARAMS,
+        max_iterations=BATCH_BUDGET,
+        protocol_mode=protocol,
+        digest_check_interval=interval,
+        record_overlap=record,
+    )
+    return mode, seeds, config
 
 
 @pytest.mark.parametrize("record", [False, True], ids=["notrace", "trace"])
@@ -384,16 +379,14 @@ def batch_trials(start, count, protocol, interval, record):
 @pytest.mark.parametrize("count", [1, 2, 3, 7])
 @pytest.mark.parametrize("start", ["random", "overlap:0.95", "from_qber:0.05"])
 def test_batch_matches_the_batch_of_one(start, count, protocol, interval, record):
-    mode, seeds, configs = batch_trials(start, count, protocol, interval, record)
+    mode, seeds, config = batch_trials(start, count, protocol, interval, record)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
-    transcripts = synchronize_batch(pairs, configs)
+    transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
     assert len(transcripts) == count
-    for (alice, bob), transcript, (init_seed, aux_seed, _), config in zip(
-        pairs, transcripts, seeds, configs
-    ):
+    for (alice, bob), transcript, (init_seed, aux_seed, sync_seed) in zip(pairs, transcripts, seeds):
         alone_a, alone_b = mode.machines(BATCH_PARAMS, init_seed, aux_seed)
         try:
-            alone = synchronize_from_weights(alone_a, alone_b, config)
+            alone = synchronize_from_weights(alone_a, alone_b, dataclasses.replace(config, seed=sync_seed))
         except NonConvergenceError as err:
             alone = err.transcript
             assert not transcript.converged and transcript.iterations == BATCH_BUDGET
@@ -405,9 +398,9 @@ def test_batch_matches_the_batch_of_one(start, count, protocol, interval, record
 
 def test_batch_retires_trials_mid_batch_and_at_the_budget():
     # random starts: two of seven converge, five reach the budget
-    mode, seeds, configs = batch_trials("random", 7, False, 10, False)
+    mode, seeds, config = batch_trials("random", 7, False, 10, False)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
-    transcripts = synchronize_batch(pairs, configs)
+    transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
     converged = [t.iterations for t in transcripts if t.converged]
     capped = [t.iterations for t in transcripts if not t.converged]
     assert converged and capped
@@ -416,14 +409,15 @@ def test_batch_retires_trials_mid_batch_and_at_the_budget():
         assert np.array_equal(alice.weights, bob.weights) == transcript.converged
 
 
-def test_batch_rejects_configs_that_differ_beyond_the_seed():
-    mode, seeds, configs = batch_trials("random", 2, False, 10, False)
+def test_batch_needs_one_seed_per_pair():
+    mode, seeds, config = batch_trials("random", 2, False, 10, False)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
-    configs[1] = dataclasses.replace(configs[1], max_iterations=5)
-    with pytest.raises(ValueError, match="only in seed"):
-        synchronize_batch(pairs, configs)
-    with pytest.raises(ValueError, match="one config per machine pair"):
-        synchronize_batch(pairs, configs[:1])
+    sync_seeds = [sync_seed for *_, sync_seed in seeds]
+    for bad_seeds in (sync_seeds[:1], sync_seeds * 2):
+        with pytest.raises(ValueError, match="one seed per machine pair"):
+            synchronize_batch(pairs, config, bad_seeds)
+    with pytest.raises(ValueError, match="at least one pair"):
+        synchronize_batch([], config, [])
 
 
 def test_input_stream_does_not_depend_on_the_chunk_size(monkeypatch):
