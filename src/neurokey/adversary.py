@@ -22,7 +22,6 @@ import numpy as np
 # LeakageEstimate and leakage_after live in sync and are re-exported here
 from .sync import (
     LeakageEstimate,
-    SyncConfig,
     SyncTranscript,
     _exchange_round,
     _inputs,
@@ -85,23 +84,22 @@ class AttackResult:
 
 
 def run_attack(
-    alice: Tpm, bob: Tpm, config: SyncConfig, attack: AttackConfig
+    alice: Tpm, bob: Tpm, seed: int, attack: AttackConfig, record_overlap: bool = False
 ) -> tuple[SyncTranscript, AttackResult]:
     """Synchronize Alice and Bob while Eve eavesdrops on every round.
 
-    The exchange keeps running for the full attack budget (the parties keep
-    learning after they coincide), so Eve is measured against the complete
-    public stream. The run ends early only if some Eve machine reaches full
-    overlap. The returned transcript describes the Alice/Bob process, frozen
-    at their convergence round. The caller's machines are not modified; the
-    race runs on internal copies.
+    ``seed`` fixes the public inputs and Eve's start. The exchange keeps
+    running for the full attack budget (the parties keep learning after they
+    coincide), so Eve is measured against the complete public stream. The run
+    ends early only if some Eve machine reaches full overlap. The returned
+    transcript describes the Alice/Bob process, frozen at their convergence
+    round; ``record_overlap`` also traces the party and best-Eve overlaps. The
+    caller's machines are not modified; the race runs on internal copies.
     """
     if alice.params != bob.params:
         raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
-    if config.params != alice.params:
-        raise ValueError("config params do not match the machines")
     params = alice.params
-    input_seq, eve_seq = np.random.SeedSequence(config.seed).spawn(2)
+    input_seq, eve_seq = np.random.SeedSequence(seed).spawn(2)
     inputs = _inputs(np.random.default_rng(input_seq), (params.K, params.N))
     eve_rng = np.random.default_rng(eve_seq)
 
@@ -121,8 +119,8 @@ def run_attack(
     ab_learning_at = 0
     overlap_at_convergence = -1.0
     geometric = attack.strategy == "geometric"
-    trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
-    eve_trace: list[tuple[int, float]] | None = [] if config.record_overlap else None
+    trace: list[tuple[int, float]] | None = [] if record_overlap else None
+    eve_trace: list[tuple[int, float]] | None = [] if record_overlap else None
 
     while iterations < attack.iteration_budget:
         iterations += 1

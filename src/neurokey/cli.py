@@ -98,11 +98,10 @@ def cmd_sync(args) -> int:
         params=params,
         max_iterations=args.budget,
         digest_check_interval=args.digest_interval,
-        seed=sync_seed,
         protocol_mode=args.protocol_mode,
         record_overlap=True,
     )
-    transcript = synchronize_from_weights(alice, bob, config)
+    transcript = synchronize_from_weights(alice, bob, config, sync_seed)
     if args.trace and transcript.overlap_trace:
         for iteration, overlap in transcript.overlap_trace:
             print(f"{iteration}\t{overlap:.6f}")

@@ -399,7 +399,7 @@ def _run_machine_trials(
     pairs = [mode.machines(params, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
     if scenario.kind == "attack":
         outcomes = [
-            run_attack(alice, bob, SyncConfig(params=params, seed=sync_seed), scenario.attack)
+            run_attack(alice, bob, sync_seed, scenario.attack)
             for (alice, bob), (*_, sync_seed) in zip(pairs, seeds)
         ]
         transcripts, results = zip(*outcomes)
@@ -726,13 +726,10 @@ def run_pipeline(
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)
     if estimate.estimate > qber_threshold:
         raise QberAbortError(estimate.estimate, qber_threshold)
-    config = SyncConfig(
-        params=params,
-        seed=sync_seed,
-        protocol_mode=protocol_mode,
-        digest_check_interval=digest_check_interval,
+    config = SyncConfig(params, protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
+    key_a, key_b, transcript = reconcile(
+        estimate.remaining_alice, estimate.remaining_bob, config, sync_seed
     )
-    key_a, key_b, transcript = reconcile(estimate.remaining_alice, estimate.remaining_bob, config)
     leakage = leakage_after(transcript.iterations, params)
     disclosed = estimate.sampled_count + transcript.disclosed_bits
     budget = plan_budget(key_a.length, leakage, disclosed, security_bits)

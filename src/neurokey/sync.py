@@ -86,7 +86,6 @@ class SyncConfig:
     params: TpmParams
     max_iterations: int | None = None
     digest_check_interval: int = 10
-    seed: int = 0
     protocol_mode: bool = False
     record_overlap: bool = False
 
@@ -223,14 +222,15 @@ def resolve_iteration_budget(params: TpmParams) -> int:
     return budget
 
 
-def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig) -> SyncTranscript:
-    """Run the mutual-learning loop until the machines coincide.
+def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig, seed: int) -> SyncTranscript:
+    """Run the mutual-learning loop on inputs from ``default_rng(seed)`` until
+    the machines coincide.
 
     Both machines are updated in place; on convergence their weights are
     identical. Raises NonConvergenceError (with the partial transcript) when
     the budget runs out first.
     """
-    [transcript] = synchronize_batch([(alice, bob)], config, [config.seed])
+    [transcript] = synchronize_batch([(alice, bob)], config, [seed])
     if not transcript.converged:
         budget = transcript.iterations
         source = "explicit max_iterations=" if config.max_iterations else "pilot budget "
@@ -247,11 +247,10 @@ def synchronize_batch(
 ) -> list[SyncTranscript]:
     """Synchronize independent machine pairs in lockstep under one config.
 
-    Pair i draws its inputs from ``default_rng(seeds[i])``; the batch never
-    reads ``config.seed``. So a pair's transcript and final weights equal
-    those of ``synchronize_from_weights`` with ``seed=seeds[i]``; machines
-    are updated in place. A pair that exhausts the budget gets a transcript
-    with ``converged=False`` instead of an error.
+    Pair i draws its inputs from ``default_rng(seeds[i])``, so its transcript
+    and final weights equal those of ``synchronize_from_weights`` with
+    ``seeds[i]``; machines are updated in place. A pair that exhausts the
+    budget gets a transcript with ``converged=False`` instead of an error.
 
     The pairs are rows of one (T, 2, K, N) stack that ``_exchange_round``
     advances together, with an int8 buffer of 64 inputs per trial
@@ -369,20 +368,21 @@ def seed_initial_overlap(base: Tpm, overlap: float, seed: int) -> Tpm:
 
 
 def reconcile(
-    alice_key: BitKey, bob_key: BitKey, config: SyncConfig
+    alice_key: BitKey, bob_key: BitKey, config: SyncConfig, seed: int
 ) -> tuple[BitKey, BitKey, SyncTranscript]:
     """Three-step reconciliation: keys to weights, synchronize, weights to keys.
 
-    Returns both parties' final keys and the one public transcript; on
-    convergence the keys are bit-identical and have length K*N*b. Key bits
-    beyond K*N*b are dropped (the count is recorded on the transcript).
+    The inputs come from ``default_rng(seed)``. Returns both parties' final
+    keys and the one public transcript; on convergence the keys are
+    bit-identical and have length K*N*b. Key bits beyond K*N*b are dropped
+    (the count is recorded on the transcript).
     """
     params = config.params
     alice = bits_to_weights(alice_key, params)
     bob = bits_to_weights(bob_key, params)
     dropped = alice_key.length - params.key_bits
     try:
-        transcript = synchronize_from_weights(alice, bob, config)
+        transcript = synchronize_from_weights(alice, bob, config, seed)
     except NonConvergenceError as err:
         err.transcript.truncated_bits = dropped
         raise

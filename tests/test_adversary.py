@@ -10,7 +10,7 @@ import pytest
 from neurokey import harness
 from neurokey.adversary import AttackConfig, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
-from neurokey.sync import SyncConfig, _exchange_round, _inputs, seed_initial_overlap
+from neurokey.sync import _exchange_round, _inputs, seed_initial_overlap
 from neurokey.tpm import (
     Tpm,
     TpmEvaluation,
@@ -68,13 +68,25 @@ class TestAttackConfig:
         with pytest.raises(ValueError):
             AttackConfig(strategy="quantum")
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"strategy": "ensemble", "ensemble_size": 0}, "ensemble_size must be >= 1"),
+            ({"iteration_budget": 0}, "iteration_budget must be >= 1"),
+            ({"eve_initial_overlap": 1.5}, "eve_initial_overlap must be in [0, 1]"),
+        ],
+    )
+    def test_out_of_range_values_are_rejected(self, override, message):
+        with pytest.raises(ValueError) as info:
+            AttackConfig(**override)
+        assert str(info.value) == message
+
 
 class TestRunAttack:
     def test_eve_identical_to_alice_syncs_immediately(self):
         alice, bob = fresh_pair(1)
-        config = SyncConfig(PARAMS, seed=2)
         attack = AttackConfig(strategy="passive", iteration_budget=2000, eve_initial_overlap=1.0)
-        transcript, result = run_attack(alice, bob, config, attack)
+        transcript, result = run_attack(alice, bob, 2, attack)
         assert result.synced
         assert result.best_overlap == 1.0
 
@@ -82,9 +94,8 @@ class TestRunAttack:
         for seed in (3, 4, 5):
             alice_a, bob_a = fresh_pair(seed)
             alice_b, bob_b = fresh_pair(seed)
-            config = SyncConfig(PARAMS, seed=100 + seed)
-            t1, r1 = run_attack(alice_a, bob_a, config, AttackConfig("passive", iteration_budget=400))
-            t2, r2 = run_attack(alice_b, bob_b, config, AttackConfig("ensemble", 1, iteration_budget=400))
+            t1, r1 = run_attack(alice_a, bob_a, 100 + seed, AttackConfig("passive", iteration_budget=400))
+            t2, r2 = run_attack(alice_b, bob_b, 100 + seed, AttackConfig("ensemble", 1, iteration_budget=400))
             assert t1 == t2
             assert r1.per_machine_overlap == r2.per_machine_overlap
             assert r1.eve_learning_steps == r2.eve_learning_steps
@@ -92,16 +103,14 @@ class TestRunAttack:
     def test_eve_learns_on_a_subset_of_exchanges(self):
         for seed in range(8):
             alice, bob = fresh_pair(20 + seed)
-            config = SyncConfig(PARAMS, seed=40 + seed)
-            _, result = run_attack(alice, bob, config, AttackConfig("passive", iteration_budget=600))
+            _, result = run_attack(alice, bob, 40 + seed, AttackConfig("passive", iteration_budget=600))
             assert result.eve_learning_steps[0] <= result.exchange_learning_steps
 
     def test_passive_eve_usually_fails(self):
         trials, failures = 60, 0
         for seed in range(trials):
             alice, bob = fresh_pair(200 + seed)
-            config = SyncConfig(PARAMS, seed=300 + seed)
-            _, result = run_attack(alice, bob, config, AttackConfig("passive", iteration_budget=1000))
+            _, result = run_attack(alice, bob, 300 + seed, AttackConfig("passive", iteration_budget=1000))
             failures += not result.synced
         assert failures / trials >= 0.8
 
@@ -111,24 +120,21 @@ class TestRunAttack:
         for strategy in totals:
             for seed in range(trials):
                 alice, bob = fresh_pair(400 + seed)
-                config = SyncConfig(PARAMS, seed=500 + seed)
                 _, result = run_attack(
-                    alice, bob, config, AttackConfig(strategy, iteration_budget=400)
+                    alice, bob, 500 + seed, AttackConfig(strategy, iteration_budget=400)
                 )
                 totals[strategy] += result.best_overlap
         assert totals["geometric"] >= totals["passive"]
 
     def test_ensemble_takes_the_best_machine(self):
         alice, bob = fresh_pair(600)
-        config = SyncConfig(PARAMS, seed=601)
-        _, result = run_attack(alice, bob, config, AttackConfig("ensemble", 4, iteration_budget=300))
+        _, result = run_attack(alice, bob, 601, AttackConfig("ensemble", 4, iteration_budget=300))
         assert len(result.per_machine_overlap) == 4
         assert result.best_overlap == max(result.per_machine_overlap)
 
     def test_parties_converge_while_eve_watches(self):
         alice, bob = fresh_pair(700)
-        config = SyncConfig(PARAMS, seed=701)
-        transcript, result = run_attack(alice, bob, config, AttackConfig("passive", iteration_budget=2000))
+        transcript, result = run_attack(alice, bob, 701, AttackConfig("passive", iteration_budget=2000))
         assert transcript.converged
         assert transcript.iterations <= result.iterations_observed
         assert np.array_equal(alice.weights, bob.weights) is False  # inputs untouched
@@ -137,7 +143,7 @@ class TestRunAttack:
         alice, _ = fresh_pair(800)
         other = Tpm.random(TpmParams(5, 8, 2), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            run_attack(alice, other, SyncConfig(PARAMS, seed=1), AttackConfig())
+            run_attack(alice, other, 1, AttackConfig())
 
     def test_median_eve_overlap_at_convergence_below_one(self):
         # median over >= 500 trials of the best Eve overlap measured at the
@@ -145,8 +151,7 @@ class TestRunAttack:
         overlaps = []
         for seed in range(500):
             alice, bob = fresh_pair(900 + seed)
-            config = SyncConfig(PARAMS, seed=1500 + seed)
-            _, result = run_attack(alice, bob, config, AttackConfig("passive", iteration_budget=600))
+            _, result = run_attack(alice, bob, 1500 + seed, AttackConfig("passive", iteration_budget=600))
             if result.best_overlap_at_convergence >= 0:
                 overlaps.append(result.best_overlap_at_convergence)
         assert len(overlaps) >= 450
@@ -182,9 +187,8 @@ def race_digest(index):
     every AttackResult field."""
     (strategy, size), start, eve_overlap, record = GOLDEN_CASES[index]
     alice, bob = race_parties(start, seed=7000 + index)
-    config = SyncConfig(PARAMS, seed=8000 + index, record_overlap=record)
     attack = AttackConfig(strategy, size, iteration_budget=300, eve_initial_overlap=eve_overlap)
-    transcript, result = run_attack(alice, bob, config, attack)
+    transcript, result = run_attack(alice, bob, 8000 + index, attack, record_overlap=record)
     payload = json.dumps([transcript.to_record(), dataclasses.asdict(result)])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -367,11 +371,10 @@ def test_run_attack_replays_with_the_reference_operations(strategy):
     # run_attack draws, must give the same overlaps and learning counts
     for seed in range(4):
         alice, bob = fresh_pair(1100 + seed)
-        config = SyncConfig(PARAMS, seed=1200 + seed, record_overlap=True)
         attack = AttackConfig(strategy, iteration_budget=500)
-        transcript, result = run_attack(alice, bob, config, attack)
+        transcript, result = run_attack(alice, bob, 1200 + seed, attack, record_overlap=True)
 
-        input_seq, eve_seq = np.random.SeedSequence(config.seed).spawn(2)
+        input_seq, eve_seq = np.random.SeedSequence(1200 + seed).spawn(2)
         inputs = _inputs(np.random.default_rng(input_seq), (PARAMS.K, PARAMS.N))
         machines = [alice, bob, Tpm.random(PARAMS, np.random.default_rng(eve_seq))]
         eve_steps = party_steps = 0

@@ -84,6 +84,18 @@ class TestGenerateKeyPair:
             with pytest.raises(ValueError):
                 generate_key_pair(100, bad, seed=0)
 
+    @pytest.mark.parametrize(
+        "length, error_mode, message",
+        [
+            (0, "uniform", "length must be >= 1"),
+            (100, "bogus", "error_mode must be one of ('uniform', 'burst'), got 'bogus'"),
+        ],
+    )
+    def test_length_and_error_mode_validated(self, length, error_mode, message):
+        with pytest.raises(ValueError) as info:
+            generate_key_pair(length, 0.05, seed=0, error_mode=error_mode)
+        assert str(info.value) == message
+
     def test_burst_mode_clusters_and_matches_rate(self):
         length, qber = 20_000, 0.05
         uniform = generate_key_pair(length, qber, seed=5)
@@ -113,6 +125,10 @@ class TestGenerateKeyPair:
                 frozenset(),
                 0.0,
             )
+
+    def test_pair_lengths_must_match(self):
+        with pytest.raises(ValueError, match="keys must have equal length"):
+            NoisyKeyPair(BitKey.from_string("0000"), BitKey.from_string("000"), frozenset(), 0.0)
 
 
 class TestEstimateQber:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -99,6 +100,17 @@ def test_scenario_bundled_name_with_overrides(tmp_path, capsys):
     assert text.splitlines()[1].startswith("scenario,")
     # fig4 sweeps K in {6,8,10} and N in 20..25 -> 18 rows for one trial each
     assert len(text.splitlines()) == 2 + 18
+
+
+def test_scenario_without_out_writes_the_csv_to_stdout(capsys):
+    assert main(["scenario", "fig4", "--trials", "1"]) == 0
+    captured = capsys.readouterr()
+    records = list(run_scenario(dataclasses.replace(load_scenario("fig4"), trials=1)))
+    assert captured.out == harness.records_to_csv(records)
+    # the summary goes to stderr; its last column is the run's wall time
+    expected = harness.format_summary(harness.summarize(records)).splitlines()
+    printed = captured.err.splitlines()
+    assert [line.rsplit(None, 1)[0] for line in printed] == [line.rsplit(None, 1)[0] for line in expected]
 
 
 def test_scenario_missing_file_exit_three(capsys):

@@ -67,6 +67,10 @@ class TestStartMode:
             with pytest.raises(ScenarioError):
                 StartMode.parse(bad)
 
+    def test_random_takes_no_value(self):
+        with pytest.raises(ScenarioError, match="random start mode takes no value"):
+            StartMode("random", 0.5)
+
 
 class TestScenarioParsing:
     def test_sync_scenario_ini(self):
@@ -134,6 +138,11 @@ settings = 500:0.05:25, 600:0.03:30
             ("sync", {"max_iterations": 0}),
             ("compare", {"L": 0}),
             ("compare", {"K_values": (0,)}),
+            ("sync", {"kind": "bogus"}),
+            ("sync", {"trials": 0}),
+            ("sync", {"K_values": ()}),
+            ("sync", {"start_modes": ()}),
+            ("compare", {"compare_settings": ()}),
         ],
     )
     def test_out_of_range_values_are_rejected(self, kind, override):
@@ -241,6 +250,14 @@ settings = 500:0.05:25, 600:0.03:30
                 "an [attack] section applies only to attack scenarios, not sync",
             ),
             ("[scenario]\nkind = compare\n", "compare scenarios need a [compare] section"),
+            ("[attack]\nstrategy = passive\n", "missing [scenario] section"),
+            ("[scenario]\nK = a-b\nN = 4\n", "bad K range 'a-b'"),
+            ("[scenario]\nK = x\nN = 4\n", "bad K value 'x'"),
+            ("[scenario]\nK = ,\nN = 4\n", "K list is empty"),
+            (
+                "[scenario]\nkind = compare\n[compare]\nsettings = 500:0.05\n",
+                "compare setting must be length:qber:tpm_N, got '500:0.05'",
+            ),
         ],
         ids=[
             "unknown-scenario",
@@ -256,12 +273,30 @@ settings = 500:0.05:25, 600:0.03:30
             "compare-section-in-sync",
             "attack-section-in-sync",
             "compare-without-section",
+            "no-scenario-section",
+            "K-bad-range",
+            "K-bad-value",
+            "K-empty",
+            "compare-setting-two-fields",
         ],
     )
     def test_unknown_keys_and_bad_values_name_key_and_section(self, text, message):
         with pytest.raises(ScenarioError) as info:
             parse_scenario(text)
         assert str(info.value) == message
+
+    def test_text_without_a_section_header_is_rejected(self):
+        with pytest.raises(ScenarioError, match="cannot parse scenario file: File contains no section headers"):
+            parse_scenario("K = 3\nN = 4\n")
+
+    def test_empty_sweep_list_entries_are_skipped(self):
+        assert parse_scenario("[scenario]\nK = 6,,8\nN = 4\n").K_values == (6, 8)
+
+    def test_file_that_is_not_utf8_is_a_scenario_error(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[scenario]\nname = caf\xe9\nK = 3\nN = 4\n")
+        with pytest.raises(ScenarioError, match="cannot read scenario file"):
+            load_scenario(str(path))
 
     def test_default_section_keys_are_not_unknown(self):
         text = "[DEFAULT]\ntrials = 7\n[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\n"

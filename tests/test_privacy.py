@@ -77,6 +77,19 @@ class TestBudget:
         budget = plan_budget(1000, NO_LEAKAGE, 100, 899)
         assert budget.final_length == 1
 
+    @pytest.mark.parametrize(
+        "length, disclosed, security, message",
+        [
+            (0, 0, 0, "reconciled_length must be >= 1"),
+            (1000, -1, 0, "disclosed_bits must be >= 0"),
+            (1000, 0, -1, "security_bits must be >= 0"),
+        ],
+    )
+    def test_out_of_range_inputs_are_rejected(self, length, disclosed, security, message):
+        with pytest.raises(ValueError) as info:
+            plan_budget(length, NO_LEAKAGE, disclosed, security)
+        assert str(info.value) == message
+
     @given(st.integers(100, 2000), st.integers(0, 50), st.data())
     def test_margin_trades_one_for_one(self, length, disclosed, data):
         headroom = length - disclosed - 2
@@ -92,6 +105,10 @@ class TestToeplitzSpec:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             ToeplitzSpec(rows=2, cols=3, first_row_and_col=np.array([1, 0, 1]))
+
+    def test_empty_shape_rejected(self):
+        with pytest.raises(ValueError, match="rows and cols must be >= 1"):
+            ToeplitzSpec(rows=0, cols=3, first_row_and_col=np.array([1, 0]))
 
     def test_bit_validation(self):
         with pytest.raises(ValueError):

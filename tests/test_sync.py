@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -43,7 +42,7 @@ class TestSynchronize:
     def test_identical_start_simulation_mode(self):
         alice, _ = fresh_pair(PARAMS, 1)
         twin = alice.copy()
-        transcript = synchronize_from_weights(alice, twin, SyncConfig(PARAMS, max_iterations=50, seed=2))
+        transcript = synchronize_from_weights(alice, twin, SyncConfig(PARAMS, max_iterations=50), 2)
         assert transcript.converged
         assert transcript.iterations == 0
         assert transcript.learning_steps == 0
@@ -51,8 +50,8 @@ class TestSynchronize:
     def test_identical_start_protocol_mode_takes_one_digest_interval(self):
         alice, _ = fresh_pair(PARAMS, 3)
         twin = alice.copy()
-        config = SyncConfig(PARAMS, max_iterations=200, seed=4, protocol_mode=True, digest_check_interval=10)
-        transcript = synchronize_from_weights(alice, twin, config)
+        config = SyncConfig(PARAMS, max_iterations=200, protocol_mode=True, digest_check_interval=10)
+        transcript = synchronize_from_weights(alice, twin, config, 4)
         assert transcript.converged
         assert transcript.iterations == 10
         assert transcript.digest_exchanges == 1
@@ -60,15 +59,15 @@ class TestSynchronize:
 
     def test_converges_and_machines_end_identical(self):
         alice, bob = fresh_pair(PARAMS, 5)
-        transcript = synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=20_000, seed=6))
+        transcript = synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=20_000), 6)
         assert transcript.converged
         assert weight_overlap(alice, bob) == 1.0
         assert transcript.learning_steps <= transcript.iterations
 
     def test_protocol_mode_converges_and_counts_digests(self):
         alice, bob = fresh_pair(PARAMS, 7)
-        config = SyncConfig(PARAMS, max_iterations=20_000, seed=8, protocol_mode=True)
-        transcript = synchronize_from_weights(alice, bob, config)
+        config = SyncConfig(PARAMS, max_iterations=20_000, protocol_mode=True)
+        transcript = synchronize_from_weights(alice, bob, config, 8)
         assert transcript.converged
         assert transcript.digest_exchanges >= 1
         assert transcript.iterations % config.digest_check_interval == 0
@@ -78,15 +77,15 @@ class TestSynchronize:
         results = []
         for _ in range(2):
             alice, bob = fresh_pair(PARAMS, 9)
-            config = SyncConfig(PARAMS, max_iterations=20_000, seed=10, record_overlap=True)
-            results.append(synchronize_from_weights(alice, bob, config).to_record())
+            config = SyncConfig(PARAMS, max_iterations=20_000, record_overlap=True)
+            results.append(synchronize_from_weights(alice, bob, config, 10).to_record())
         assert results[0] == results[1]
 
     def test_non_convergence_raises_with_partial_transcript(self):
         alice, bob = fresh_pair(PARAMS, 11)
         bob.weights[...] = np.clip(-alice.weights, -2, 2)
         with pytest.raises(NonConvergenceError) as excinfo:
-            synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=3, seed=12))
+            synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=3), 12)
         transcript = excinfo.value.transcript
         assert not transcript.converged
         assert transcript.iterations == 3
@@ -94,7 +93,7 @@ class TestSynchronize:
     def test_non_convergence_names_an_explicit_budget_and_the_overlap(self):
         alice, bob = fresh_pair(PARAMS, 11)
         with pytest.raises(NonConvergenceError) as excinfo:
-            synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=3, seed=12))
+            synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=3), 12)
         overlap = weight_overlap(alice, bob)
         assert "explicit max_iterations=3" in str(excinfo.value)
         assert f"final party overlap {overlap:.4f}" in str(excinfo.value)
@@ -105,7 +104,7 @@ class TestSynchronize:
         monkeypatch.setitem(sync._budget_cache, params, 4)
         alice, bob = fresh_pair(params, 14)
         with pytest.raises(NonConvergenceError) as excinfo:
-            synchronize_from_weights(alice, bob, SyncConfig(params, seed=15))
+            synchronize_from_weights(alice, bob, SyncConfig(params), 15)
         assert "(pilot budget 4)" in str(excinfo.value)
         assert f"final party overlap {weight_overlap(alice, bob):.4f}" in str(excinfo.value)
         assert excinfo.value.transcript.iterations == 4
@@ -114,7 +113,24 @@ class TestSynchronize:
         alice, _ = fresh_pair(PARAMS, 13)
         other = Tpm.random(TpmParams(3, 6, 2), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            synchronize_from_weights(alice, other, SyncConfig(PARAMS, max_iterations=5, seed=1))
+            synchronize_from_weights(alice, other, SyncConfig(PARAMS, max_iterations=5), 1)
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"max_iterations": 0}, "max_iterations must be >= 1"),
+            ({"digest_check_interval": 0}, "digest_check_interval must be >= 1"),
+        ],
+    )
+    def test_out_of_range_config_values_are_rejected(self, override, message):
+        with pytest.raises(ValueError) as info:
+            SyncConfig(PARAMS, **override)
+        assert str(info.value) == message
+
+    def test_batch_rejects_config_params_that_differ_from_the_machines(self):
+        alice, bob = fresh_pair(PARAMS, 13)
+        with pytest.raises(ValueError, match="config params do not match the machines"):
+            synchronize_batch([(alice, bob)], SyncConfig(TpmParams(3, 6, 2)), [1])
 
     def test_loop_matches_public_single_step_operations(self):
         # replay the first iterations manually with evaluate/hebbian_step and
@@ -122,9 +138,9 @@ class TestSynchronize:
         params = TpmParams(K=3, N=5, L=2)
         alice, bob = fresh_pair(params, 17)
         manual_a, manual_b = alice.copy(), bob.copy()
-        config = SyncConfig(params, max_iterations=40, seed=18)
+        config = SyncConfig(params, max_iterations=40)
         try:
-            synchronize_from_weights(alice, bob, config)
+            synchronize_from_weights(alice, bob, config, 18)
         except NonConvergenceError:
             pass
         rng = np.random.default_rng(18)
@@ -146,8 +162,8 @@ class TestSynchronize:
         firsts, lasts = [], []
         for trial in range(40):
             alice, bob = fresh_pair(params, 100 + trial, overlap=0.8)
-            config = SyncConfig(params, max_iterations=20_000, seed=500 + trial, record_overlap=True)
-            trace = synchronize_from_weights(alice, bob, config).overlap_trace
+            config = SyncConfig(params, max_iterations=20_000, record_overlap=True)
+            trace = synchronize_from_weights(alice, bob, config, 500 + trial).overlap_trace
             values = [v for _, v in trace]
             quarter = max(1, len(values) // 4)
             firsts.append(np.mean(values[:quarter]))
@@ -160,11 +176,11 @@ class TestSynchronize:
         for trial in range(60):
             a1, b1 = fresh_pair(params, 1000 + trial)
             random_total += synchronize_from_weights(
-                a1, b1, SyncConfig(params, max_iterations=100_000, seed=trial)
+                a1, b1, SyncConfig(params, max_iterations=100_000), trial
             ).iterations
             a2, b2 = fresh_pair(params, 1000 + trial, overlap=0.95)
             overlap_total += synchronize_from_weights(
-                a2, b2, SyncConfig(params, max_iterations=100_000, seed=trial)
+                a2, b2, SyncConfig(params, max_iterations=100_000), trial
             ).iterations
         assert overlap_total < random_total
 
@@ -230,7 +246,7 @@ class TestReconcile:
         params = TpmParams(K=6, N=10, L=2)
         pair = generate_key_pair(params.key_bits, 0.05, seed=31)
         key_a, key_b, transcript = reconcile(
-            pair.alice, pair.bob, SyncConfig(params, max_iterations=50_000, seed=32)
+            pair.alice, pair.bob, SyncConfig(params, max_iterations=50_000), 32
         )
         assert key_a == key_b
         assert key_a.length == params.key_bits
@@ -240,15 +256,23 @@ class TestReconcile:
         params = TpmParams(K=2, N=3, L=2)  # needs 18 bits
         rng = np.random.default_rng(33)
         key = BitKey.random(25, rng)
-        *_, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100, seed=34))
+        *_, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100), 34)
         assert transcript.truncated_bits == 7
 
     def test_identical_keys_need_zero_learning(self):
         params = TpmParams(K=3, N=4, L=2)
         key = BitKey.random(params.key_bits, np.random.default_rng(35))
-        key_a, key_b, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100, seed=36))
+        key_a, key_b, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100), 36)
         assert transcript.iterations == 0
         assert key_a == key_b
+
+    def test_non_convergence_records_truncated_bits(self):
+        params = TpmParams(K=10, N=30, L=2)  # keeps 900 of the 3000 bits
+        pair = generate_key_pair(3000, 0.03, seed=37)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            reconcile(pair.alice, pair.bob, SyncConfig(params, max_iterations=1), 38)
+        assert not excinfo.value.transcript.converged
+        assert excinfo.value.transcript.truncated_bits == 2100
 
 
 class TestTranscriptRecord:
@@ -293,12 +317,11 @@ def protocol_transcript(K, N, seed, interval, budget):
     config = SyncConfig(
         params,
         max_iterations=budget,
-        seed=70 + seed,
         protocol_mode=True,
         digest_check_interval=interval,
     )
     try:
-        return synchronize_from_weights(alice, bob, config)
+        return synchronize_from_weights(alice, bob, config, 70 + seed)
     except NonConvergenceError as err:
         return err.transcript
 
@@ -386,7 +409,7 @@ def test_batch_matches_the_batch_of_one(start, count, protocol, interval, record
     for (alice, bob), transcript, (init_seed, aux_seed, sync_seed) in zip(pairs, transcripts, seeds):
         alone_a, alone_b = mode.machines(BATCH_PARAMS, init_seed, aux_seed)
         try:
-            alone = synchronize_from_weights(alone_a, alone_b, dataclasses.replace(config, seed=sync_seed))
+            alone = synchronize_from_weights(alone_a, alone_b, config, sync_seed)
         except NonConvergenceError as err:
             alone = err.transcript
             assert not transcript.converged and transcript.iterations == BATCH_BUDGET

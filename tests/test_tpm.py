@@ -48,6 +48,17 @@ class TestParams:
         assert TpmParams(1, 1, 1).bits_per_weight == 2
         assert TpmParams(10, 25, 2).key_bits == 750
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([[0, 0, 0]], r"weight matrix must have shape \(2, 2\), got \(1, 3\)"),
+            ([[0, 3], [0, 0]], r"weights must lie in \[-2, 2\]"),
+        ],
+    )
+    def test_machine_shape_and_weight_range_validated(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Tpm(TpmParams(2, 2, 2), weights)
+
 
 class TestEvaluate:
     def test_zero_weights_sign_of_zero_is_minus_one(self):
@@ -119,6 +130,13 @@ class TestHebbianStep:
         own = evaluate(tpm, np.array([[1]]))
         with pytest.raises(ValueError):
             hebbian_step(tpm, np.array([[1]]), own, partner_tau=-own.tau)
+
+    def test_partner_tau_must_be_a_sign(self):
+        params = TpmParams(K=1, N=1, L=1)
+        tpm = Tpm(params, [[1]])
+        own = evaluate(tpm, np.array([[1]]))
+        with pytest.raises(ValueError, match="partner_tau must be -1 or \\+1, got 0"):
+            hebbian_step(tpm, np.array([[1]]), own, partner_tau=0)
 
     def test_does_not_mutate_input_machine(self):
         params = TpmParams(K=1, N=1, L=2)
@@ -227,6 +245,10 @@ class TestBitKey:
         c = BitKey.from_string("1110")
         assert a == b and a != c
         assert (a ^ c).to01() == "1000"
+
+    def test_xor_requires_equal_lengths(self):
+        with pytest.raises(ValueError, match="xor requires equal lengths"):
+            BitKey.from_string("0110") ^ BitKey.from_string("011")
 
     def test_value_semantics(self):
         raw = np.array([0, 1, 1], dtype=np.uint8)
