@@ -11,6 +11,15 @@ Eve sees every input matrix and both public +/-1 outputs. Three strategies:
 The parties and all Eves are rows of one weight stack, advanced each round by
 the kernel of plain synchronization (``sync._exchange_round``); which Eves
 learn is a mask over the rows, not a per-Eve step.
+
+The race watches for two events, and both are absorbing: once the parties'
+weights are equal they stay equal, and once an Eve's weights equal Alice's her
+output is always the public one, so she makes Alice's exact update or nobody
+learns. An untraced race therefore runs ``_CHECK_INTERVAL`` rounds unchecked
+and then compares every row with Alice's once. Only when that finds a new
+event does it restore the weights and counts saved at the start of the
+interval and replay it round by round, checking each round as a traced race
+does, so the round each event happens on is the same either way.
 """
 
 from __future__ import annotations
@@ -23,8 +32,9 @@ import numpy as np
 from .sync import (
     LeakageEstimate,
     SyncTranscript,
+    _INPUT_CHUNK,
+    _draw_inputs,
     _exchange_round,
-    _inputs,
     leakage_after,
     seed_initial_overlap,
 )
@@ -40,6 +50,10 @@ __all__ = [
 ]
 
 STRATEGIES = ("passive", "geometric", "ensemble")
+
+# Rounds between an untraced race's event checks. It divides _INPUT_CHUNK, so
+# an interval never spans two input chunks.
+_CHECK_INTERVAL = 16
 
 
 @dataclass(frozen=True)
@@ -95,12 +109,17 @@ def run_attack(
     transcript describes the Alice/Bob process, frozen at their convergence
     round; ``record_overlap`` also traces the party and best-Eve overlaps. The
     caller's machines are not modified; the race runs on internal copies.
+
+    Without ``record_overlap`` the events are looked for once per
+    ``_CHECK_INTERVAL`` rounds, and an interval in which one happened is
+    replayed from its start with a check after every round; the results
+    equal those of a traced run.
     """
     if alice.params != bob.params:
         raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
     params = alice.params
     input_seq, eve_seq = np.random.SeedSequence(seed).spawn(2)
-    inputs = _inputs(np.random.default_rng(input_seq), (params.K, params.N))
+    input_rng = np.random.default_rng(input_seq)
     eve_rng = np.random.default_rng(eve_seq)
 
     w = np.empty((2 + attack.ensemble_size, params.K, params.N), dtype=np.int32)
@@ -118,23 +137,43 @@ def run_attack(
     ab_converged_at = 0  # the round the parties first coincide; 0 until then
     ab_learning_at = 0
     overlap_at_convergence = -1.0
+    eve_synced = False
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if record_overlap else None
     eve_trace: list[tuple[int, float]] | None = [] if record_overlap else None
+    flat = w.reshape(len(w), -1)
 
-    while iterations < attack.iteration_budget:
-        iterations += 1
-        learn = _exchange_round(w, next(inputs), params.L, geometric)
-        if learn is not None:
-            learning += learn
-        if not ab_converged_at and np.array_equal(w[0], w[1]):
-            ab_converged_at, ab_learning_at = iterations, int(learning[0])
-            overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())
-        if trace is not None and eve_trace is not None:
-            trace.append((iterations, float((w[0] == w[1]).mean())))
-            eve_trace.append((iterations, float((eves == w[0]).mean(axis=(1, 2)).max())))
-        if (eves == w[0]).all(axis=(1, 2)).any():
-            break
+    while iterations < attack.iteration_budget and not eve_synced:
+        slot = iterations % _INPUT_CHUNK
+        if slot == 0:
+            chunk = _draw_inputs(input_rng, (params.K, params.N))
+        xs = chunk[slot : slot + min(_CHECK_INTERVAL, attack.iteration_budget - iterations)]
+        if trace is None:
+            saved_w, saved_learning = w.copy(), learning.copy()
+            for x in xs:
+                learn = _exchange_round(w, x, params.L, geometric)
+                if learn is not None:
+                    learning += learn
+            equal = (flat == flat[0]).all(axis=1)
+            if not equal[2:].any() and (ab_converged_at or not equal[1]):
+                iterations += len(xs)
+                continue
+            # an event happened in this interval: replay it round by round
+            w[...], learning[...] = saved_w, saved_learning
+        for x in xs:
+            iterations += 1
+            learn = _exchange_round(w, x, params.L, geometric)
+            if learn is not None:
+                learning += learn
+            if not ab_converged_at and np.array_equal(w[0], w[1]):
+                ab_converged_at, ab_learning_at = iterations, int(learning[0])
+                overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())
+            if trace is not None and eve_trace is not None:
+                trace.append((iterations, float((w[0] == w[1]).mean())))
+                eve_trace.append((iterations, float((eves == w[0]).mean(axis=(1, 2)).max())))
+            eve_synced = bool((eves == w[0]).all(axis=(1, 2)).any())
+            if eve_synced:
+                break
 
     ab_learning = int(learning[0])
     per_machine = (eves == w[0]).mean(axis=(1, 2)).tolist()

@@ -112,9 +112,10 @@ class StartMode:
         if ":" in text:
             kind, _, raw = text.partition(":")
             try:
-                return cls(kind.strip(), float(raw))
+                value = float(raw)
             except ValueError as err:
                 raise ScenarioError(f"bad start mode value in {text!r}") from err
+            return cls(kind.strip(), value)
         raise ScenarioError(f"cannot parse start mode {text!r}")
 
     def __str__(self) -> str:

@@ -10,7 +10,7 @@ import pytest
 from neurokey import harness
 from neurokey.adversary import AttackConfig, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
-from neurokey.sync import _exchange_round, _inputs, seed_initial_overlap
+from neurokey.sync import _draw_inputs, _exchange_round, seed_initial_overlap
 from neurokey.tpm import (
     Tpm,
     TpmEvaluation,
@@ -293,6 +293,68 @@ def test_golden_fig2_slice():
 
 
 # ---------------------------------------------------------------------------
+# an untraced race checks its absorbing events once per interval of rounds
+# and replays an interval in which one happened; a traced race checks every
+# round, so the two must agree in everything but the traces
+
+
+def untraced_and_traced(alice, bob, seed, attack):
+    """Both runs of one race, each with its overlap traces blanked."""
+    runs = []
+    for record in (False, True):
+        transcript, result = run_attack(alice, bob, seed, attack, record)
+        runs.append(
+            (
+                dataclasses.replace(transcript, overlap_trace=None),
+                dataclasses.replace(result, eve_overlap_trace=None),
+            )
+        )
+    return runs
+
+
+EQUIVALENCE_CASES = list(itertools.product(GOLDEN_STRATEGIES, GOLDEN_STARTS, GOLDEN_EVE_OVERLAPS))
+
+
+@pytest.mark.parametrize(
+    "case", EQUIVALENCE_CASES, ids=[f"{s}{n}-{start}-eve{eve}" for (s, n), start, eve in EQUIVALENCE_CASES]
+)
+def test_untraced_race_equals_the_traced_race(case):
+    (strategy, size), start, eve_overlap = case
+    alice, bob = race_parties(start, seed=9000 + size)
+    for budget in (1, 15, 16, 17, 64, 65, 300):
+        attack = AttackConfig(strategy, size, iteration_budget=budget, eve_initial_overlap=eve_overlap)
+        untraced, traced = untraced_and_traced(alice, bob, 9100 + budget, attack)
+        assert untraced == traced
+
+
+# (strategy, start, seed, budget, the event, the round it happens on); the
+# intervals are rounds 1-16, 17-32, ..., and a budget not a multiple of 16
+# ends on a partial one
+BOUNDARY_RACES = {
+    "eve-last-round-of-interval": ("geometric", "overlap", 1, 300, "eve", 48),
+    "eve-first-round-of-interval": ("geometric", "random", 24, 300, "eve", 97),
+    "eve-inside-final-partial-interval": ("passive", "random", 4, 12, "eve", 10),
+    "parties-last-round-of-interval": ("passive", "random", 5, 300, "parties", 272),
+    "parties-first-round-of-interval": ("passive", "overlap", 6, 300, "parties", 49),
+    "parties-inside-final-partial-interval": ("passive", "random", 0, 207, "parties", 205),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_RACES)
+def test_untraced_race_finds_events_at_interval_boundaries(case):
+    strategy, start, seed, budget, event, round_ = BOUNDARY_RACES[case]
+    alice, bob = race_parties(start, seed)
+    attack = AttackConfig(strategy, iteration_budget=budget, eve_initial_overlap=0.9)
+    untraced, traced = untraced_and_traced(alice, bob, seed + 1, attack)
+    assert untraced == traced
+    transcript, result = untraced
+    if event == "eve":
+        assert result.synced and result.iterations_observed == round_
+    else:
+        assert transcript.converged and transcript.iterations == round_
+
+
+# ---------------------------------------------------------------------------
 # the stacked exchange kernel against the reference evaluate/hebbian_step
 
 
@@ -375,7 +437,8 @@ def test_run_attack_replays_with_the_reference_operations(strategy):
         transcript, result = run_attack(alice, bob, 1200 + seed, attack, record_overlap=True)
 
         input_seq, eve_seq = np.random.SeedSequence(1200 + seed).spawn(2)
-        inputs = _inputs(np.random.default_rng(input_seq), (PARAMS.K, PARAMS.N))
+        input_rng = np.random.default_rng(input_seq)
+        inputs = (x for _ in itertools.count() for x in _draw_inputs(input_rng, (PARAMS.K, PARAMS.N)))
         machines = [alice, bob, Tpm.random(PARAMS, np.random.default_rng(eve_seq))]
         eve_steps = party_steps = 0
         party_trace, eve_trace = [], []

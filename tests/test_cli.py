@@ -164,6 +164,23 @@ def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, tex
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("overlap:1.5", "overlap must be in [0, 1], got 1.5"),
+        ("from_qber:0.9", "from_qber must be in [0, 0.5], got 0.9"),
+        ("random:0.5", "random start mode takes no value"),
+        ("overlap:high", "bad start mode value in 'overlap:high'"),
+    ],
+    ids=["overlap-1.5", "from_qber-0.9", "random-0.5", "overlap-not-a-number"],
+)
+def test_scenario_start_mode_error_names_the_range(capsys, tmp_path, mode, message):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[scenario]\nK = 3\nN = 4\nstart_mode = {mode}\n")
+    assert main(["scenario", str(config)]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_scenario_directory_exit_three(capsys, tmp_path):
     assert main(["scenario", str(tmp_path)]) == 3
     assert "config error" in capsys.readouterr().err
