@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--qber", type=float, help="start from keys over a channel at this rate")
     p_sync.add_argument("--seed", type=int, default=0)
     p_sync.add_argument("--budget", type=int, default=None, help="iteration cap (default: pilot-based)")
-    p_sync.add_argument("--digest-interval", type=int, default=10)
+    p_sync.add_argument("--digest-interval", type=int, help="protocol-mode digest cadence (default: 10)")
     p_sync.add_argument("--protocol-mode", action="store_true")
     p_sync.add_argument("--trace", action="store_true", help="print per-iteration overlap")
     p_sync.set_defaults(func=cmd_sync)
@@ -77,10 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--sample-fraction", type=float, default=DEFAULT_SAMPLE_FRACTION)
     p_pipe.add_argument("--threshold", type=float, default=DEFAULT_QBER_THRESHOLD)
     p_pipe.add_argument("--protocol-mode", action="store_true")
-    p_pipe.add_argument("--digest-interval", type=int, default=100)
+    p_pipe.add_argument("--digest-interval", type=int, help="protocol-mode digest cadence (default: 100)")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     return parser
+
+
+def _digest_interval(args, default: int) -> int:
+    if args.digest_interval is not None and not args.protocol_mode:
+        raise ScenarioError("--digest-interval applies only with --protocol-mode")
+    return default if args.digest_interval is None else args.digest_interval
 
 
 def cmd_sync(args) -> int:
@@ -95,16 +101,13 @@ def cmd_sync(args) -> int:
     init_seed, aux_seed, sync_seed = machine_trial_seeds(args.seed, 0, params, 0)
     alice, bob = mode.machines(params, init_seed, aux_seed)
     config = SyncConfig(
-        params=params,
         max_iterations=args.budget,
-        digest_check_interval=args.digest_interval,
+        digest_check_interval=_digest_interval(args, 10),
         protocol_mode=args.protocol_mode,
-        record_overlap=True,
     )
-    transcript = synchronize_from_weights(alice, bob, config, sync_seed)
-    if args.trace and transcript.overlap_trace:
-        for iteration, overlap in transcript.overlap_trace:
-            print(f"{iteration}\t{overlap:.6f}")
+    transcript = synchronize_from_weights(alice, bob, config, sync_seed, record_overlap=args.trace)
+    for iteration, overlap in transcript.overlap_trace or ():
+        print(f"{iteration}\t{overlap:.6f}")
     print(
         f"converged={transcript.converged} iterations={transcript.iterations} "
         f"learning_steps={transcript.learning_steps} "
@@ -148,7 +151,7 @@ def cmd_pipeline(args) -> int:
         sample_fraction=args.sample_fraction,
         qber_threshold=args.threshold,
         protocol_mode=args.protocol_mode,
-        digest_check_interval=args.digest_interval,
+        digest_check_interval=_digest_interval(args, 100),
     )
     print(report.summary())
     return 0

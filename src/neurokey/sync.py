@@ -77,17 +77,15 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SyncConfig:
-    """Knobs for one synchronization session.
+    """How a synchronization session ends; the shape comes from the machines.
 
     ``max_iterations=None`` resolves to ten times the pilot-measured mean of
     random-start runs for the same shape (see resolve_iteration_budget).
     """
 
-    params: TpmParams
     max_iterations: int | None = None
     digest_check_interval: int = 10
     protocol_mode: bool = False
-    record_overlap: bool = False
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -210,27 +208,28 @@ def resolve_iteration_budget(params: TpmParams) -> int:
         pairs.append((Tpm.random(params, rng), Tpm.random(params, rng)))
         seeds.append(sync_seed)
     # a pilot that hits the cap counts at the cap
-    config = SyncConfig(params, max_iterations=_PILOT_CAP)
-    total = sum(t.iterations for t in synchronize_batch(pairs, config, seeds))
+    total = sum(t.iterations for t in synchronize_batch(pairs, SyncConfig(max_iterations=_PILOT_CAP), seeds))
     budget = max(1_000, 10 * total // _PILOTS)
     _budget_cache[params] = budget
     return budget
 
 
-def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig, seed: int) -> SyncTranscript:
+def synchronize_from_weights(
+    alice: Tpm, bob: Tpm, config: SyncConfig, seed: int, record_overlap: bool = False
+) -> SyncTranscript:
     """Run the mutual-learning loop on inputs from ``default_rng(seed)`` until
-    the machines coincide.
+    the machines coincide; ``record_overlap`` traces the party overlap per round.
 
     Both machines are updated in place; on convergence their weights are
     identical. Raises NonConvergenceError (with the partial transcript) when
     the budget runs out first.
     """
-    [transcript] = synchronize_batch([(alice, bob)], config, [seed])
+    [transcript] = synchronize_batch([(alice, bob)], config, [seed], record_overlap)
     if not transcript.converged:
         budget = transcript.iterations
         source = "explicit max_iterations=" if config.max_iterations else "pilot budget "
         raise NonConvergenceError(
-            f"no convergence within {budget} iterations ({source}{budget}) for {config.params}; "
+            f"no convergence within {budget} iterations ({source}{budget}) for {alice.params}; "
             f"final party overlap {float((alice.weights == bob.weights).mean()):.4f}",
             transcript,
         )
@@ -238,14 +237,16 @@ def synchronize_from_weights(alice: Tpm, bob: Tpm, config: SyncConfig, seed: int
 
 
 def synchronize_batch(
-    pairs: Sequence[tuple[Tpm, Tpm]], config: SyncConfig, seeds: Sequence[int]
+    pairs: Sequence[tuple[Tpm, Tpm]], config: SyncConfig, seeds: Sequence[int], record_overlap: bool = False
 ) -> list[SyncTranscript]:
-    """Synchronize independent machine pairs in lockstep under one config.
+    """Synchronize machine pairs of one shape in lockstep under one config.
 
     Pair i draws its inputs from ``default_rng(seeds[i])``, so its transcript
     and final weights equal those of ``synchronize_from_weights`` with
     ``seeds[i]``; machines are updated in place. A pair that exhausts the
-    budget gets a transcript with ``converged=False`` instead of an error.
+    budget gets a transcript with ``converged=False`` instead of an error. A
+    pair that retires converged with differing weights (a protocol-mode
+    digest collision) raises RuntimeError.
 
     The pairs are rows of one (T, 2, K, N) stack that ``_exchange_round``
     advances together, with an int8 buffer of 64 inputs per trial
@@ -256,12 +257,10 @@ def synchronize_batch(
     """
     if len(pairs) != len(seeds) or not pairs:
         raise ValueError("need one seed per machine pair, and at least one pair")
-    params = config.params
-    for alice, bob in pairs:
-        if alice.params != bob.params:
-            raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
-        if params != alice.params:
-            raise ValueError("config params do not match the machines")
+    params = pairs[0][0].params
+    other = next((m.params for pair in pairs for m in pair if m.params != params), None)
+    if other is not None:
+        raise ValueError(f"machine shapes differ: {params} vs {other}")
     budget = config.max_iterations or resolve_iteration_budget(params)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -272,9 +271,7 @@ def synchronize_batch(
     learning_steps = np.zeros(len(pairs), dtype=np.int64)  # before the chunk
     trial_of_row = np.arange(len(pairs))
     live = np.ones(len(pairs), dtype=bool)
-    traces: list[list[tuple[int, float]]] | None = (
-        [[] for _ in pairs] if config.record_overlap else None
-    )
+    traces: list[list[tuple[int, float]]] | None = [[] for _ in pairs] if record_overlap else None
     transcripts: list[SyncTranscript] = [None] * len(pairs)  # type: ignore[list-item]
 
     remaining = len(pairs)
@@ -301,6 +298,9 @@ def synchronize_batch(
         if len(retiring):
             for r in retiring:
                 trial = trial_of_row[r]
+                synced = converged is not None and bool(converged[r])
+                if synced and not np.array_equal(w[r, 0], w[r, 1]):  # a digest collision
+                    raise RuntimeError("converged run produced differing machines")
                 alice, bob = pairs[trial]
                 alice.weights[...] = w[r, 0]
                 bob.weights[...] = w[r, 1]
@@ -308,7 +308,7 @@ def synchronize_batch(
                     iterations=iterations,
                     learning_steps=int(learning_steps[r] + np.count_nonzero(agreed[r])),
                     digest_exchanges=digest_exchanges,
-                    converged=converged is not None and bool(converged[r]),
+                    converged=synced,
                     overlap_trace=None if traces is None else traces[trial],
                 )
             live[retiring] = False
@@ -363,16 +363,16 @@ def seed_initial_overlap(base: Tpm, overlap: float, seed: int) -> Tpm:
 
 
 def reconcile(
-    alice_key: BitKey, bob_key: BitKey, config: SyncConfig, seed: int
+    alice_key: BitKey, bob_key: BitKey, params: TpmParams, config: SyncConfig, seed: int
 ) -> tuple[BitKey, BitKey, SyncTranscript]:
     """Three-step reconciliation: keys to weights, synchronize, weights to keys.
 
-    The inputs come from ``default_rng(seed)``. Returns both parties' final
-    keys and the one public transcript; on convergence the keys are
-    bit-identical and have length K*N*b. Key bits beyond K*N*b are dropped
-    (the count is recorded on the transcript).
+    The machines have shape ``params`` (bit keys carry none), and the inputs
+    come from ``default_rng(seed)``. Returns both parties' final keys and the
+    one public transcript; on convergence the keys are bit-identical and have
+    length K*N*b. Key bits beyond K*N*b are dropped (the count is recorded on
+    the transcript).
     """
-    params = config.params
     alice = bits_to_weights(alice_key, params)
     bob = bits_to_weights(bob_key, params)
     dropped = alice_key.length - params.key_bits

@@ -76,7 +76,7 @@ def test_criterion_1_reconciliation_oracle_and_convergence():
     params = TpmParams(10, 25, 2)
     for trial in range(5):
         pair = generate_key_pair(params.key_bits, 0.05, seed=trial)
-        key_a, key_b, _ = reconcile(pair.alice, pair.bob, SyncConfig(params, max_iterations=10_000), trial)
+        key_a, key_b, _ = reconcile(pair.alice, pair.bob, params, SyncConfig(max_iterations=10_000), trial)
         assert key_a == key_b
     ok = converged == 1000 and elapsed < 120.0
     report(1, ok, f"convergence {converged}/1000, wall {elapsed:.1f}s (< 120s)")

@@ -15,14 +15,28 @@ def test_sync_success_exit_zero(capsys):
     assert "converged=True" in out
 
 
-def test_sync_trace_prints_overlaps(capsys):
+def sync_lines(capsys, *flags):
     code = main(
         ["sync", "--K", "3", "--N", "4", "--L", "2", "--seed", "5", "--budget", "50000",
-         "--overlap", "0.9", "--trace"]
+         "--overlap", "0.9", *flags]
     )
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) >= 1
+    *overlaps, summary = capsys.readouterr().out.splitlines()
+    iterations = int(re.search(r" iterations=(\d+) ", summary)[1])
+    assert summary.startswith("converged=True ") and iterations > 0
+    return overlaps, iterations
+
+
+def test_sync_trace_prints_overlaps(capsys):
+    overlaps, iterations = sync_lines(capsys, "--trace")
+    # one iteration<TAB>overlap line per round, in order, before the summary
+    assert [line.split("\t")[0] for line in overlaps] == [str(i) for i in range(1, iterations + 1)]
+    assert all(re.fullmatch(r"\d+\t[01]\.\d{6}", line) for line in overlaps)
+
+
+def test_sync_without_trace_prints_only_the_summary(capsys):
+    overlaps, _ = sync_lines(capsys)
+    assert overlaps == []
 
 
 def test_sync_non_convergence_exit_two(capsys):
@@ -57,6 +71,18 @@ def test_sync_replays_trial_zero_of_the_one_point_scenario(capsys, flags, mode, 
     (record,) = run_scenario(scenario)
     assert record.iterations > 0
     assert (int(printed[1]), int(printed[2])) == (record.iterations, record.learning_steps)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sync", "--K", "6", "--N", "8", "--digest-interval", "7"], ["pipeline", "--digest-interval", "5"]],
+    ids=["sync", "pipeline"],
+)
+def test_digest_interval_without_protocol_mode_is_a_config_error(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: --digest-interval applies only with --protocol-mode" in captured.err
 
 
 def test_bad_flag_value_exit_three():

@@ -42,7 +42,7 @@ class TestSynchronize:
     def test_identical_start_simulation_mode(self):
         alice, _ = fresh_pair(PARAMS, 1)
         twin = alice.copy()
-        transcript = synchronize_from_weights(alice, twin, SyncConfig(PARAMS, max_iterations=50), 2)
+        transcript = synchronize_from_weights(alice, twin, SyncConfig(max_iterations=50), 2)
         assert transcript.converged
         assert transcript.iterations == 0
         assert transcript.learning_steps == 0
@@ -50,7 +50,7 @@ class TestSynchronize:
     def test_identical_start_protocol_mode_takes_one_digest_interval(self):
         alice, _ = fresh_pair(PARAMS, 3)
         twin = alice.copy()
-        config = SyncConfig(PARAMS, max_iterations=200, protocol_mode=True, digest_check_interval=10)
+        config = SyncConfig(max_iterations=200, protocol_mode=True, digest_check_interval=10)
         transcript = synchronize_from_weights(alice, twin, config, 4)
         assert transcript.converged
         assert transcript.iterations == 10
@@ -59,14 +59,14 @@ class TestSynchronize:
 
     def test_converges_and_machines_end_identical(self):
         alice, bob = fresh_pair(PARAMS, 5)
-        transcript = synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=20_000), 6)
+        transcript = synchronize_from_weights(alice, bob, SyncConfig(max_iterations=20_000), 6)
         assert transcript.converged
         assert weight_overlap(alice, bob) == 1.0
         assert transcript.learning_steps <= transcript.iterations
 
     def test_protocol_mode_converges_and_counts_digests(self):
         alice, bob = fresh_pair(PARAMS, 7)
-        config = SyncConfig(PARAMS, max_iterations=20_000, protocol_mode=True)
+        config = SyncConfig(max_iterations=20_000, protocol_mode=True)
         transcript = synchronize_from_weights(alice, bob, config, 8)
         assert transcript.converged
         assert transcript.digest_exchanges >= 1
@@ -77,15 +77,15 @@ class TestSynchronize:
         results = []
         for _ in range(2):
             alice, bob = fresh_pair(PARAMS, 9)
-            config = SyncConfig(PARAMS, max_iterations=20_000, record_overlap=True)
-            results.append(synchronize_from_weights(alice, bob, config, 10).to_record())
+            config = SyncConfig(max_iterations=20_000)
+            results.append(synchronize_from_weights(alice, bob, config, 10, record_overlap=True).to_record())
         assert results[0] == results[1]
 
     def test_non_convergence_raises_with_partial_transcript(self):
         alice, bob = fresh_pair(PARAMS, 11)
         bob.weights[...] = np.clip(-alice.weights, -2, 2)
         with pytest.raises(NonConvergenceError) as excinfo:
-            synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=3), 12)
+            synchronize_from_weights(alice, bob, SyncConfig(max_iterations=3), 12)
         transcript = excinfo.value.transcript
         assert not transcript.converged
         assert transcript.iterations == 3
@@ -93,7 +93,7 @@ class TestSynchronize:
     def test_non_convergence_names_an_explicit_budget_and_the_overlap(self):
         alice, bob = fresh_pair(PARAMS, 11)
         with pytest.raises(NonConvergenceError) as excinfo:
-            synchronize_from_weights(alice, bob, SyncConfig(PARAMS, max_iterations=3), 12)
+            synchronize_from_weights(alice, bob, SyncConfig(max_iterations=3), 12)
         overlap = weight_overlap(alice, bob)
         assert "explicit max_iterations=3" in str(excinfo.value)
         assert f"final party overlap {overlap:.4f}" in str(excinfo.value)
@@ -104,7 +104,7 @@ class TestSynchronize:
         monkeypatch.setitem(sync._budget_cache, params, 4)
         alice, bob = fresh_pair(params, 14)
         with pytest.raises(NonConvergenceError) as excinfo:
-            synchronize_from_weights(alice, bob, SyncConfig(params), 15)
+            synchronize_from_weights(alice, bob, SyncConfig(), 15)
         assert "(pilot budget 4)" in str(excinfo.value)
         assert f"final party overlap {weight_overlap(alice, bob):.4f}" in str(excinfo.value)
         assert excinfo.value.transcript.iterations == 4
@@ -113,7 +113,7 @@ class TestSynchronize:
         alice, _ = fresh_pair(PARAMS, 13)
         other = Tpm.random(TpmParams(3, 6, 2), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            synchronize_from_weights(alice, other, SyncConfig(PARAMS, max_iterations=5), 1)
+            synchronize_from_weights(alice, other, SyncConfig(max_iterations=5), 1)
 
     @pytest.mark.parametrize(
         "override, message",
@@ -124,13 +124,22 @@ class TestSynchronize:
     )
     def test_out_of_range_config_values_are_rejected(self, override, message):
         with pytest.raises(ValueError) as info:
-            SyncConfig(PARAMS, **override)
+            SyncConfig(**override)
         assert str(info.value) == message
 
-    def test_batch_rejects_config_params_that_differ_from_the_machines(self):
-        alice, bob = fresh_pair(PARAMS, 13)
-        with pytest.raises(ValueError, match="config params do not match the machines"):
-            synchronize_batch([(alice, bob)], SyncConfig(TpmParams(3, 6, 2)), [1])
+    def test_batch_rejects_pairs_of_differing_shapes(self):
+        # the second pair agrees within itself but not with the first pair
+        pairs = [fresh_pair(PARAMS, 13), fresh_pair(TpmParams(3, 6, 2), 14)]
+        with pytest.raises(ValueError, match="machine shapes differ: .*K=4.* vs .*K=3"):
+            synchronize_batch(pairs, SyncConfig(max_iterations=5), [1, 2])
+
+    def test_digest_collision_raises_in_protocol_mode(self, monkeypatch):
+        # every digest collides, so protocol mode stops at the first check
+        monkeypatch.setattr(sync, "_weight_digest", lambda weights: b"")
+        alice, bob = fresh_pair(PARAMS, 19)
+        config = SyncConfig(max_iterations=200, protocol_mode=True, digest_check_interval=10)
+        with pytest.raises(RuntimeError, match="converged run produced differing machines"):
+            synchronize_from_weights(alice, bob, config, 20)
 
     def test_loop_matches_public_single_step_operations(self):
         # replay the first iterations manually with evaluate/hebbian_step and
@@ -138,7 +147,7 @@ class TestSynchronize:
         params = TpmParams(K=3, N=5, L=2)
         alice, bob = fresh_pair(params, 17)
         manual_a, manual_b = alice.copy(), bob.copy()
-        config = SyncConfig(params, max_iterations=40)
+        config = SyncConfig(max_iterations=40)
         try:
             synchronize_from_weights(alice, bob, config, 18)
         except NonConvergenceError:
@@ -162,8 +171,8 @@ class TestSynchronize:
         firsts, lasts = [], []
         for trial in range(40):
             alice, bob = fresh_pair(params, 100 + trial, overlap=0.8)
-            config = SyncConfig(params, max_iterations=20_000, record_overlap=True)
-            trace = synchronize_from_weights(alice, bob, config, 500 + trial).overlap_trace
+            config = SyncConfig(max_iterations=20_000)
+            trace = synchronize_from_weights(alice, bob, config, 500 + trial, record_overlap=True).overlap_trace
             values = [v for _, v in trace]
             quarter = max(1, len(values) // 4)
             firsts.append(np.mean(values[:quarter]))
@@ -176,11 +185,11 @@ class TestSynchronize:
         for trial in range(60):
             a1, b1 = fresh_pair(params, 1000 + trial)
             random_total += synchronize_from_weights(
-                a1, b1, SyncConfig(params, max_iterations=100_000), trial
+                a1, b1, SyncConfig(max_iterations=100_000), trial
             ).iterations
             a2, b2 = fresh_pair(params, 1000 + trial, overlap=0.95)
             overlap_total += synchronize_from_weights(
-                a2, b2, SyncConfig(params, max_iterations=100_000), trial
+                a2, b2, SyncConfig(max_iterations=100_000), trial
             ).iterations
         assert overlap_total < random_total
 
@@ -246,7 +255,7 @@ class TestReconcile:
         params = TpmParams(K=6, N=10, L=2)
         pair = generate_key_pair(params.key_bits, 0.05, seed=31)
         key_a, key_b, transcript = reconcile(
-            pair.alice, pair.bob, SyncConfig(params, max_iterations=50_000), 32
+            pair.alice, pair.bob, params, SyncConfig(max_iterations=50_000), 32
         )
         assert key_a == key_b
         assert key_a.length == params.key_bits
@@ -256,13 +265,13 @@ class TestReconcile:
         params = TpmParams(K=2, N=3, L=2)  # needs 18 bits
         rng = np.random.default_rng(33)
         key = BitKey.random(25, rng)
-        *_, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100), 34)
+        *_, transcript = reconcile(key, key, params, SyncConfig(max_iterations=100), 34)
         assert transcript.truncated_bits == 7
 
     def test_identical_keys_need_zero_learning(self):
         params = TpmParams(K=3, N=4, L=2)
         key = BitKey.random(params.key_bits, np.random.default_rng(35))
-        key_a, key_b, transcript = reconcile(key, key, SyncConfig(params, max_iterations=100), 36)
+        key_a, key_b, transcript = reconcile(key, key, params, SyncConfig(max_iterations=100), 36)
         assert transcript.iterations == 0
         assert key_a == key_b
 
@@ -270,7 +279,7 @@ class TestReconcile:
         params = TpmParams(K=10, N=30, L=2)  # keeps 900 of the 3000 bits
         pair = generate_key_pair(3000, 0.03, seed=37)
         with pytest.raises(NonConvergenceError) as excinfo:
-            reconcile(pair.alice, pair.bob, SyncConfig(params, max_iterations=1), 38)
+            reconcile(pair.alice, pair.bob, params, SyncConfig(max_iterations=1), 38)
         assert not excinfo.value.transcript.converged
         assert excinfo.value.transcript.truncated_bits == 2100
 
@@ -315,7 +324,6 @@ def protocol_transcript(K, N, seed, interval, budget):
     params = TpmParams(K=K, N=N, L=2)
     alice, bob = fresh_pair(params, 60 + seed)
     config = SyncConfig(
-        params,
         max_iterations=budget,
         protocol_mode=True,
         digest_check_interval=interval,
@@ -381,15 +389,13 @@ BATCH_PARAMS = TpmParams(K=4, N=6, L=2)
 BATCH_BUDGET = 120
 
 
-def batch_trials(start, count, protocol, interval, record):
+def batch_trials(start, count, protocol, interval):
     mode = StartMode.parse(start)
     seeds = [machine_trial_seeds(90, 0, BATCH_PARAMS, trial) for trial in range(count)]
     config = SyncConfig(
-        BATCH_PARAMS,
         max_iterations=BATCH_BUDGET,
         protocol_mode=protocol,
         digest_check_interval=interval,
-        record_overlap=record,
     )
     return mode, seeds, config
 
@@ -402,14 +408,14 @@ def batch_trials(start, count, protocol, interval, record):
 @pytest.mark.parametrize("count", [1, 2, 3, 7])
 @pytest.mark.parametrize("start", ["random", "overlap:0.95", "from_qber:0.05"])
 def test_batch_matches_the_batch_of_one(start, count, protocol, interval, record):
-    mode, seeds, config = batch_trials(start, count, protocol, interval, record)
+    mode, seeds, config = batch_trials(start, count, protocol, interval)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
-    transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
+    transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds], record)
     assert len(transcripts) == count
     for (alice, bob), transcript, (init_seed, aux_seed, sync_seed) in zip(pairs, transcripts, seeds):
         alone_a, alone_b = mode.machines(BATCH_PARAMS, init_seed, aux_seed)
         try:
-            alone = synchronize_from_weights(alone_a, alone_b, config, sync_seed)
+            alone = synchronize_from_weights(alone_a, alone_b, config, sync_seed, record)
         except NonConvergenceError as err:
             alone = err.transcript
             assert not transcript.converged and transcript.iterations == BATCH_BUDGET
@@ -421,7 +427,7 @@ def test_batch_matches_the_batch_of_one(start, count, protocol, interval, record
 
 def test_batch_retires_trials_mid_batch_and_at_the_budget():
     # random starts: two of seven converge, five reach the budget
-    mode, seeds, config = batch_trials("random", 7, False, 10, False)
+    mode, seeds, config = batch_trials("random", 7, False, 10)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
     transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
     converged = [t.iterations for t in transcripts if t.converged]
@@ -433,7 +439,7 @@ def test_batch_retires_trials_mid_batch_and_at_the_budget():
 
 
 def test_batch_needs_one_seed_per_pair():
-    mode, seeds, config = batch_trials("random", 2, False, 10, False)
+    mode, seeds, config = batch_trials("random", 2, False, 10)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
     sync_seeds = [sync_seed for *_, sync_seed in seeds]
     for bad_seeds in (sync_seeds[:1], sync_seeds * 2):
