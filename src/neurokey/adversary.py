@@ -10,7 +10,9 @@ Eve sees every input matrix and both public +/-1 outputs. Three strategies:
 
 The parties and all Eves are rows of one weight stack, advanced each round by
 the kernel of plain synchronization (``sync._exchange_round``); which Eves
-learn is a mask over the rows, not a per-Eve step.
+learn is a mask over the rows, not a per-Eve step. Every row that learns
+outputs the public bit, so all of them move by one masked add of the input
+times that bit, after a geometric Eve's flip of her weakest unit.
 
 The race watches for two events, and both are absorbing: once the parties'
 weights are equal they stay equal, and once an Eve's weights equal Alice's her

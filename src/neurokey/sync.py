@@ -27,15 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tpm import (
-    BitKey,
-    Tpm,
-    TpmParams,
-    _hebbian_inplace,
-    _signs,
-    bits_to_weights,
-    weights_to_bits,
-)
+from .tpm import BitKey, Tpm, TpmParams, bits_to_weights, weights_to_bits
 
 __all__ = [
     "DIGEST_BITS",
@@ -162,26 +154,46 @@ def _exchange_round(
     whose parties agree, those whose output is the public one, or under
     ``geometric`` all rows, each other one first flipping the sign of its
     unit with the smallest |local field| (the first on ties).
+
+    A unit's sign is -1 where its local field is <= 0, and a row's output is
+    -1 where an odd number of its signs are. A learning row outputs the
+    public tau, so its moving units are those whose sign is tau, and each
+    steps by x * tau before the clamp to [-bound, bound].
     """
     # one integer matmul (exact) costs less than a multiply and a sum here
     fields = np.matmul(w[..., None, :], x[..., None])[..., 0, 0]
-    sigma = _signs(fields)
-    taus = sigma.prod(axis=-1)
-    learn = taus == taus[..., :1]
-    agree = learn[..., 1]
-    if agree.ndim:  # a trial whose parties disagree learns nothing
+    negative = fields <= 0
+    odd = np.logical_xor.reduce(negative, axis=-1)
+    public = odd[..., :1]
+    learn = odd == public
+    if learn.ndim == 1:  # no trial axis: tau is one scalar, so one masked add or subtract
+        if not learn[1]:
+            return None
+        if geometric and not learn.all():
+            for row in np.flatnonzero(~learn):
+                unit = np.abs(fields[row]).argmin()
+                negative[row, unit] = not negative[row, unit]
+            learn[...] = True
+        moving = negative == public[0]
+        moving &= learn[:, None]
+        (np.subtract if public[0] else np.add)(w, x, out=w, where=moving[..., None])
+    else:
+        agree = learn[..., 1]  # a trial whose parties disagree learns nothing
         if not np.count_nonzero(agree):
             return None
         learn &= agree[..., None]
-    elif not agree:
-        return None
-    if geometric and not learn.all():
-        rows = np.nonzero(~learn & agree[..., None])
-        sigma[rows + (np.abs(fields[rows]).argmin(axis=-1),)] *= -1
-        taus[rows] = taus[rows[:-1]][..., 0]
-        learn[rows] = True
-    # a row with tau 0 has no unit whose sign equals it, so it stays put
-    _hebbian_inplace(w, x, sigma, (taus * learn)[..., None], bound)
+        if geometric and not learn.all():
+            rows = np.nonzero(~learn & agree[..., None])
+            negative[rows + (np.abs(fields[rows]).argmin(axis=-1),)] ^= True
+            learn[rows] = True
+        moving = negative == public[..., None]
+        moving &= learn[..., None]
+        step = moving.view(np.int8)  # +1 on moving units, negated where tau is -1
+        np.negative(step, out=step, where=public[..., None])
+        w += x * step[..., None]
+    # np.clip's Python wrapper costs more than the clamp itself at these sizes
+    np.minimum(w, bound, out=w)
+    np.maximum(w, -bound, out=w)
     return learn
 
 

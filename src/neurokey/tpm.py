@@ -177,37 +177,15 @@ def random_input(params: TpmParams, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=(params.K, params.N), dtype=np.int32) * 2 - 1
 
 
-def _signs(local_fields: np.ndarray) -> np.ndarray:
-    # zero counts as negative: 2h - 1 is odd, so never zero
-    return np.sign(local_fields * 2 - 1)
-
-
 def evaluate(tpm: Tpm, entries: np.ndarray) -> TpmEvaluation:
     """Run the forward pass: per-unit sign of the local field, then the product.
 
     A zero local field yields -1.
     """
     x = _validate_input(tpm.params, entries)
-    sigma = _signs((tpm.weights * x).sum(axis=1))
+    # zero counts as negative: 2h - 1 is odd, so never zero
+    sigma = np.sign((tpm.weights * x).sum(axis=1) * 2 - 1)
     return TpmEvaluation(sigma=sigma, tau=int(sigma.prod()))
-
-
-def _hebbian_inplace(
-    weights: np.ndarray,
-    x: np.ndarray,
-    sigma: np.ndarray,
-    tau: "int | np.ndarray",
-    bound: int,
-) -> None:
-    """Add x*sigma on rows whose sign equals tau, then clamp to [-bound, bound].
-
-    Broadcasts over a leading machine axis when weights is stacked.
-    """
-    active = sigma == tau
-    weights += x * (sigma * active)[..., None]
-    # np.clip's Python wrapper costs more than the clamp itself at these sizes
-    np.minimum(weights, bound, out=weights)
-    np.maximum(weights, -bound, out=weights)
 
 
 def hebbian_step(
@@ -227,10 +205,9 @@ def hebbian_step(
         raise ValueError(f"partner_tau must be -1 or +1, got {partner_tau!r}")
     if int(own_eval.tau) != int(partner_tau):
         raise ValueError("outputs disagree; the learning step must be skipped")
-    new = tpm.weights.copy()
     sigma = np.asarray(own_eval.sigma, dtype=np.int32)
-    _hebbian_inplace(new, x, sigma, int(own_eval.tau), tpm.params.L)
-    return Tpm(tpm.params, new)
+    step = x * (sigma * (sigma == partner_tau))[:, None]
+    return Tpm(tpm.params, np.clip(tpm.weights + step, -tpm.params.L, tpm.params.L))
 
 
 def bits_to_weights(key: BitKey, params: TpmParams) -> Tpm:

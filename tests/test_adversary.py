@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -358,73 +359,121 @@ def test_untraced_race_finds_events_at_interval_boundaries(case):
 # the stacked exchange kernel against the reference evaluate/hebbian_step
 
 
-def oracle_round(machines, x, geometric):
+def oracle_round(machines, x, geometric, seen=None):
     """One public round machine by machine: parties first, then each Eve.
-    Returns the new machines and which of them learned (None if nobody)."""
+    Returns the new machines and which of them learned (None if nobody).
+
+    ``seen``, a Counter, gets one count per kind of edge case the round hit:
+    a zero local field, a geometric flip with a tie for the smallest
+    |local field|, and a weight clamped at +/-L."""
+    hits = set()
+    if any(((m.weights * x).sum(axis=1) == 0).any() for m in machines):
+        hits.add("zero field")
     alice, bob = machines[:2]
     ea, eb = evaluate(alice, x), evaluate(bob, x)
-    if ea.tau != eb.tau:
-        return machines, None
-    moved = [hebbian_step(alice, x, ea, eb.tau), hebbian_step(bob, x, eb, ea.tau)]
-    learned = [True, True]
-    for eve in machines[2:]:
-        own = evaluate(eve, x)
-        if own.tau != ea.tau and geometric:
-            # flip the hidden unit with the weakest local field by hand
-            fields = (eve.weights * x).sum(axis=1)
-            sigma = own.sigma.copy()
-            weakest = int(np.argmin(np.abs(fields)))
-            sigma[weakest] = -sigma[weakest]
-            own = TpmEvaluation(sigma, ea.tau)
-        if own.tau == ea.tau:
-            moved.append(hebbian_step(eve, x, own, ea.tau))
-            learned.append(True)
-        else:
-            moved.append(eve)
-            learned.append(False)
+    moved, learned = list(machines), None
+    if ea.tau == eb.tau:
+        moved, learned = [], []
+        for machine in machines:
+            own = evaluate(machine, x)
+            if own.tau != ea.tau and geometric:
+                # flip the hidden unit with the weakest local field by hand
+                strength = np.abs((machine.weights * x).sum(axis=1))
+                sigma = own.sigma.copy()
+                weakest = int(np.argmin(strength))
+                sigma[weakest] = -sigma[weakest]
+                own = TpmEvaluation(sigma, ea.tau)
+                if np.count_nonzero(strength == strength[weakest]) > 1:
+                    hits.add("tie")
+            if own.tau == ea.tau:
+                new = hebbian_step(machine, x, own, ea.tau)
+                # an unclamped step moves all N weights of each unit whose sign is tau
+                moved_weights = np.count_nonzero(new.weights != machine.weights)
+                if moved_weights < x.shape[1] * np.count_nonzero(own.sigma == ea.tau):
+                    hits.add("clamp")
+                moved.append(new)
+                learned.append(True)
+            else:
+                moved.append(machine)
+                learned.append(False)
+    if seen is not None:
+        seen.update(hits)
     return moved, learned
+
+
+def random_inputs(rng, shape, dtype):
+    return (rng.integers(0, 2, size=shape, dtype=np.int32) * 2 - 1).astype(dtype)
+
+
+def check_lone_round(w, machines, x, geometric, seen):
+    """The kernel with no trial axis against the oracle on one round."""
+    before = w.copy()
+    learn = _exchange_round(w, x, machines[0].params.L, geometric)
+    machines, learned = oracle_round(machines, x, geometric, seen)
+    if learned is None:
+        assert learn is None
+        assert np.array_equal(w, before)
+    else:
+        assert learn.tolist() == learned
+    assert np.array_equal(w, np.stack([m.weights for m in machines]))
+    return machines, learned is None
+
+
+def check_batch_round(stack, trials, x, geometric, seen):
+    """The kernel on a trial stack against the oracle, trial by trial; a
+    trial whose parties disagree learns nothing."""
+    learn = _exchange_round(stack, x, trials[0][0].params.L, geometric)
+    outcomes = [oracle_round(machines, x[t, 0], geometric, seen) for t, machines in enumerate(trials)]
+    trials = [machines for machines, _ in outcomes]
+    learned = [flags for _, flags in outcomes]
+    if all(flags is None for flags in learned):
+        assert learn is None
+    else:
+        assert learn.tolist() == [flags or [False] * len(trials[0]) for flags in learned]
+    assert np.array_equal(stack, np.stack([[m.weights for m in machines] for machines in trials]))
+    return trials, learned
 
 
 @pytest.mark.parametrize("geometric", [False, True])
 def test_exchange_round_matches_the_oracle_round_by_round(geometric):
-    params = TpmParams(K=3, N=4, L=2)
     rng = np.random.default_rng(31 + geometric)
-    machines = [Tpm.random(params, rng) for _ in range(7)]
-    w = np.stack([m.weights for m in machines])
-    silent = 0
-    for _ in range(300):
-        x = rng.integers(0, 2, size=(params.K, params.N), dtype=np.int32) * 2 - 1
-        before = w.copy()
-        learn = _exchange_round(w, x, params.L, geometric)
-        machines, learned = oracle_round(machines, x, geometric)
-        if learned is None:
-            silent += 1
-            assert learn is None
-            assert np.array_equal(w, before)
-        else:
-            assert learn.tolist() == learned
-        assert np.array_equal(w, np.stack([m.weights for m in machines]))
-    assert silent > 0
+    lone_seen, batch_seen = collections.Counter(), collections.Counter()
+    silent = all_silent = mixed = 0
+    for L in (1, 2, 3):
+        params = TpmParams(K=3, N=4, L=L)
+        # no trial axis: 7 rows on int32 inputs, as a 5-machine ensemble race
+        # passes them, and the parties with one Eve on int8 inputs, the shape
+        # of a geometric race and (less the Eve) of a lone batch trial
+        for rows, dtype in ((7, np.int32), (3, np.int8)):
+            machines = [Tpm.random(params, rng) for _ in range(rows)]
+            w = np.stack([m.weights for m in machines])
+            for _ in range(300):
+                x = random_inputs(rng, (params.K, params.N), dtype)
+                machines, quiet = check_lone_round(w, machines, x, geometric, lone_seen)
+                silent += quiet
 
-    # the same kernel on a 3-trial stack, each trial with its own input,
-    # checked trial by trial; a trial whose parties disagree learns nothing
-    trials = [[Tpm.random(params, rng) for _ in range(7)] for _ in range(3)]
-    stack = np.stack([[m.weights for m in machines] for machines in trials])
-    all_silent = mixed = 0
-    for _ in range(300):
-        x = (rng.integers(0, 2, size=(3, 1, params.K, params.N), dtype=np.int32) * 2 - 1).astype(np.int8)
-        learn = _exchange_round(stack, x, params.L, geometric)
-        outcomes = [oracle_round(machines, x[t, 0], geometric) for t, machines in enumerate(trials)]
-        trials = [machines for machines, _ in outcomes]
-        learned = [flags for _, flags in outcomes]
-        if all(flags is None for flags in learned):
-            all_silent += 1
-            assert learn is None
-        else:
-            mixed += None in learned
-            assert learn.tolist() == [flags or [False] * 7 for flags in learned]
-        assert np.array_equal(stack, np.stack([[m.weights for m in machines] for machines in trials]))
-    assert all_silent > 0 and mixed > 0
+        # a 3-trial stack of 7 rows each, each trial with its own int8 input
+        trials = [[Tpm.random(params, rng) for _ in range(7)] for _ in range(3)]
+        stack = np.stack([[m.weights for m in machines] for machines in trials])
+        for _ in range(300):
+            x = random_inputs(rng, (3, 1, params.K, params.N), np.int8)
+            trials, learned = check_batch_round(stack, trials, x, geometric, batch_seen)
+            all_silent += all(flags is None for flags in learned)
+            mixed += None in learned and not all(flags is None for flags in learned)
+    assert silent > 0 and all_silent > 0 and mixed > 0
+
+    # every weight at +L and every input +1 at N=64: each local field is
+    # 128, beyond the int8 range of the inputs, and must still count as positive
+    params = TpmParams(K=3, N=64, L=2)
+    machines = [Tpm(params, np.full((params.K, params.N), params.L)) for _ in range(3)]
+    x = np.ones((params.K, params.N), dtype=np.int8)
+    check_lone_round(np.stack([m.weights for m in machines]), machines, x, geometric, lone_seen)
+    stack = np.stack([[m.weights for m in machines]] * 2)
+    check_batch_round(stack, [machines] * 2, np.stack([[x]] * 2), geometric, batch_seen)
+
+    edge_cases = ("zero field", "clamp", "tie") if geometric else ("zero field", "clamp")
+    for seen in (lone_seen, batch_seen):
+        assert all(seen[case] > 0 for case in edge_cases), seen
 
 
 @pytest.mark.parametrize("strategy", ["passive", "geometric"])
