@@ -8,20 +8,20 @@ Eve sees every input matrix and both public +/-1 outputs. Three strategies:
   unit with the smallest absolute local field and learns anyway.
 * ensemble: several independent passive machines; the best one counts.
 
-The parties and all Eves are rows of one weight stack, advanced each round by
-the kernel of plain synchronization (``sync._exchange_round``); which Eves
-learn is a mask over the rows, not a per-Eve step. Every row that learns
-outputs the public bit, so all of them move by one masked add of the input
-times that bit, after a geometric Eve's flip of her weakest unit.
+The parties and all Eves are rows of one weight stack, advanced by the kernel
+of plain synchronization (``sync._exchange_rounds``); which Eves learn is a
+mask over the rows, not a per-Eve step. Every row that learns outputs the
+public bit, so all of them move by one masked add of the input times that
+bit, after a geometric Eve's flip of her weakest unit.
 
 The race watches for two events, and both are absorbing: once the parties'
 weights are equal they stay equal, and once an Eve's weights equal Alice's her
 output is always the public one, so she makes Alice's exact update or nobody
-learns. An untraced race therefore runs ``_CHECK_INTERVAL`` rounds unchecked
-and then compares every row with Alice's once. Only when that finds a new
-event does it restore the weights and counts saved at the start of the
-interval and replay it round by round, checking each round as a traced race
-does, so the round each event happens on is the same either way.
+learns. An untraced race therefore runs ``_CHECK_INTERVAL`` rounds unchecked,
+in one kernel call, and then compares every row with Alice's once. Only when
+that finds a new event does it restore the weights and counts saved at the
+start of the interval and replay it round by round, checking each round as a
+traced race does, so the round each event happens on is the same either way.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .sync import (
     SyncTranscript,
     _INPUT_CHUNK,
     _draw_inputs,
-    _exchange_round,
+    _exchange_rounds,
     leakage_after,
     seed_initial_overlap,
 )
@@ -136,6 +136,7 @@ def run_attack(
 
     iterations = 0
     learning = np.zeros(len(w), dtype=np.int64)  # per row; the parties learn on every agreed round
+    learned = np.empty((_CHECK_INTERVAL, len(w)), dtype=bool)  # per round of an interval
     ab_converged_at = 0  # the round the parties first coincide; 0 until then
     ab_learning_at = 0
     overlap_at_convergence = -1.0
@@ -152,21 +153,18 @@ def run_attack(
         xs = chunk[slot : slot + min(_CHECK_INTERVAL, attack.iteration_budget - iterations)]
         if trace is None:
             saved_w, saved_learning = w.copy(), learning.copy()
-            for x in xs:
-                learn = _exchange_round(w, x, params.L, geometric)
-                if learn is not None:
-                    learning += learn
+            _exchange_rounds(w, xs, params.L, learned, geometric)
+            learning += learned[: len(xs)].sum(axis=0)
             equal = (flat == flat[0]).all(axis=1)
             if not equal[2:].any() and (ab_converged_at or not equal[1]):
                 iterations += len(xs)
                 continue
             # an event happened in this interval: replay it round by round
             w[...], learning[...] = saved_w, saved_learning
-        for x in xs:
+        for i in range(len(xs)):
             iterations += 1
-            learn = _exchange_round(w, x, params.L, geometric)
-            if learn is not None:
-                learning += learn
+            _exchange_rounds(w, xs[i : i + 1], params.L, learned, geometric)
+            learning += learned[0]
             if not ab_converged_at and np.array_equal(w[0], w[1]):
                 ab_converged_at, ab_learning_at = iterations, int(learning[0])
                 overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())

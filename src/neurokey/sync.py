@@ -141,60 +141,98 @@ def _weight_digest(weights: np.ndarray) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_BITS // 8).digest()
 
 
-def _exchange_round(
-    w: np.ndarray, x: np.ndarray, bound: int, geometric: bool = False
-) -> np.ndarray | None:
-    """One public round, in place, on a stack ``w`` shaped (..., 2 + E, K, N):
-    per trial, the parties in rows 0 and 1, then E eavesdroppers, all seeing
-    the trial's input ``x``, shaped (..., 1, K, N) or, with no trial axis,
-    (K, N).
+def _exchange_rounds(
+    w: np.ndarray,
+    xs: np.ndarray,
+    bound: int,
+    learned: np.ndarray,
+    geometric: bool = False,
+    stop_above: int | None = None,
+) -> int:
+    """Public rounds, in place, one per input of ``xs``, on one of two stacks:
+    a lone stack ``w`` shaped (2 + E, K, N), the parties in rows 0 and 1 and
+    then E eavesdroppers, with inputs (n, K, N); or a parties-only trial
+    stack (T, 2, K, N), each trial with its own inputs, (n, T, 1, K, N).
 
-    Returns None, and nobody learns, when the parties' outputs differ in every
-    trial. Else returns the mask (..., 2 + E) of rows that learned: in trials
-    whose parties agree, those whose output is the public one, or under
-    ``geometric`` all rows, each other one first flipping the sign of its
-    unit with the smallest |local field| (the first on ties).
+    ``learned[i]`` receives round i's mask of the rows that learned, shaped
+    (2 + E) or (T, 2). It is all False, as nobody learns, where the parties'
+    outputs differ (in a trial). Else it holds the rows whose output is the
+    public one, or in a lone stack under ``geometric`` all rows, each other
+    one first flipping the sign of its unit with the smallest |local field|
+    (the first on ties).
+
+    With ``stop_above=k`` the block ends right after the first round in
+    which more than k party pairs are equal. Returns the rounds run.
 
     A unit's sign is -1 where its local field is <= 0, and a row's output is
     -1 where an odd number of its signs are. A learning row outputs the
     public tau, so its moving units are those whose sign is tau, and each
     steps by x * tau before the clamp to [-bound, bound].
     """
-    # one integer matmul (exact) costs less than a multiply and a sum here
-    fields = np.matmul(w[..., None, :], x[..., None])[..., 0, 0]
-    negative = fields <= 0
-    odd = np.logical_xor.reduce(negative, axis=-1)
-    public = odd[..., :1]
-    learn = odd == public
-    if learn.ndim == 1:  # no trial axis: tau is one scalar, so one masked add or subtract
-        if not learn[1]:
-            return None
-        if geometric and not learn.all():
-            for row in np.flatnonzero(~learn):
-                unit = np.abs(fields[row]).argmin()
-                negative[row, unit] = not negative[row, unit]
-            learn[...] = True
-        moving = negative == public[0]
-        moving &= learn[:, None]
-        (np.subtract if public[0] else np.add)(w, x, out=w, where=moving[..., None])
-    else:
-        agree = learn[..., 1]  # a trial whose parties disagree learns nothing
-        if not np.count_nonzero(agree):
-            return None
-        learn &= agree[..., None]
-        if geometric and not learn.all():
-            rows = np.nonzero(~learn & agree[..., None])
-            negative[rows + (np.abs(fields[rows]).argmin(axis=-1),)] ^= True
-            learn[rows] = True
-        moving = negative == public[..., None]
-        moving &= learn[..., None]
+    # views, scratch buffers and ufuncs are set up once per block, and each
+    # round's ufuncs write into them
+    matmul, less_equal, equal, logical_and = np.matmul, np.less_equal, np.equal, np.logical_and
+    xor_reduce, count_nonzero, minimum, maximum = np.logical_xor.reduce, np.count_nonzero, np.minimum, np.maximum
+    upper, lower = np.array(bound, dtype=w.dtype), np.array(-bound, dtype=w.dtype)
+    rows = w[..., None, :]
+    fields = np.empty(w.shape[:-1] + (1, 1), dtype=w.dtype)
+    field = fields[..., 0, 0]
+    negative = np.empty(w.shape[:-1], dtype=bool)
+    moving = np.empty_like(negative)
+    odd = np.empty(w.shape[:-2], dtype=bool)
+    public = odd[..., :1, None]  # broadcasts over each row's units
+    if stop_above is not None:
+        alice, bob = w[..., 0, :, :], w[..., 1, :, :]
+        differ = np.empty(alice.shape, dtype=bool)
+        differs = np.empty(w.shape[:-3], dtype=bool)
+    lone = w.ndim == 3
+    if lone:  # tau is one scalar, so one masked add or subtract
+        move = moving[..., None]
+    else:  # a trial's learn mask is its parties' agreement, twice
+        partner = odd[..., ::-1]
         step = moving.view(np.int8)  # +1 on moving units, negated where tau is -1
-        np.negative(step, out=step, where=public[..., None])
-        w += x * step[..., None]
-    # np.clip's Python wrapper costs more than the clamp itself at these sizes
-    np.minimum(w, bound, out=w)
-    np.maximum(w, -bound, out=w)
-    return learn
+        steps = step[..., None]
+        delta = np.empty(w.shape, dtype=np.int8)
+    for i, (x, column, learn, learn_units) in enumerate(zip(xs, xs[..., None], learned, learned[..., None])):
+        # one integer matmul (exact) costs less than a multiply and a sum here
+        matmul(rows, column, out=fields)
+        less_equal(field, 0, out=negative)
+        xor_reduce(negative, axis=-1, out=odd)
+        if lone:
+            equal(odd, odd[0], out=learn)
+            if not learn[1]:
+                learn[...] = False
+                continue
+            if geometric and not learn.all():
+                for row in np.flatnonzero(~learn):
+                    unit = np.abs(field[row]).argmin()
+                    negative[row, unit] = not negative[row, unit]
+                learn[...] = True
+            equal(negative, public, out=moving)
+            logical_and(moving, learn_units, out=moving)
+            (np.subtract if odd[0] else np.add)(w, x, out=w, where=move)
+        else:
+            equal(odd, partner, out=learn)
+            if not count_nonzero(learn):
+                continue
+            equal(negative, public, out=moving)
+            logical_and(moving, learn_units, out=moving)
+            np.negative(step, out=step, where=public)
+            np.multiply(x, steps, out=delta)
+            np.add(w, delta, out=w)
+        # np.clip's Python wrapper costs more than the clamp itself at these sizes
+        minimum(w, upper, out=w)
+        maximum(w, lower, out=w)
+        if stop_above is not None:
+            np.not_equal(alice, bob, out=differ)
+            if lone:
+                coincided = not count_nonzero(differ)
+            else:
+                np.logical_or.reduce(differ, axis=(-2, -1), out=differs)
+                coincided = len(differs) - count_nonzero(differs)
+            if coincided > stop_above:
+                return i + 1
+    return len(xs)
 
 
 def _draw_inputs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -260,10 +298,17 @@ def synchronize_batch(
     pair that retires converged with differing weights (a protocol-mode
     digest collision) raises RuntimeError.
 
-    The pairs are rows of one (T, 2, K, N) stack that ``_exchange_round``
-    advances together, with an int8 buffer of 64 inputs per trial
-    (T * 64 * K * N bytes) refilled at the same round for every trial. A
-    trial retires when it converges or reaches the budget; retired rows run
+    The pairs are rows of one (T, 2, K, N) stack, with an int8 buffer of 64
+    inputs per trial (T * 64 * K * N bytes) refilled at the same round for
+    every trial. ``_exchange_rounds`` advances the stack a block of rounds
+    per call, up to the next round the loop acts on: the end of the input
+    chunk, the budget or, in protocol mode, the next digest round; a traced
+    run takes blocks of one round. Each call allocates its scratch buffers
+    once, the largest an int8 delta of T * 2 * K * N bytes. In simulation
+    mode a block also stops right after the round in which a live pair
+    coincides, so that pair retires at that round.
+
+    A trial retires when it converges or reaches the budget; retired rows run
     on unread until fewer than half the rows are live, and then the stack,
     buffer and row ids are compacted.
     """
@@ -277,9 +322,9 @@ def synchronize_batch(
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     w = np.array([(alice.weights, bob.weights) for alice, bob in pairs], dtype=np.int32)
-    inputs = np.empty((len(pairs), _INPUT_CHUNK, 1, params.K, params.N), dtype=np.int8)
-    # whether a trial's parties agreed, per round of the current input chunk
-    agreed = np.zeros((len(pairs), _INPUT_CHUNK), dtype=bool)
+    inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=np.int8)
+    # which rows learned, per round of the current input chunk
+    learned = np.zeros((_INPUT_CHUNK, len(pairs), 2), dtype=bool)
     learning_steps = np.zeros(len(pairs), dtype=np.int64)  # before the chunk
     trial_of_row = np.arange(len(pairs))
     live = np.ones(len(pairs), dtype=bool)
@@ -289,16 +334,16 @@ def synchronize_batch(
     remaining = len(pairs)
     iterations = 0
     digest_exchanges = 0  # every live trial checks digests at the same rounds
-    learned = True  # after a round nobody learned in, no new pair coincides
+    interval = config.digest_check_interval
     while True:
         converged = None
         if config.protocol_mode:
-            if iterations and iterations % config.digest_check_interval == 0:
+            if iterations and iterations % interval == 0:
                 digest_exchanges += 1
                 converged = np.zeros(len(w), dtype=bool)
                 for r in live.nonzero()[0]:
                     converged[r] = _weight_digest(w[r, 0]) == _weight_digest(w[r, 1])
-        elif learned:
+        else:
             # a pair that retired converged stays equal, so a count above
             # theirs means some live pair has just coincided
             flat = w.reshape(len(w), 2, -1)
@@ -318,7 +363,7 @@ def synchronize_batch(
                 bob.weights[...] = w[r, 1]
                 transcripts[trial] = SyncTranscript(
                     iterations=iterations,
-                    learning_steps=int(learning_steps[r] + np.count_nonzero(agreed[r])),
+                    learning_steps=int(learning_steps[r] + np.count_nonzero(learned[:, r, 0])),
                     digest_exchanges=digest_exchanges,
                     converged=synced,
                     overlap_trace=None if traces is None else traces[trial],
@@ -328,24 +373,31 @@ def synchronize_batch(
             if not remaining:
                 return transcripts
             if 2 * remaining < len(w):
-                w, inputs, agreed = w[live], inputs[live], agreed[live]
+                w, inputs, learned = w[live], inputs[:, live], learned[:, live]
                 trial_of_row, learning_steps = trial_of_row[live], learning_steps[live]
                 live = live[live]
 
         slot = iterations % _INPUT_CHUNK
         if slot == 0:
-            learning_steps += agreed.sum(axis=1)
-            agreed[...] = False
+            learning_steps += learned[..., 0].sum(axis=0)
+            learned[...] = False
             for r in live.nonzero()[0]:
-                inputs[r, :, 0] = _draw_inputs(rngs[trial_of_row[r]], (params.K, params.N))
-        iterations += 1
-        if len(w) == 1:  # a lone trial skips the cost of the trial axis
-            learn = _exchange_round(w[0], inputs[0, slot, 0], params.L)
+                inputs[:, r, 0] = _draw_inputs(rngs[trial_of_row[r]], (params.K, params.N))
+        # a block runs to the next round the loop acts on: the chunk's end,
+        # the budget or a digest round, or with a trace the next round
+        if traces is not None:
+            end = slot + 1
         else:
-            learn = _exchange_round(w, inputs[:, slot], params.L)
-        learned = learn is not None
-        if learned:
-            agreed[:, slot] = learn[..., 0]
+            end = min(_INPUT_CHUNK, slot + budget - iterations)
+            if config.protocol_mode:
+                end = min(end, slot + interval - iterations % interval)
+        # a simulation block also stops when a live pair coincides
+        stop = None if config.protocol_mode else len(w) - remaining
+        if len(w) == 1:  # a lone trial skips the cost of the trial axis
+            stack, xs, masks = w[0], inputs[slot:end, 0, 0], learned[slot:end, 0]
+        else:
+            stack, xs, masks = w, inputs[slot:end], learned[slot:end]
+        iterations += _exchange_rounds(stack, xs, params.L, masks, stop_above=stop)
         if traces is not None:
             overlaps = (w[:, 0] == w[:, 1]).mean(axis=(1, 2))
             for r in live.nonzero()[0]:

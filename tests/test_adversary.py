@@ -11,7 +11,7 @@ import pytest
 from neurokey import harness
 from neurokey.adversary import AttackConfig, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
-from neurokey.sync import _draw_inputs, _exchange_round, seed_initial_overlap
+from neurokey.sync import _draw_inputs, _exchange_rounds, seed_initial_overlap
 from neurokey.tpm import (
     Tpm,
     TpmEvaluation,
@@ -406,30 +406,29 @@ def random_inputs(rng, shape, dtype):
 
 
 def check_lone_round(w, machines, x, geometric, seen):
-    """The kernel with no trial axis against the oracle on one round."""
+    """The kernel on a lone stack, one round, against the oracle."""
     before = w.copy()
-    learn = _exchange_round(w, x, machines[0].params.L, geometric)
+    learn = np.empty((1, len(w)), dtype=bool)
+    assert _exchange_rounds(w, x[None], machines[0].params.L, learn, geometric) == 1
     machines, learned = oracle_round(machines, x, geometric, seen)
     if learned is None:
-        assert learn is None
+        assert not learn.any()
         assert np.array_equal(w, before)
     else:
-        assert learn.tolist() == learned
+        assert learn[0].tolist() == learned
     assert np.array_equal(w, np.stack([m.weights for m in machines]))
     return machines, learned is None
 
 
-def check_batch_round(stack, trials, x, geometric, seen):
-    """The kernel on a trial stack against the oracle, trial by trial; a
-    trial whose parties disagree learns nothing."""
-    learn = _exchange_round(stack, x, trials[0][0].params.L, geometric)
-    outcomes = [oracle_round(machines, x[t, 0], geometric, seen) for t, machines in enumerate(trials)]
+def check_batch_round(stack, trials, x, seen):
+    """The kernel on a parties-only trial stack, one round, against the
+    oracle trial by trial; a trial whose parties disagree learns nothing."""
+    learn = np.empty((1,) + stack.shape[:2], dtype=bool)
+    assert _exchange_rounds(stack, x[None], trials[0][0].params.L, learn) == 1
+    outcomes = [oracle_round(machines, x[t, 0], False, seen) for t, machines in enumerate(trials)]
     trials = [machines for machines, _ in outcomes]
     learned = [flags for _, flags in outcomes]
-    if all(flags is None for flags in learned):
-        assert learn is None
-    else:
-        assert learn.tolist() == [flags or [False] * len(trials[0]) for flags in learned]
+    assert learn[0].tolist() == [flags or [False] * len(trials[0]) for flags in learned]
     assert np.array_equal(stack, np.stack([[m.weights for m in machines] for machines in trials]))
     return trials, learned
 
@@ -441,7 +440,7 @@ def test_exchange_round_matches_the_oracle_round_by_round(geometric):
     silent = all_silent = mixed = 0
     for L in (1, 2, 3):
         params = TpmParams(K=3, N=4, L=L)
-        # no trial axis: 7 rows on int32 inputs, as a 5-machine ensemble race
+        # a lone stack: 7 rows on int32 inputs, as a 5-machine ensemble race
         # passes them, and the parties with one Eve on int8 inputs, the shape
         # of a geometric race and (less the Eve) of a lone batch trial
         for rows, dtype in ((7, np.int32), (3, np.int8)):
@@ -452,12 +451,12 @@ def test_exchange_round_matches_the_oracle_round_by_round(geometric):
                 machines, quiet = check_lone_round(w, machines, x, geometric, lone_seen)
                 silent += quiet
 
-        # a 3-trial stack of 7 rows each, each trial with its own int8 input
-        trials = [[Tpm.random(params, rng) for _ in range(7)] for _ in range(3)]
+        # a 3-trial stack of the parties only, each trial with its own int8 input
+        trials = [[Tpm.random(params, rng) for _ in range(2)] for _ in range(3)]
         stack = np.stack([[m.weights for m in machines] for machines in trials])
         for _ in range(300):
             x = random_inputs(rng, (3, 1, params.K, params.N), np.int8)
-            trials, learned = check_batch_round(stack, trials, x, geometric, batch_seen)
+            trials, learned = check_batch_round(stack, trials, x, batch_seen)
             all_silent += all(flags is None for flags in learned)
             mixed += None in learned and not all(flags is None for flags in learned)
     assert silent > 0 and all_silent > 0 and mixed > 0
@@ -468,12 +467,13 @@ def test_exchange_round_matches_the_oracle_round_by_round(geometric):
     machines = [Tpm(params, np.full((params.K, params.N), params.L)) for _ in range(3)]
     x = np.ones((params.K, params.N), dtype=np.int8)
     check_lone_round(np.stack([m.weights for m in machines]), machines, x, geometric, lone_seen)
-    stack = np.stack([[m.weights for m in machines]] * 2)
-    check_batch_round(stack, [machines] * 2, np.stack([[x]] * 2), geometric, batch_seen)
+    stack = np.stack([[m.weights for m in machines[:2]]] * 2)
+    check_batch_round(stack, [machines[:2]] * 2, np.stack([[x]] * 2), batch_seen)
 
+    # a geometric tie needs an Eve, and only a lone stack holds Eves
     edge_cases = ("zero field", "clamp", "tie") if geometric else ("zero field", "clamp")
-    for seen in (lone_seen, batch_seen):
-        assert all(seen[case] > 0 for case in edge_cases), seen
+    assert all(lone_seen[case] > 0 for case in edge_cases), lone_seen
+    assert all(batch_seen[case] > 0 for case in ("zero field", "clamp")), batch_seen
 
 
 @pytest.mark.parametrize("strategy", ["passive", "geometric"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -449,6 +450,39 @@ def test_batch_needs_one_seed_per_pair():
         synchronize_batch([], config, [])
 
 
+# An untraced batch advances its stack a block of rounds per kernel call and
+# stops a simulation block where a pair coincides; a traced batch runs blocks
+# of one round. Trial 215 of the random start coincides on round 64, the last
+# of the first input chunk, and trial 10 on round 120; each is on the budget
+# round of one budget below.
+TRACE_TRIALS = {1: [215], 3: [215, 10, 101], 7: [215, 10, 101, 0, 1, 2, 3]}
+TRACE_BUDGETS = (1, 15, 16, 17, 63, 64, 65, 120)
+
+
+@pytest.mark.parametrize(
+    "protocol, interval", [(False, 10), (True, 1), (True, 7), (True, 10), (True, 100)],
+    ids=["simulation", "protocol1", "protocol7", "protocol10", "protocol100"],
+)
+@pytest.mark.parametrize("start", ["random", "overlap:0.95", "from_qber:0.05"])
+def test_untraced_batch_equals_the_traced_batch(start, protocol, interval):
+    mode = StartMode.parse(start)
+    for count, trials in TRACE_TRIALS.items():
+        seeds = [machine_trial_seeds(90, 0, BATCH_PARAMS, trial) for trial in trials]
+        for budget in TRACE_BUDGETS:
+            config = SyncConfig(max_iterations=budget, protocol_mode=protocol, digest_check_interval=interval)
+            runs = []
+            for record in (False, True):
+                pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
+                transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds], record)
+                records = [dataclasses.replace(t, overlap_trace=None).to_record() for t in transcripts]
+                weights = [(alice.weights.tolist(), bob.weights.tolist()) for alice, bob in pairs]
+                runs.append((records, weights))
+            assert runs[0] == runs[1], (count, budget)
+            if (start, protocol, budget) == ("random", False, 120):
+                rounds = {t.iterations for t in transcripts if t.converged}
+                assert 64 in rounds and (count == 1 or 120 in rounds)
+
+
 def test_input_stream_does_not_depend_on_the_chunk_size(monkeypatch):
     # a seeded generator yields the same +/-1 inputs whether they are drawn in
     # chunks of 64, 64, 1 and 127 or in one chunk of 256
@@ -462,3 +496,73 @@ def test_input_stream_does_not_depend_on_the_chunk_size(monkeypatch):
     whole = sync._draw_inputs(np.random.default_rng(41), shape)
     assert whole.shape == (256,) + shape
     assert np.array_equal(np.concatenate(chunks), whole)
+
+
+# ---------------------------------------------------------------------------
+# the block kernel: one call over n inputs against n one-round calls
+
+
+def one_round_at_a_time(w, xs, bound, geometric):
+    learned = np.zeros((len(xs),) + w.shape[:-2], dtype=bool)
+    for i in range(len(xs)):
+        assert sync._exchange_rounds(w, xs[i : i + 1], bound, learned[i : i + 1], geometric) == 1
+    return learned
+
+
+# (stack shape less K and N, geometric): lone stacks of the parties with one
+# and with five Eves, then parties-only stacks of T trials
+BLOCK_STACKS = [
+    ((3,), False), ((3,), True), ((7,), False), ((7,), True), ((2, 2), False), ((3, 2), False), ((7, 2), False)
+]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_a_block_of_rounds_equals_rounds_one_at_a_time(L, dtype):
+    rng = np.random.default_rng(60 + L)
+    K, N = 3, 4
+    for n in (1, 2, 17, 64):
+        for rows, geometric in BLOCK_STACKS:
+            w = rng.integers(-L, L + 1, size=rows + (K, N)).astype(np.int32)
+            x_shape = (n, K, N) if len(rows) == 1 else (n, rows[0], 1, K, N)
+            xs = (rng.integers(0, 2, size=x_shape) * 2 - 1).astype(dtype)
+            block, rounds = w.copy(), w.copy()
+            learned = np.ones((n,) + rows, dtype=bool)  # every round must be written
+            assert sync._exchange_rounds(block, xs, L, learned, geometric) == n
+            assert np.array_equal(learned, one_round_at_a_time(rounds, xs, L, geometric))
+            assert np.array_equal(block, rounds)
+
+
+def test_a_block_stops_right_after_the_round_a_pair_coincides():
+    # Bob is Alice with a tenth of her weights redrawn; on these inputs the
+    # reference rule makes the pair coincide on round 29
+    rng = np.random.default_rng(6)
+    alice = Tpm.random(BATCH_PARAMS, rng)
+    bob = seed_initial_overlap(alice, 0.9, 7)
+    xs = sync._draw_inputs(rng, (BATCH_PARAMS.K, BATCH_PARAMS.N)).astype(np.int8)
+    a, b = alice, bob
+    for coincide_at, x in enumerate(xs, 1):
+        ea, eb = evaluate(a, x), evaluate(b, x)
+        if ea.tau == eb.tau:
+            a, b = hebbian_step(a, x, ea, ea.tau), hebbian_step(b, x, eb, eb.tau)
+        if weight_overlap(a, b) == 1.0:
+            break
+    assert coincide_at == 29
+    L = BATCH_PARAMS.L
+
+    w = np.stack([alice.weights, bob.weights]).astype(np.int32)
+    learned = np.zeros((len(xs), 2), dtype=bool)
+    assert sync._exchange_rounds(w, xs, L, learned, stop_above=0) == 29
+    assert np.array_equal(w, np.stack([a.weights, b.weights]))
+
+    # beside a random pair and a pair that is equal from the start, the pair
+    # stops a trial block only when the count of equal pairs exceeds the bound
+    far_a, far_b = fresh_pair(BATCH_PARAMS, 11)
+    stack = np.stack([[far_a.weights, far_b.weights], [alice.weights, bob.weights], [alice.weights] * 2])
+    trial_xs = np.stack([xs] * 3, axis=1)[:, :, None]
+    learned = np.zeros((len(xs), 3, 2), dtype=bool)
+    for stop_above, rounds in ((0, 1), (1, 29), (2, 64), (None, 64)):
+        w = stack.astype(np.int32)
+        assert sync._exchange_rounds(w, trial_xs, L, learned, stop_above=stop_above) == rounds
+        if rounds == 29:
+            assert np.array_equal(w[1], np.stack([a.weights, b.weights]))
