@@ -171,35 +171,36 @@ def _exchange_rounds(
     """
     # views, scratch buffers and ufuncs are set up once per block, and each
     # round's ufuncs write into them
-    matmul, less_equal, equal, logical_and = np.matmul, np.less_equal, np.equal, np.logical_and
+    vecdot, less_equal, equal, logical_and = np.vecdot, np.less_equal, np.equal, np.logical_and
     xor_reduce, count_nonzero, minimum, maximum = np.logical_xor.reduce, np.count_nonzero, np.minimum, np.maximum
-    upper, lower = np.array(bound, dtype=w.dtype), np.array(-bound, dtype=w.dtype)
-    rows = w[..., None, :]
-    fields = np.empty(w.shape[:-1] + (1, 1), dtype=w.dtype)
-    field = fields[..., 0, 0]
-    negative = np.empty(w.shape[:-1], dtype=bool)
+    zero, upper, lower = (np.array(value, dtype=w.dtype) for value in (0, bound, -bound))
+    field = np.empty(w.shape[:-1], dtype=w.dtype)
+    negative = np.empty(field.shape, dtype=bool)
     moving = np.empty_like(negative)
     odd = np.empty(w.shape[:-2], dtype=bool)
-    public = odd[..., :1, None]  # broadcasts over each row's units
     if stop_above is not None:
         alice, bob = w[..., 0, :, :], w[..., 1, :, :]
         differ = np.empty(alice.shape, dtype=bool)
+        differ_by_trial = differ.reshape(w.shape[:-3] + (-1,))  # fresh scratch, so a view
         differs = np.empty(w.shape[:-3], dtype=bool)
     lone = w.ndim == 3
     if lone:  # tau is one scalar, so one masked add or subtract
         move = moving[..., None]
     else:  # a trial's learn mask is its parties' agreement, twice
+        public = odd[..., :1, None]  # broadcasts over each trial's units
         partner = odd[..., ::-1]
-        step = moving.view(np.int8)  # +1 on moving units, negated where tau is -1
+        step = np.empty(moving.shape, dtype=w.dtype)  # +1 on moving units, negated where tau is -1
         steps = step[..., None]
-        delta = np.empty(w.shape, dtype=np.int8)
-    for i, (x, column, learn, learn_units) in enumerate(zip(xs, xs[..., None], learned, learned[..., None])):
-        # one integer matmul (exact) costs less than a multiply and a sum here
-        matmul(rows, column, out=fields)
-        less_equal(field, 0, out=negative)
+        delta = np.empty_like(w)
+    for i, (x, learn, learn_units) in enumerate(zip(xs, learned, learned[..., None])):
+        # one vecdot takes every row's K dot products, exact in integers, at
+        # less per call than a matmul over (..., 1, N) @ (..., N, 1) views
+        vecdot(w, x, out=field)
+        less_equal(field, zero, out=negative)
         xor_reduce(negative, axis=-1, out=odd)
         if lone:
-            equal(odd, odd[0], out=learn)
+            tau_negative = odd[0]  # a ufunc takes a scalar faster than a broadcast view
+            equal(odd, tau_negative, out=learn)
             if not learn[1]:
                 learn[...] = False
                 continue
@@ -208,15 +209,15 @@ def _exchange_rounds(
                     unit = np.abs(field[row]).argmin()
                     negative[row, unit] = not negative[row, unit]
                 learn[...] = True
-            equal(negative, public, out=moving)
+            equal(negative, tau_negative, out=moving)
             logical_and(moving, learn_units, out=moving)
-            (np.subtract if odd[0] else np.add)(w, x, out=w, where=move)
+            (np.subtract if tau_negative else np.add)(w, x, out=w, where=move)
         else:
             equal(odd, partner, out=learn)
             if not count_nonzero(learn):
                 continue
             equal(negative, public, out=moving)
-            logical_and(moving, learn_units, out=moving)
+            logical_and(moving, learn_units, out=step)
             np.negative(step, out=step, where=public)
             np.multiply(x, steps, out=delta)
             np.add(w, delta, out=w)
@@ -228,7 +229,7 @@ def _exchange_rounds(
             if lone:
                 coincided = not count_nonzero(differ)
             else:
-                np.logical_or.reduce(differ, axis=(-2, -1), out=differs)
+                np.logical_or.reduce(differ_by_trial, axis=-1, out=differs)
                 coincided = len(differs) - count_nonzero(differs)
             if coincided > stop_above:
                 return i + 1
@@ -236,8 +237,39 @@ def _exchange_rounds(
 
 
 def _draw_inputs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """The next chunk of uniform +/-1 input matrices from a seeded generator."""
-    return rng.integers(0, 2, size=(_INPUT_CHUNK,) + shape, dtype=np.int32) * 2 - 1
+    """The next chunk of uniform +/-1 input matrices from a seeded generator:
+    int32 values equal to ``rng.integers(0, 2, size, dtype=np.int32) * 2 - 1``,
+    leaving ``rng`` in the state that call would.
+
+    With a range of 2, ``integers`` keeps the top bit of each 32-bit draw and
+    never rejects one, and PCG64 hands out each 64-bit word as its low half,
+    then its high half, buffered in its state (``has_uint32``, ``uinteger``).
+    So a buffered half comes first, then each raw word read as little-endian
+    int32 halves h, low then high on any host; a set top bit (h < 0) maps to
+    +1 and a clear one to -1, as ``-((h >> 30) | 1)``.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"inputs are drawn from a PCG64 generator, not {type(bitgen).__name__}")
+    count = _INPUT_CHUNK * math.prod(shape)
+    state = bitgen.state
+    pending = state["has_uint32"]
+    words = bitgen.random_raw((count - pending + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<i4")
+    if pending:
+        halves = np.concatenate((np.array([state["uinteger"]], dtype="<u4").view("<i4"), halves))
+    # as integers leaves it: the last word's high half kept, unread if only its low half was used
+    state = bitgen.state
+    state["has_uint32"] = int(len(halves) > count)
+    if len(words):
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    return (-((halves[:count] >> 30) | 1)).reshape((_INPUT_CHUNK,) + shape)
+
+
+def _stack_dtype(params: TpmParams) -> type[np.signedinteger]:
+    """int16 where every local field fits, |h| <= L * N <= 32767, else int32."""
+    return np.int16 if params.L * params.N <= np.iinfo(np.int16).max else np.int32
 
 
 _budget_cache: dict[TpmParams, int] = {}
@@ -298,15 +330,17 @@ def synchronize_batch(
     pair that retires converged with differing weights (a protocol-mode
     digest collision) raises RuntimeError.
 
-    The pairs are rows of one (T, 2, K, N) stack, with an int8 buffer of 64
-    inputs per trial (T * 64 * K * N bytes) refilled at the same round for
-    every trial. ``_exchange_rounds`` advances the stack a block of rounds
-    per call, up to the next round the loop acts on: the end of the input
-    chunk, the budget or, in protocol mode, the next digest round; a traced
-    run takes blocks of one round. Each call allocates its scratch buffers
-    once, the largest an int8 delta of T * 2 * K * N bytes. In simulation
-    mode a block also stops right after the round in which a live pair
-    coincides, so that pair retires at that round.
+    The pairs are rows of one (T, 2, K, N) stack of one integer dtype, int16
+    where every local field fits (L * N <= 32767) and else int32, with a
+    buffer of 64 inputs per trial in that dtype (T * 64 * K * N elements, 2
+    or 4 bytes each) refilled at the same round for every trial.
+    ``_exchange_rounds`` advances the stack a block of rounds per call, up to
+    the next round the loop acts on: the end of the input chunk, the budget
+    or, in protocol mode, the next digest round; a traced run takes blocks of
+    one round. Each call allocates its scratch buffers once, the largest a
+    delta of T * 2 * K * N elements in the stack dtype. In simulation mode a
+    block also stops right after the round in which a live pair coincides,
+    so that pair retires at that round.
 
     A trial retires when it converges or reaches the budget; retired rows run
     on unread until fewer than half the rows are live, and then the stack,
@@ -321,8 +355,9 @@ def synchronize_batch(
     budget = config.max_iterations or resolve_iteration_budget(params)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    w = np.array([(alice.weights, bob.weights) for alice, bob in pairs], dtype=np.int32)
-    inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=np.int8)
+    dtype = _stack_dtype(params)
+    w = np.array([(alice.weights, bob.weights) for alice, bob in pairs], dtype=dtype)
+    inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=dtype)
     # which rows learned, per round of the current input chunk
     learned = np.zeros((_INPUT_CHUNK, len(pairs), 2), dtype=bool)
     learning_steps = np.zeros(len(pairs), dtype=np.int64)  # before the chunk

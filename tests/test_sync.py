@@ -498,6 +498,52 @@ def test_input_stream_does_not_depend_on_the_chunk_size(monkeypatch):
     assert np.array_equal(np.concatenate(chunks), whole)
 
 
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
+@pytest.mark.parametrize("chunk", [1, 63, 64, 127])
+def test_inputs_equal_the_generators_integers(monkeypatch, chunk, buffered):
+    # K*N = 15 is odd, so an odd chunk leaves a 32-bit half unread; a
+    # generator after an odd-count integers call holds one buffered
+    shape = (3, 5)
+    monkeypatch.setattr(sync, "_INPUT_CHUNK", chunk)
+    reference, drawn = np.random.default_rng(17), np.random.default_rng(17)
+    if buffered:
+        for rng in (reference, drawn):
+            rng.integers(0, 2, size=3, dtype=np.int32)
+    for _ in range(3):
+        expected = reference.integers(0, 2, size=(chunk,) + shape, dtype=np.int32) * 2 - 1
+        inputs = sync._draw_inputs(drawn, shape)
+        assert inputs.dtype == np.int32
+        assert np.array_equal(inputs, expected)
+        assert drawn.bit_generator.state == reference.bit_generator.state
+    after = [rng.integers(0, 2, size=5, dtype=np.int32) for rng in (reference, drawn)]
+    assert np.array_equal(*after)
+
+
+def test_inputs_need_a_pcg64_generator():
+    with pytest.raises(TypeError, match="PCG64"):
+        sync._draw_inputs(np.random.Generator(np.random.Philox(3)), (3, 5))
+
+
+@pytest.mark.parametrize("N, dtype", [(16383, np.int16), (16384, np.int32)])
+def test_local_fields_at_the_stack_dtype_boundary_match_the_oracle(monkeypatch, N, dtype):
+    # every weight at +L and every input +1: Alice's one local field is L*N,
+    # 32766 on an int16 stack and 32768, beyond int16, on an int32 one; Bob
+    # differs in one weight, so one round makes the pair coincide
+    params = TpmParams(K=1, N=N, L=2)
+    assert sync._stack_dtype(params) is dtype
+    monkeypatch.setattr(sync, "_draw_inputs", lambda rng, shape: np.ones((sync._INPUT_CHUNK,) + shape, np.int32))
+    alice = Tpm(params, np.full((1, N), params.L))
+    bob = Tpm(params, alice.weights.copy())
+    bob.weights[0, 0] = params.L - 1
+    x = np.ones((1, N), dtype=np.int32)
+    ea, eb = evaluate(alice, x), evaluate(bob, x)
+    assert ea.tau == eb.tau == 1
+    expected = hebbian_step(alice, x, ea, ea.tau), hebbian_step(bob, x, eb, eb.tau)
+    [transcript] = synchronize_batch([(alice, bob)], SyncConfig(max_iterations=1), [0])
+    assert (transcript.iterations, transcript.learning_steps, transcript.converged) == (1, 1, True)
+    assert alice == expected[0] and bob == expected[1]
+
+
 # ---------------------------------------------------------------------------
 # the block kernel: one call over n inputs against n one-round calls
 
