@@ -12,12 +12,15 @@ an integer convolution. Large products use a float64 FFT convolution, which
 costs O(n log n) instead of O(rows * cols) and is checked to round exactly;
 small ones keep the direct convolution, where FFT set-up would dominate.
 Both give the same integers, so the output bits do not depend on the path.
+A spec computes its diagonals' spectrum once, so the keys of both parties
+hashed with one spec cost one forward FFT each after the first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,7 +50,8 @@ DEFAULT_SECURITY_BITS = 30
 _FFT_MIN_PRODUCT = 1 << 16
 
 # Thin shapes also need rows * cols >= _FFT_COST_RATIO * n * log2(n), n the FFT
-# length: the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3.
+# length that _fft_length picks (the smallest 5-smooth n >= rows + cols - 1):
+# the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3.
 _FFT_COST_RATIO = 4
 
 # Largest distance of an FFT output from the nearest integer that is still
@@ -135,6 +139,7 @@ class ToeplitzSpec:
         arr = arr.astype(np.uint8, copy=True)
         if arr.size and arr.max(initial=0) > 1:
             raise ValueError("first_row_and_col entries must be 0 or 1")
+        arr.flags.writeable = False  # the cached spectrum below derives from it
         object.__setattr__(self, "first_row_and_col", arr)
 
     @classmethod
@@ -143,6 +148,48 @@ class ToeplitzSpec:
         bits = rng.integers(0, 2, size=rows + cols - 1, dtype=np.uint8)
         return cls(rows=rows, cols=cols, first_row_and_col=bits)
 
+    @property
+    def diagonals(self) -> np.ndarray:
+        """The diagonal sequence: the first row reversed, then the rest of
+        the first column. Row i of the matrix is diagonals[i : i + cols]
+        reversed."""
+        seq = self.first_row_and_col
+        return np.concatenate([seq[: self.cols][::-1], seq[self.cols :]])
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft of the diagonals at length _fft_length(rows + cols - 1),
+        computed on first use and kept for every later key."""
+        return np.fft.rfft(self.diagonals, _fft_length(self.rows + self.cols - 1))
+
+
+@lru_cache(maxsize=1024)  # each amplify asks twice; the search costs ~10 us
+def _fft_length(m: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= m, at least 1.
+
+    numpy's FFT is fast on such lengths, and they lie much closer above m
+    than the next power of two: 100000 instead of 131072 for m = 1e5.
+    """
+    best = 1 << (m - 1).bit_length() if m > 1 else 1
+    power5 = 1
+    while power5 < best:
+        power35 = power5
+        while power35 < best:
+            # the smallest power-of-two multiple of power35 that reaches m
+            best = min(best, power35 << (-(-m // power35) - 1).bit_length())
+            power35 *= 3
+        power5 *= 5
+    return best
+
+
+def _fft_pays(rows: int, cols: int) -> bool:
+    """Whether the FFT convolution beats the direct one at this shape, by
+    the _FFT_MIN_PRODUCT and _FFT_COST_RATIO rules."""
+    if rows * cols < _FFT_MIN_PRODUCT:
+        return False
+    n = _fft_length(rows + cols - 1)
+    return rows * cols >= _FFT_COST_RATIO * n * math.log2(n)
+
 
 def _direct_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Row-by-key dot products over the integers by direct convolution; the
@@ -150,21 +197,29 @@ def _direct_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.convolve(diagonals.astype(np.int64), bits.astype(np.int64), "valid")
 
 
-def _fft_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The same dot products by a real FFT convolution of length n, the next
-    power of two >= len(diagonals) = rows + cols - 1.
+def _fft_counts(
+    diagonals: np.ndarray, bits: np.ndarray, spectrum: np.ndarray | None = None
+) -> np.ndarray:
+    """The same dot products by a real FFT convolution of length n, the
+    smallest 5-smooth integer >= len(diagonals) = rows + cols - 1.
 
     The linear convolution has rows + 2*cols - 2 entries; the circular one
     of length n adds entry k + n onto entry k. For the wanted window,
-    k in [cols - 1, rows + cols - 1), entry k + n lies beyond the end, so the
-    window is free of aliasing. Each value is an integer <= cols, recovered by
-    rounding; FftPrecisionError is raised instead of returning bits if any
-    value is _ROUNDING_TOLERANCE or more from its nearest integer.
+    k in [cols - 1, rows + cols - 1), entry k + n lies beyond the end for any
+    n >= rows + cols - 1, so the window is free of aliasing. Each value is an
+    integer <= cols, recovered by rounding; FftPrecisionError is raised
+    instead of returning bits if any value is _ROUNDING_TOLERANCE or more
+    from its nearest integer.
+
+    spectrum, when given, must be rfft(diagonals, n), as ToeplitzSpec.spectrum
+    caches it; otherwise it is computed here.
     """
     cols = bits.size
     rows = diagonals.size - cols + 1
-    n = 1 << (diagonals.size - 1).bit_length()
-    product = np.fft.rfft(diagonals, n) * np.fft.rfft(bits, n)
+    n = _fft_length(diagonals.size)
+    if spectrum is None:
+        spectrum = np.fft.rfft(diagonals, n)
+    product = spectrum * np.fft.rfft(bits, n)
     window = np.fft.irfft(product, n)[cols - 1 : cols - 1 + rows]
     counts = np.rint(window)
     error = float(np.max(np.abs(window - counts)))
@@ -184,21 +239,20 @@ def amplify(key: BitKey, spec: ToeplitzSpec) -> BitKey:
     sequence (first row reversed, then the rest of the first column), without
     materializing the matrix. Products with rows * cols of at least
     _FFT_MIN_PRODUCT and _FFT_COST_RATIO * n log2 n use a float64 FFT
-    convolution (O(n log n), n >= rows + cols - 1) whose rounding is checked;
-    smaller or thinner ones use the faster direct O(rows * cols) convolution.
-    Both paths give the same integers, hence the same bits.
+    convolution whose rounding is checked, n being the smallest 5-smooth
+    length >= rows + cols - 1; smaller or thinner ones use the faster direct
+    O(rows * cols) convolution. Both paths give the same integers, hence the
+    same bits. The FFT path takes the diagonals' spectrum from the spec,
+    which computes it on the first key, so a second key costs one forward
+    and one inverse FFT.
 
     Raises FftPrecisionError, and returns nothing, if the FFT result cannot
     be rounded safely; this has not been observed at any tested size.
     """
     if key.length != spec.cols:
         raise ValueError(f"key length {key.length} does not match matrix cols {spec.cols}")
-    row = spec.first_row_and_col[: spec.cols]
-    col_rest = spec.first_row_and_col[spec.cols :]
-    diagonals = np.concatenate([row[::-1], col_rest])
-    n = 1 << (diagonals.size - 1).bit_length()
-    if spec.rows * spec.cols >= max(_FFT_MIN_PRODUCT, _FFT_COST_RATIO * n * (n.bit_length() - 1)):
-        counts = _fft_counts(diagonals, key.bits)
+    if _fft_pays(spec.rows, spec.cols):
+        counts = _fft_counts(spec.diagonals, key.bits, spec.spectrum)
     else:
-        counts = _direct_counts(diagonals, key.bits)
+        counts = _direct_counts(spec.diagonals, key.bits)
     return BitKey((counts & 1).astype(np.uint8))

@@ -1,13 +1,119 @@
 import hashlib
+import heapq
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from neurokey import parity
 from neurokey.channel import NoisyKeyPair, generate_key_pair
-from neurokey.parity import ParityConfig, block_size_for, run_parity_reconciliation
+from neurokey.parity import (
+    ParityConfig,
+    ParityOutcome,
+    block_size_for,
+    run_parity_reconciliation,
+)
 from neurokey.tpm import BitKey
+
+
+def reference_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> ParityOutcome:
+    """The dense engine the sparse one replaced, kept as its oracle.
+
+    It works on the whole difference vector alice ^ bob: one reduceat per
+    pass gives every block's parity, a per-pass lookup maps each position to
+    its block, and each binary search reads a prefix XOR over the block.
+    """
+    alice = pair.alice.bits
+    diff = alice ^ pair.bob.bits
+    n = pair.length
+    rng = np.random.default_rng(config.seed)
+    cascade = config.algorithm == "cascade"
+    base_size = block_size_for(config.qber_hint)
+
+    checks = 0
+    flips: list[int] = []
+    orders: list[np.ndarray] = []
+    sizes: list[int] = []
+    position_block: list[list[int]] = []
+    odd: list[list[int]] = []
+
+    def block_length(q: int, index: int) -> int:
+        return min(sizes[q], n - index * sizes[q])
+
+    def locate(block: np.ndarray) -> tuple[int, int]:
+        prefix = [0, *np.bitwise_xor.accumulate(diff[block]).tolist()]
+        lo, hi = 0, len(block)
+        spent = 0
+        while hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2
+            spent += 1
+            if prefix[mid] != prefix[lo]:
+                hi = mid
+            else:
+                lo = mid
+        return int(block[lo]), spent
+
+    for p in range(config.passes if n else 0):
+        size = min(n, base_size << p)
+        order = np.arange(n) if p == 0 else rng.permutation(n)
+        orders.append(order)
+        sizes.append(size)
+        lookup = np.empty(n, dtype=np.int64)
+        lookup[order] = np.arange(n) // size
+        position_block.append(lookup.tolist())
+        parities = np.bitwise_xor.reduceat(diff[order], np.arange(0, n, size))
+        odd.append(parities.tolist())
+        checks += len(parities)
+
+        pending = [
+            (block_length(p, index), tie, p, index)
+            for tie, index in enumerate(np.flatnonzero(parities).tolist())
+        ]
+        heapq.heapify(pending)
+        if not pending:
+            break
+        tie = len(pending)
+        while pending:
+            _, _, q, index = heapq.heappop(pending)
+            if not odd[q][index]:
+                continue
+            start = index * sizes[q]
+            position, spent = locate(orders[q][start : start + sizes[q]])
+            checks += spent
+            diff[position] ^= 1
+            flips.append(position)
+            for q2 in range(len(orders)):
+                index2 = position_block[q2][position]
+                odd[q2][index2] ^= 1
+                if odd[q2][index2] and (cascade or q2 == p):
+                    heapq.heappush(pending, (block_length(q2, index2), tie, q2, index2))
+                    tie += 1
+
+    return ParityOutcome(
+        corrected_alice=pair.alice,
+        corrected_bob=BitKey(alice ^ diff),
+        parity_checks=checks,
+        disclosed_bits=checks,
+        residual_errors=int(diff.sum()),
+        flipped_positions=flips,
+    )
+
+
+def assert_same_outcome(outcome: ParityOutcome, expected: ParityOutcome) -> None:
+    assert outcome.parity_checks == expected.parity_checks
+    assert outcome.disclosed_bits == expected.disclosed_bits
+    assert outcome.flipped_positions == expected.flipped_positions
+    assert outcome.corrected_bob == expected.corrected_bob
+    assert outcome.corrected_alice == expected.corrected_alice
+    assert outcome.residual_errors == expected.residual_errors
+
+
+def pair_with_errors(length: int, positions: list[int]) -> NoisyKeyPair:
+    alice = np.random.default_rng(length).integers(0, 2, size=length, dtype=np.uint8)
+    bob = alice.copy()
+    bob[positions] ^= 1
+    return NoisyKeyPair(BitKey(alice), BitKey(bob), frozenset(positions), 0.5)
 
 
 class TestBlockSize:
@@ -219,3 +325,59 @@ GOLDEN_PARITY_DIGESTS = {
 @pytest.mark.parametrize("length", GOLDEN_LENGTHS)
 def test_parity_engine_matches_golden_digest(algorithm, length):
     assert parity_digest(algorithm, length) == GOLDEN_PARITY_DIGESTS[f"{algorithm}-{length}"]
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_sparse_engine_matches_the_dense_reference(data):
+    # lengths 0-3000, block sizes from 1 to beyond the key (so a short last
+    # block, odd or even, comes up often), uniform and burst errors, 1-5 passes
+    length = data.draw(st.integers(0, 3000), label="length")
+    block = data.draw(st.integers(1, length + 3), label="block")
+    rate = data.draw(st.floats(0.0, 0.5), label="rate")
+    mode = data.draw(st.sampled_from(["uniform", "burst"]), label="mode")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    config = ParityConfig(
+        qber_hint=0.73 / block,
+        passes=data.draw(st.integers(1, 5), label="passes"),
+        seed=seed,
+        algorithm=data.draw(st.sampled_from(parity.ALGORITHMS), label="algorithm"),
+    )
+    assert block_size_for(config.qber_hint) == block
+    if length:
+        pair = generate_key_pair(length, rate, seed=seed, error_mode=mode)
+    else:
+        pair = pair_with_errors(0, [])
+    assert_same_outcome(run_parity_reconciliation(pair, config), reference_reconciliation(pair, config))
+
+
+# 1000 bits in blocks of 24 leave a last block of 16 bits. MANY_ODD puts one
+# error in each of blocks 0-29, two more in block 10 and one in the last
+# block: 31 odd blocks, enough for the vectorised first pass. FEW_ODD makes
+# three odd blocks, searched one at a time.
+MANY_ODD = [24 * b + 5 for b in range(30)] + [24 * 10 + 7, 24 * 10 + 20, 24 * 41 + 9]
+FEW_ODD = [5, 24 * 2 + 3, 24 * 41 + 9]
+
+
+@pytest.mark.parametrize("algorithm", parity.ALGORITHMS)
+@pytest.mark.parametrize("passes", [1, 4])
+@pytest.mark.parametrize(
+    "positions,vectorised", [(MANY_ODD, True), (FEW_ODD, False)], ids=["many-odd", "few-odd"]
+)
+def test_short_odd_last_block_is_searched_first(algorithm, passes, positions, vectorised, monkeypatch):
+    searched_at_once = []
+    locate_all = parity._locate_all
+
+    def spy(ranks, odd, size, n):
+        searched_at_once.append(len(odd))
+        return locate_all(ranks, odd, size, n)
+
+    monkeypatch.setattr(parity, "_locate_all", spy)
+    pair = pair_with_errors(1000, positions)
+    config = ParityConfig(qber_hint=0.73 / 24, passes=passes, seed=11, algorithm=algorithm)
+    outcome = run_parity_reconciliation(pair, config)
+    assert_same_outcome(outcome, reference_reconciliation(pair, config))
+    assert outcome.flipped_positions[0] == 24 * 41 + 9
+    assert bool(searched_at_once) == vectorised
+    if vectorised:
+        assert searched_at_once[0] >= parity._VECTOR_MIN_BLOCKS

@@ -126,6 +126,35 @@ class TestToeplitzSpec:
             for j in range(1, 7):
                 assert matrix[i, j] == matrix[i - 1, j - 1]
 
+    def test_diagonal_sequence(self):
+        spec = ToeplitzSpec.from_seed(5, 7, seed=11)
+        assert np.array_equal(spec.diagonals, diagonal_sequence(spec))
+
+    def test_bits_are_read_only_under_the_cached_spectrum(self):
+        spec = ToeplitzSpec.from_seed(300, 400, seed=2)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.first_row_and_col[0] ^= 1
+
+
+def five_smooth_up_to(limit: int) -> list[int]:
+    return sorted(
+        2**a * 3**b * 5**c
+        for a in range(limit.bit_length() + 1)
+        for b in range(12)
+        for c in range(9)
+        if 2**a * 3**b * 5**c <= limit
+    )
+
+
+def test_fft_length_is_the_next_five_smooth_integer():
+    smooth = five_smooth_up_to(2**18)
+    fft_length = privacy._fft_length.__wrapped__  # every m once: skip the cache
+    index = 0
+    for m in range(1, 2**17 + 1):
+        while smooth[index] < m:
+            index += 1
+        assert fft_length(m) == smooth[index], m
+
 
 class TestAmplify:
     def test_frozen_two_by_three_example(self):
@@ -222,6 +251,29 @@ class TestAmplify:
         key, spec = seeded_case(rows, cols, seed)
         out = amplify(key, spec)
         assert hashlib.sha256(np.packbits(out.bits).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rows,cols", [(600, 900), (1393, 1844), (11292, 14746)])
+    def test_one_spec_hashes_two_keys_like_fresh_specs(self, rows, cols, monkeypatch):
+        # the spectrum a spec caches on its first key must serve a second,
+        # different key in either order, and cost no FFT of the diagonals
+        assert privacy._fft_pays(rows, cols)
+        rng = np.random.default_rng(rows)
+        keys = [BitKey.random(cols, rng), BitKey.random(cols, rng)]
+        fresh = [amplify(key, ToeplitzSpec.from_seed(rows, cols, seed=9)) for key in keys]
+        spec = ToeplitzSpec.from_seed(rows, cols, seed=9)
+        direct = [
+            BitKey((privacy._direct_counts(spec.diagonals, key.bits) & 1).astype(np.uint8))
+            for key in keys
+        ]
+        assert fresh == direct
+        rfft = np.fft.rfft
+        transforms = []
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: transforms.append(1) or rfft(*a, **kw))
+        for order in ([0, 1], [1, 0]):
+            spec = ToeplitzSpec.from_seed(rows, cols, seed=9)
+            transforms.clear()
+            assert [amplify(keys[i], spec) for i in order] == [fresh[i] for i in order]
+            assert len(transforms) == 3  # the diagonals once, then each key
 
     def test_rounding_guard_refuses_to_return_bits(self, monkeypatch):
         irfft = np.fft.irfft
