@@ -137,11 +137,12 @@ class TestToeplitzSpec:
 
 
 def five_smooth_up_to(limit: int) -> list[int]:
+    exponents = range(limit.bit_length())
     return sorted(
         2**a * 3**b * 5**c
-        for a in range(limit.bit_length() + 1)
-        for b in range(12)
-        for c in range(9)
+        for a in exponents
+        for b in exponents
+        for c in exponents
         if 2**a * 3**b * 5**c <= limit
     )
 
