@@ -51,7 +51,10 @@ _FFT_MIN_PRODUCT = 1 << 16
 
 # Thin shapes also need rows * cols >= _FFT_COST_RATIO * n * log2(n), n the FFT
 # length that _fft_length picks (the smallest 5-smooth n >= rows + cols - 1):
-# the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3.
+# the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3. With
+# the spec's spectrum cached, a second key's FFT costs about a third less, which
+# moves its crossover to ~0.3-0.4; the rule is set for the first key (at 10000
+# columns: FFT 531 us vs direct 635 us at 0.21, 536 vs 245 us at 0.42).
 _FFT_COST_RATIO = 4
 
 # Largest distance of an FFT output from the nearest integer that is still
