@@ -18,10 +18,11 @@ The race watches for two events, and both are absorbing: once the parties'
 weights are equal they stay equal, and once an Eve's weights equal Alice's her
 output is always the public one, so she makes Alice's exact update or nobody
 learns. An untraced race therefore runs ``_CHECK_INTERVAL`` rounds unchecked,
-in one kernel call, and then compares every row with Alice's once. Only when
-that finds a new event does it restore the weights and counts saved at the
-start of the interval and replay it round by round, checking each round as a
-traced race does, so the round each event happens on is the same either way.
+in one kernel call, and then compares every row with Alice's once. When that
+finds no new event, the interval's learning counts are added; when it finds
+one, the race restores the weights saved at the start of the interval and
+replays it round by round, counting and checking each round as a traced race
+does, so the round each event happens on is the same either way.
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ def run_attack(
     trace: list[tuple[int, float]] | None = [] if record_overlap else None
     eve_trace: list[tuple[int, float]] | None = [] if record_overlap else None
     flat = w.reshape(len(w), -1)
+    saved_w = np.empty_like(w)  # an untraced interval's start, for a replay
 
     while iterations < attack.iteration_budget and not eve_synced:
         slot = iterations % _INPUT_CHUNK
@@ -152,26 +154,29 @@ def run_attack(
             chunk = _draw_inputs(input_rng, (params.K, params.N))
         xs = chunk[slot : slot + min(_CHECK_INTERVAL, attack.iteration_budget - iterations)]
         if trace is None:
-            saved_w, saved_learning = w.copy(), learning.copy()
+            np.copyto(saved_w, w)
             _exchange_rounds(w, xs, params.L, learned, geometric)
-            learning += learned[: len(xs)].sum(axis=0)
-            equal = (flat == flat[0]).all(axis=1)
-            if not equal[2:].any() and (ab_converged_at or not equal[1]):
+            # which rows equal Alice's, tested as a list: numpy's any() costs
+            # more than the few flags it would read
+            equal = (flat == flat[0]).all(axis=1).tolist()
+            if not any(equal[2:]) and (ab_converged_at or not equal[1]):
+                learning += learned[: len(xs)].sum(axis=0)
                 iterations += len(xs)
                 continue
             # an event happened in this interval: replay it round by round
-            w[...], learning[...] = saved_w, saved_learning
+            np.copyto(w, saved_w)
         for i in range(len(xs)):
             iterations += 1
             _exchange_rounds(w, xs[i : i + 1], params.L, learned, geometric)
             learning += learned[0]
-            if not ab_converged_at and np.array_equal(w[0], w[1]):
+            equal = (flat == flat[0]).all(axis=1).tolist()
+            if not ab_converged_at and equal[1]:
                 ab_converged_at, ab_learning_at = iterations, int(learning[0])
                 overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())
             if trace is not None and eve_trace is not None:
                 trace.append((iterations, float((w[0] == w[1]).mean())))
                 eve_trace.append((iterations, float((eves == w[0]).mean(axis=(1, 2)).max())))
-            eve_synced = bool((eves == w[0]).all(axis=(1, 2)).any())
+            eve_synced = any(equal[2:])
             if eve_synced:
                 break
 

@@ -19,6 +19,7 @@ Termination is decided in one of two modes:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -26,6 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy._core.umath import clip as clamp
 
 from .tpm import BitKey, Tpm, TpmParams, bits_to_weights, weights_to_bits
 
@@ -141,6 +143,16 @@ def _weight_digest(weights: np.ndarray) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_BITS // 8).digest()
 
 
+@functools.cache
+def _kernel_constants(dtype: np.dtype, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-d (0, -bound, bound) in the stack dtype, built once and shared by
+    every kernel call, so read-only."""
+    constants = tuple(np.array(value, dtype=dtype) for value in (0, -bound, bound))
+    for constant in constants:
+        constant.flags.writeable = False
+    return constants
+
+
 def _exchange_rounds(
     w: np.ndarray,
     xs: np.ndarray,
@@ -167,13 +179,16 @@ def _exchange_rounds(
     A unit's sign is -1 where its local field is <= 0, and a row's output is
     -1 where an odd number of its signs are. A learning row outputs the
     public tau, so its moving units are those whose sign is tau, and each
-    steps by x * tau before the clamp to [-bound, bound].
+    steps by x * tau before the clamp to [-bound, bound]. In a lone stack tau
+    is one scalar, so the move mask is one call on the rows' learn flags and
+    the units' sign masks: their conjunction where tau is -1, and where tau
+    is +1 the units of learning rows whose sign is not -1 (learn > negative).
     """
     # views, scratch buffers and ufuncs are set up once per block, and each
     # round's ufuncs write into them
     vecdot, less_equal, equal, logical_and = np.vecdot, np.less_equal, np.equal, np.logical_and
-    xor_reduce, count_nonzero, minimum, maximum = np.logical_xor.reduce, np.count_nonzero, np.minimum, np.maximum
-    zero, upper, lower = (np.array(value, dtype=w.dtype) for value in (0, bound, -bound))
+    xor_reduce, count_nonzero = np.logical_xor.reduce, np.count_nonzero
+    zero, lower, upper = _kernel_constants(w.dtype, bound)
     field = np.empty(w.shape[:-1], dtype=w.dtype)
     negative = np.empty(field.shape, dtype=bool)
     moving = np.empty_like(negative)
@@ -185,6 +200,7 @@ def _exchange_rounds(
         differs = np.empty(w.shape[:-3], dtype=bool)
     lone = w.ndim == 3
     if lone:  # tau is one scalar, so one masked add or subtract
+        greater, add, subtract = np.greater, np.add, np.subtract
         move = moving[..., None]
     else:  # a trial's learn mask is its parties' agreement, twice
         public = odd[..., :1, None]  # broadcasts over each trial's units
@@ -204,14 +220,21 @@ def _exchange_rounds(
             if not learn[1]:
                 learn[...] = False
                 continue
-            if geometric and not learn.all():
-                for row in np.flatnonzero(~learn):
-                    unit = np.abs(field[row]).argmin()
-                    negative[row, unit] = not negative[row, unit]
-                learn[...] = True
-            equal(negative, tau_negative, out=moving)
-            logical_and(moving, learn_units, out=moving)
-            (np.subtract if tau_negative else np.add)(w, x, out=w, where=move)
+            if geometric:
+                # a Python list tests a few flags faster than numpy's all()
+                flags = learn.tolist()
+                if not all(flags):
+                    for row, agrees in enumerate(flags):
+                        if not agrees:
+                            unit = np.abs(field[row]).argmin()
+                            negative[row, unit] = not negative[row, unit]
+                    learn[...] = True
+            if tau_negative:
+                logical_and(negative, learn_units, out=moving)
+                subtract(w, x, out=w, where=move)
+            else:
+                greater(learn_units, negative, out=moving)
+                add(w, x, out=w, where=move)
         else:
             equal(odd, partner, out=learn)
             if not count_nonzero(learn):
@@ -221,9 +244,10 @@ def _exchange_rounds(
             np.negative(step, out=step, where=public)
             np.multiply(x, steps, out=delta)
             np.add(w, delta, out=w)
-        # np.clip's Python wrapper costs more than the clamp itself at these sizes
-        minimum(w, upper, out=w)
-        maximum(w, lower, out=w)
+        # the clip ufunc itself: np.clip wraps it in Python-level argument
+        # handling that costs more than the clamp at these sizes, and it is
+        # one call where minimum and maximum are two
+        clamp(w, lower, upper, out=w)
         if stop_above is not None:
             np.not_equal(alice, bob, out=differ)
             if lone:

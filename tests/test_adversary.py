@@ -365,7 +365,8 @@ def oracle_round(machines, x, geometric, seen=None):
 
     ``seen``, a Counter, gets one count per kind of edge case the round hit:
     a zero local field, a geometric flip with a tie for the smallest
-    |local field|, and a weight clamped at +/-L."""
+    |local field|, a weight clamped at +/-L, and, per sign of the public
+    tau, a geometric flip and a row that sits out an agreed round."""
     hits = set()
     if any(((m.weights * x).sum(axis=1) == 0).any() for m in machines):
         hits.add("zero field")
@@ -376,6 +377,8 @@ def oracle_round(machines, x, geometric, seen=None):
         moved, learned = [], []
         for machine in machines:
             own = evaluate(machine, x)
+            if own.tau != ea.tau:
+                hits.add(f"{'flip' if geometric else 'idle row'} at tau {ea.tau:+d}")
             if own.tau != ea.tau and geometric:
                 # flip the hidden unit with the weakest local field by hand
                 strength = np.abs((machine.weights * x).sum(axis=1))
@@ -470,8 +473,14 @@ def test_exchange_round_matches_the_oracle_round_by_round(geometric):
     stack = np.stack([[m.weights for m in machines[:2]]] * 2)
     check_batch_round(stack, [machines[:2]] * 2, np.stack([[x]] * 2), batch_seen)
 
-    # a geometric tie needs an Eve, and only a lone stack holds Eves
-    edge_cases = ("zero field", "clamp", "tie") if geometric else ("zero field", "clamp")
+    # a geometric flip or tie, or a row that sits out an agreed round, needs
+    # an Eve, and only a lone stack holds Eves; the stack moves by a masked
+    # subtract where tau is -1 and a masked add where it is +1, so each
+    # sign must meet a row that flips or one that sits out
+    if geometric:
+        edge_cases = ("zero field", "clamp", "tie", "flip at tau -1", "flip at tau +1")
+    else:
+        edge_cases = ("zero field", "clamp", "idle row at tau -1", "idle row at tau +1")
     assert all(lone_seen[case] > 0 for case in edge_cases), lone_seen
     assert all(batch_seen[case] > 0 for case in ("zero field", "clamp")), batch_seen
 
