@@ -105,12 +105,13 @@ def run_attack(
 ) -> tuple[SyncTranscript, AttackResult]:
     """Synchronize Alice and Bob while Eve eavesdrops on every round.
 
-    ``seed`` fixes the public inputs and Eve's start. The exchange keeps
-    running for the full attack budget (the parties keep learning after they
-    coincide), so Eve is measured against the complete public stream. The run
-    ends early only if some Eve machine reaches full overlap. The returned
-    transcript describes the Alice/Bob process, frozen at their convergence
-    round; ``record_overlap`` also traces the party and best-Eve overlaps. The
+    ``seed`` spawns two seeds: one for the PCG64 stream of public inputs and
+    one for Eve's start. The exchange keeps running for the full attack
+    budget (the parties keep learning after they coincide), so Eve is
+    measured against the complete public stream. The run ends early only if
+    some Eve machine reaches full overlap. The returned transcript describes
+    the Alice/Bob process, frozen at their convergence round;
+    ``record_overlap`` also traces the party and best-Eve overlaps. The
     caller's machines are not modified; the race runs on internal copies.
 
     Without ``record_overlap`` the events are looked for once per
@@ -122,7 +123,7 @@ def run_attack(
         raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
     params = alice.params
     input_seq, eve_seq = np.random.SeedSequence(seed).spawn(2)
-    input_rng = np.random.default_rng(input_seq)
+    input_stream = np.random.PCG64(input_seq)
     eve_rng = np.random.default_rng(eve_seq)
 
     w = np.empty((2 + attack.ensemble_size, params.K, params.N), dtype=np.int32)
@@ -151,7 +152,7 @@ def run_attack(
     while iterations < attack.iteration_budget and not eve_synced:
         slot = iterations % _INPUT_CHUNK
         if slot == 0:
-            chunk = _draw_inputs(input_rng, (params.K, params.N))
+            chunk = _draw_inputs(input_stream, (params.K, params.N))
         xs = chunk[slot : slot + min(_CHECK_INTERVAL, attack.iteration_budget - iterations)]
         if trace is None:
             np.copyto(saved_w, w)

@@ -48,7 +48,8 @@ __all__ = [
 # Size of the weight digest exchanged in protocol mode.
 DIGEST_BITS = 64
 
-# Input matrices pre-drawn per RNG call inside the round loop.
+# Input matrices pre-drawn per RNG call inside the round loop. It must stay
+# even, so that a chunk of K*N-element matrices reads whole PCG64 words.
 _INPUT_CHUNK = 64
 
 # Pilot runs averaged for an automatic budget, and the hard cap on each.
@@ -260,35 +261,20 @@ def _exchange_rounds(
     return len(xs)
 
 
-def _draw_inputs(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """The next chunk of uniform +/-1 input matrices from a seeded generator:
-    int32 values equal to ``rng.integers(0, 2, size, dtype=np.int32) * 2 - 1``,
-    leaving ``rng`` in the state that call would.
+def _draw_inputs(stream: np.random.PCG64, shape: tuple[int, int]) -> np.ndarray:
+    """The next chunk of uniform +/-1 input matrices from a seeded PCG64
+    stream: chunk after chunk, the int32 values that
+    ``default_rng(seed).integers(0, 2, size, dtype=np.int32) * 2 - 1`` gives.
 
     With a range of 2, ``integers`` keeps the top bit of each 32-bit draw and
     never rejects one, and PCG64 hands out each 64-bit word as its low half,
-    then its high half, buffered in its state (``has_uint32``, ``uinteger``).
-    So a buffered half comes first, then each raw word read as little-endian
-    int32 halves h, low then high on any host; a set top bit (h < 0) maps to
+    then its high half. So each raw word, read as little-endian int32 halves h,
+    low then high on any host, gives two inputs; a set top bit (h < 0) maps to
     +1 and a clear one to -1, as ``-((h >> 30) | 1)``.
     """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError(f"inputs are drawn from a PCG64 generator, not {type(bitgen).__name__}")
     count = _INPUT_CHUNK * math.prod(shape)
-    state = bitgen.state
-    pending = state["has_uint32"]
-    words = bitgen.random_raw((count - pending + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<i4")
-    if pending:
-        halves = np.concatenate((np.array([state["uinteger"]], dtype="<u4").view("<i4"), halves))
-    # as integers leaves it: the last word's high half kept, unread if only its low half was used
-    state = bitgen.state
-    state["has_uint32"] = int(len(halves) > count)
-    if len(words):
-        state["uinteger"] = int(words[-1] >> 32)
-    bitgen.state = state
-    return (-((halves[:count] >> 30) | 1)).reshape((_INPUT_CHUNK,) + shape)
+    halves = stream.random_raw(count // 2).astype("<u8", copy=False).view("<i4")
+    return (-((halves >> 30) | 1)).reshape((_INPUT_CHUNK,) + shape)
 
 
 def _stack_dtype(params: TpmParams) -> type[np.signedinteger]:
@@ -323,8 +309,9 @@ def resolve_iteration_budget(params: TpmParams) -> int:
 def synchronize_from_weights(
     alice: Tpm, bob: Tpm, config: SyncConfig, seed: int, record_overlap: bool = False
 ) -> SyncTranscript:
-    """Run the mutual-learning loop on inputs from ``default_rng(seed)`` until
-    the machines coincide; ``record_overlap`` traces the party overlap per round.
+    """Run the mutual-learning loop on inputs from the PCG64 stream of
+    ``seed`` until the machines coincide; ``record_overlap`` traces the party
+    overlap per round.
 
     Both machines are updated in place; on convergence their weights are
     identical. Raises NonConvergenceError (with the partial transcript) when
@@ -347,7 +334,7 @@ def synchronize_batch(
 ) -> list[SyncTranscript]:
     """Synchronize machine pairs of one shape in lockstep under one config.
 
-    Pair i draws its inputs from ``default_rng(seeds[i])``, so its transcript
+    Pair i draws its inputs from its own ``PCG64(seeds[i])``, so its transcript
     and final weights equal those of ``synchronize_from_weights`` with
     ``seeds[i]``; machines are updated in place. A pair that exhausts the
     budget gets a transcript with ``converged=False`` instead of an error. A
@@ -378,7 +365,7 @@ def synchronize_batch(
         raise ValueError(f"machine shapes differ: {params} vs {other}")
     budget = config.max_iterations or resolve_iteration_budget(params)
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    streams = [np.random.PCG64(seed) for seed in seeds]
     dtype = _stack_dtype(params)
     w = np.array([(alice.weights, bob.weights) for alice, bob in pairs], dtype=dtype)
     inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=dtype)
@@ -441,7 +428,7 @@ def synchronize_batch(
             learning_steps += learned[..., 0].sum(axis=0)
             learned[...] = False
             for r in live.nonzero()[0]:
-                inputs[:, r, 0] = _draw_inputs(rngs[trial_of_row[r]], (params.K, params.N))
+                inputs[:, r, 0] = _draw_inputs(streams[trial_of_row[r]], (params.K, params.N))
         # a block runs to the next round the loop acts on: the chunk's end,
         # the budget or a digest round, or with a trace the next round
         if traces is not None:
@@ -491,10 +478,10 @@ def reconcile(
     """Three-step reconciliation: keys to weights, synchronize, weights to keys.
 
     The machines have shape ``params`` (bit keys carry none), and the inputs
-    come from ``default_rng(seed)``. Returns both parties' final keys and the
-    one public transcript; on convergence the keys are bit-identical and have
-    length K*N*b. Key bits beyond K*N*b are dropped (the count is recorded on
-    the transcript).
+    come from the PCG64 stream of ``seed``. Returns both parties' final keys
+    and the one public transcript; on convergence the keys are bit-identical
+    and have length K*N*b. Key bits beyond K*N*b are dropped (the count is
+    recorded on the transcript).
     """
     alice = bits_to_weights(alice_key, params)
     bob = bits_to_weights(bob_key, params)

@@ -92,12 +92,6 @@ class BitKey:
     def from_string(cls, text: str) -> "BitKey":
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
 
-    @classmethod
-    def random(cls, length: int, rng: np.random.Generator) -> "BitKey":
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        return cls(rng.integers(0, 2, size=length, dtype=np.uint8))
-
     @property
     def length(self) -> int:
         return int(self.bits.size)

@@ -248,18 +248,18 @@ def test_criterion_7_property_suite():
     # Toeplitz linearity
     for _ in range(300):
         spec = ToeplitzSpec.from_seed(8, 32, seed=int(rng.integers(0, 2**32)))
-        x = BitKey.random(32, rng)
-        y = BitKey.random(32, rng)
+        x = BitKey(rng.integers(0, 2, size=32, dtype=np.uint8))
+        y = BitKey(rng.integers(0, 2, size=32, dtype=np.uint8))
         if amplify(x ^ y, spec) != amplify(x, spec) ^ amplify(y, spec):
             failures.append("linearity")
             break
 
     # Toeplitz collision rate at R=8, M=32 over 1e5 seeds
     rows, cols, trials = 8, 32, 100_000
-    x = BitKey.random(cols, rng)
-    y = BitKey.random(cols, rng)
+    x = BitKey(rng.integers(0, 2, size=cols, dtype=np.uint8))
+    y = BitKey(rng.integers(0, 2, size=cols, dtype=np.uint8))
     while y == x:
-        y = BitKey.random(cols, rng)
+        y = BitKey(rng.integers(0, 2, size=cols, dtype=np.uint8))
     seeds = rng.integers(0, 2, size=(trials, rows + cols - 1), dtype=np.uint8)
     collisions = sum(
         1

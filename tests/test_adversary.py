@@ -495,8 +495,8 @@ def test_run_attack_replays_with_the_reference_operations(strategy):
         transcript, result = run_attack(alice, bob, 1200 + seed, attack, record_overlap=True)
 
         input_seq, eve_seq = np.random.SeedSequence(1200 + seed).spawn(2)
-        input_rng = np.random.default_rng(input_seq)
-        inputs = (x for _ in itertools.count() for x in _draw_inputs(input_rng, (PARAMS.K, PARAMS.N)))
+        stream = np.random.PCG64(input_seq)
+        inputs = (x for _ in itertools.count() for x in _draw_inputs(stream, (PARAMS.K, PARAMS.N)))
         machines = [alice, bob, Tpm.random(PARAMS, np.random.default_rng(eve_seq))]
         eve_steps = party_steps = 0
         party_trace, eve_trace = [], []

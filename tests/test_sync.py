@@ -265,13 +265,13 @@ class TestReconcile:
     def test_records_truncated_bits(self):
         params = TpmParams(K=2, N=3, L=2)  # needs 18 bits
         rng = np.random.default_rng(33)
-        key = BitKey.random(25, rng)
+        key = BitKey(rng.integers(0, 2, size=25, dtype=np.uint8))
         *_, transcript = reconcile(key, key, params, SyncConfig(max_iterations=100), 34)
         assert transcript.truncated_bits == 7
 
     def test_identical_keys_need_zero_learning(self):
         params = TpmParams(K=3, N=4, L=2)
-        key = BitKey.random(params.key_bits, np.random.default_rng(35))
+        key = BitKey(np.random.default_rng(35).integers(0, 2, size=params.key_bits, dtype=np.uint8))
         key_a, key_b, transcript = reconcile(key, key, params, SyncConfig(max_iterations=100), 36)
         assert transcript.iterations == 0
         assert key_a == key_b
@@ -484,44 +484,34 @@ def test_untraced_batch_equals_the_traced_batch(start, protocol, interval):
 
 
 def test_input_stream_does_not_depend_on_the_chunk_size(monkeypatch):
-    # a seeded generator yields the same +/-1 inputs whether they are drawn in
-    # chunks of 64, 64, 1 and 127 or in one chunk of 256
+    # a seeded stream yields the same +/-1 inputs whether they are drawn in
+    # chunks of 64, 64, 2 and 126 or in one chunk of 256
     shape = (5, 7)
     chunks = []
-    rng = np.random.default_rng(41)
-    for size in (64, 64, 1, 127):
+    stream = np.random.PCG64(41)
+    for size in (64, 64, 2, 126):
         monkeypatch.setattr(sync, "_INPUT_CHUNK", size)
-        chunks.append(sync._draw_inputs(rng, shape))
+        chunks.append(sync._draw_inputs(stream, shape))
     monkeypatch.setattr(sync, "_INPUT_CHUNK", 256)
-    whole = sync._draw_inputs(np.random.default_rng(41), shape)
+    whole = sync._draw_inputs(np.random.PCG64(41), shape)
     assert whole.shape == (256,) + shape
     assert np.array_equal(np.concatenate(chunks), whole)
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
-@pytest.mark.parametrize("chunk", [1, 63, 64, 127])
-def test_inputs_equal_the_generators_integers(monkeypatch, chunk, buffered):
-    # K*N = 15 is odd, so an odd chunk leaves a 32-bit half unread; a
-    # generator after an odd-count integers call holds one buffered
-    shape = (3, 5)
-    monkeypatch.setattr(sync, "_INPUT_CHUNK", chunk)
-    reference, drawn = np.random.default_rng(17), np.random.default_rng(17)
-    if buffered:
-        for rng in (reference, drawn):
-            rng.integers(0, 2, size=3, dtype=np.int32)
+@pytest.mark.parametrize("shape", [(3, 5), (4, 6)], ids=["odd-KN", "even-KN"])
+def test_inputs_equal_the_generators_integers(shape):
+    # chunk after chunk, a PCG64 stream's inputs are the +/-1 values that
+    # integers draws from a generator of the same seed
+    reference, stream = np.random.default_rng(17), np.random.PCG64(17)
     for _ in range(3):
-        expected = reference.integers(0, 2, size=(chunk,) + shape, dtype=np.int32) * 2 - 1
-        inputs = sync._draw_inputs(drawn, shape)
+        expected = reference.integers(0, 2, size=(sync._INPUT_CHUNK,) + shape, dtype=np.int32) * 2 - 1
+        inputs = sync._draw_inputs(stream, shape)
         assert inputs.dtype == np.int32
         assert np.array_equal(inputs, expected)
-        assert drawn.bit_generator.state == reference.bit_generator.state
-    after = [rng.integers(0, 2, size=5, dtype=np.int32) for rng in (reference, drawn)]
-    assert np.array_equal(*after)
 
 
-def test_inputs_need_a_pcg64_generator():
-    with pytest.raises(TypeError, match="PCG64"):
-        sync._draw_inputs(np.random.Generator(np.random.Philox(3)), (3, 5))
+def test_input_chunk_reads_whole_pcg64_words():
+    assert sync._INPUT_CHUNK % 2 == 0
 
 
 @pytest.mark.parametrize("N, dtype", [(16383, np.int16), (16384, np.int32)])
@@ -613,7 +603,7 @@ def test_a_block_stops_right_after_the_round_a_pair_coincides():
     rng = np.random.default_rng(6)
     alice = Tpm.random(BATCH_PARAMS, rng)
     bob = seed_initial_overlap(alice, 0.9, 7)
-    xs = sync._draw_inputs(rng, (BATCH_PARAMS.K, BATCH_PARAMS.N)).astype(np.int8)
+    xs = (rng.integers(0, 2, size=(64, BATCH_PARAMS.K, BATCH_PARAMS.N), dtype=np.int32) * 2 - 1).astype(np.int8)
     a, b = alice, bob
     for coincide_at, x in enumerate(xs, 1):
         ea, eb = evaluate(a, x), evaluate(b, x)

@@ -208,7 +208,7 @@ class TestCodec:
 
     @given(shapes(), st.integers(0, 2**32 - 1), st.data())
     def test_single_bit_flip_changes_at_most_one_weight(self, params, seed, data):
-        key = BitKey.random(params.key_bits, np.random.default_rng(seed))
+        key = BitKey(np.random.default_rng(seed).integers(0, 2, size=params.key_bits, dtype=np.uint8))
         flip_at = data.draw(st.integers(0, params.key_bits - 1))
         flipped_bits = key.bits.copy()
         flipped_bits[flip_at] ^= 1
