@@ -160,7 +160,7 @@ def _exchange_rounds(
     bound: int,
     learned: np.ndarray,
     geometric: bool = False,
-    stop_above: int | None = None,
+    differ: np.ndarray | None = None,
 ) -> int:
     """Public rounds, in place, one per input of ``xs``, on one of two stacks:
     a lone stack ``w`` shaped (2 + E, K, N), the parties in rows 0 and 1 and
@@ -174,8 +174,10 @@ def _exchange_rounds(
     one first flipping the sign of its unit with the smallest |local field|
     (the first on ties).
 
-    With ``stop_above=k`` the block ends right after the first round in
-    which more than k party pairs are equal. Returns the rounds run.
+    ``differ`` flags the party pairs whose weights differ, shaped (1,) for a
+    lone stack or (T,), and the kernel keeps it after every round; the block
+    ends right after the first round in which fewer pairs differ than on
+    entry. Returns the rounds run.
 
     A unit's sign is -1 where its local field is <= 0, and a row's output is
     -1 where an odd number of its signs are. A learning row outputs the
@@ -184,6 +186,7 @@ def _exchange_rounds(
     is one scalar, so the move mask is one call on the rows' learn flags and
     the units' sign masks: their conjunction where tau is -1, and where tau
     is +1 the units of learning rows whose sign is not -1 (learn > negative).
+    Either overwrites the sign masks, which the next round draws afresh.
     """
     # views, scratch buffers and ufuncs are set up once per block, and each
     # round's ufuncs write into them
@@ -192,21 +195,20 @@ def _exchange_rounds(
     zero, lower, upper = _kernel_constants(w.dtype, bound)
     field = np.empty(w.shape[:-1], dtype=w.dtype)
     negative = np.empty(field.shape, dtype=bool)
-    moving = np.empty_like(negative)
     odd = np.empty(w.shape[:-2], dtype=bool)
-    if stop_above is not None:
-        alice, bob = w[..., 0, :, :], w[..., 1, :, :]
-        differ = np.empty(alice.shape, dtype=bool)
-        differ_by_trial = differ.reshape(w.shape[:-3] + (-1,))  # fresh scratch, so a view
-        differs = np.empty(w.shape[:-3], dtype=bool)
     lone = w.ndim == 3
+    if differ is not None:
+        alice, bob = w[..., 0, :, :], w[..., 1, :, :]
+        unequal = np.empty(alice.shape, dtype=bool)
+        unequal_by_trial = unequal.reshape(w.shape[:-3] + (-1,))  # fresh scratch, so a view
+        entry = count_nonzero(differ)
     if lone:  # tau is one scalar, so one masked add or subtract
         greater, add, subtract = np.greater, np.add, np.subtract
-        move = moving[..., None]
+        move = negative[..., None]
     else:  # a trial's learn mask is its parties' agreement, twice
         public = odd[..., :1, None]  # broadcasts over each trial's units
         partner = odd[..., ::-1]
-        step = np.empty(moving.shape, dtype=w.dtype)  # +1 on moving units, negated where tau is -1
+        step = np.empty(negative.shape, dtype=w.dtype)  # +1 on moving units, negated where tau is -1
         steps = step[..., None]
         delta = np.empty_like(w)
     for i, (x, learn, learn_units) in enumerate(zip(xs, learned, learned[..., None])):
@@ -231,17 +233,17 @@ def _exchange_rounds(
                             negative[row, unit] = not negative[row, unit]
                     learn[...] = True
             if tau_negative:
-                logical_and(negative, learn_units, out=moving)
+                logical_and(negative, learn_units, out=negative)
                 subtract(w, x, out=w, where=move)
             else:
-                greater(learn_units, negative, out=moving)
+                greater(learn_units, negative, out=negative)
                 add(w, x, out=w, where=move)
         else:
             equal(odd, partner, out=learn)
             if not count_nonzero(learn):
                 continue
-            equal(negative, public, out=moving)
-            logical_and(moving, learn_units, out=step)
+            equal(negative, public, out=negative)
+            logical_and(negative, learn_units, out=step)
             np.negative(step, out=step, where=public)
             np.multiply(x, steps, out=delta)
             np.add(w, delta, out=w)
@@ -249,15 +251,16 @@ def _exchange_rounds(
         # handling that costs more than the clamp at these sizes, and it is
         # one call where minimum and maximum are two
         clamp(w, lower, upper, out=w)
-        if stop_above is not None:
-            np.not_equal(alice, bob, out=differ)
-            if lone:
-                coincided = not count_nonzero(differ)
+        if differ is not None:
+            np.not_equal(alice, bob, out=unequal)
+            if lone:  # fewer unequal weights than its flag only once the pair coincides
+                if count_nonzero(unequal) < entry:
+                    differ[0] = False
+                    return i + 1
             else:
-                np.logical_or.reduce(differ_by_trial, axis=-1, out=differs)
-                coincided = len(differs) - count_nonzero(differs)
-            if coincided > stop_above:
-                return i + 1
+                np.logical_or.reduce(unequal_by_trial, axis=-1, out=differ)
+                if count_nonzero(differ) < entry:
+                    return i + 1
     return len(xs)
 
 
@@ -349,13 +352,15 @@ def synchronize_batch(
     the next round the loop acts on: the end of the input chunk, the budget
     or, in protocol mode, the next digest round; a traced run takes blocks of
     one round. Each call allocates its scratch buffers once, the largest a
-    delta of T * 2 * K * N elements in the stack dtype. In simulation mode a
-    block also stops right after the round in which a live pair coincides,
-    so that pair retires at that round.
+    delta of T * 2 * K * N elements in the stack dtype. Each block's learn
+    masks are added to the learning steps right after the call. In simulation
+    mode the kernel keeps each pair's differ flag and also stops a block right
+    after the round in which a live pair coincides, so that pair retires at
+    that round, its flag clear.
 
     A trial retires when it converges or reaches the budget; retired rows run
     on unread until fewer than half the rows are live, and then the stack,
-    buffer and row ids are compacted.
+    buffer, flags and row ids are compacted.
     """
     if len(pairs) != len(seeds) or not pairs:
         raise ValueError("need one seed per machine pair, and at least one pair")
@@ -369,33 +374,25 @@ def synchronize_batch(
     dtype = _stack_dtype(params)
     w = np.array([(alice.weights, bob.weights) for alice, bob in pairs], dtype=dtype)
     inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=dtype)
-    # which rows learned, per round of the current input chunk
-    learned = np.zeros((_INPUT_CHUNK, len(pairs), 2), dtype=bool)
-    learning_steps = np.zeros(len(pairs), dtype=np.int64)  # before the chunk
+    learned = np.empty((_INPUT_CHUNK, len(pairs), 2), dtype=bool)  # which rows learned, per round of a block
+    learning_steps = np.zeros(len(pairs), dtype=np.int64)
+    # which pairs' weights differ, kept by the kernel in simulation mode
+    differ = None if config.protocol_mode else (w[:, 0] != w[:, 1]).any(axis=(1, 2))
     trial_of_row = np.arange(len(pairs))
     live = np.ones(len(pairs), dtype=bool)
     traces: list[list[tuple[int, float]]] | None = [[] for _ in pairs] if record_overlap else None
     transcripts: list[SyncTranscript] = [None] * len(pairs)  # type: ignore[list-item]
 
-    remaining = len(pairs)
     iterations = 0
     digest_exchanges = 0  # every live trial checks digests at the same rounds
     interval = config.digest_check_interval
     while True:
-        converged = None
-        if config.protocol_mode:
-            if iterations and iterations % interval == 0:
-                digest_exchanges += 1
-                converged = np.zeros(len(w), dtype=bool)
-                for r in live.nonzero()[0]:
-                    converged[r] = _weight_digest(w[r, 0]) == _weight_digest(w[r, 1])
-        else:
-            # a pair that retired converged stays equal, so a count above
-            # theirs means some live pair has just coincided
-            flat = w.reshape(len(w), 2, -1)
-            equal = (flat[:, 0] == flat[:, 1]).all(axis=1)
-            if np.count_nonzero(equal) > len(w) - remaining:
-                converged = equal & live
+        converged = None if differ is None else live & ~differ
+        if differ is None and iterations and iterations % interval == 0:
+            digest_exchanges += 1
+            converged = np.zeros(len(w), dtype=bool)
+            for r in live.nonzero()[0]:
+                converged[r] = _weight_digest(w[r, 0]) == _weight_digest(w[r, 1])
         done = live if iterations >= budget else converged
         retiring = () if done is None else done.nonzero()[0]
         if len(retiring):
@@ -409,24 +406,21 @@ def synchronize_batch(
                 bob.weights[...] = w[r, 1]
                 transcripts[trial] = SyncTranscript(
                     iterations=iterations,
-                    learning_steps=int(learning_steps[r] + np.count_nonzero(learned[:, r, 0])),
+                    learning_steps=int(learning_steps[r]),
                     digest_exchanges=digest_exchanges,
                     converged=synced,
                     overlap_trace=None if traces is None else traces[trial],
                 )
             live[retiring] = False
-            remaining -= len(retiring)
-            if not remaining:
+            if not live.any():
                 return transcripts
-            if 2 * remaining < len(w):
-                w, inputs, learned = w[live], inputs[:, live], learned[:, live]
+            if 2 * np.count_nonzero(live) < len(w):
+                w, inputs, differ = w[live], inputs[:, live], differ if differ is None else differ[live]
                 trial_of_row, learning_steps = trial_of_row[live], learning_steps[live]
                 live = live[live]
 
         slot = iterations % _INPUT_CHUNK
         if slot == 0:
-            learning_steps += learned[..., 0].sum(axis=0)
-            learned[...] = False
             for r in live.nonzero()[0]:
                 inputs[:, r, 0] = _draw_inputs(streams[trial_of_row[r]], (params.K, params.N))
         # a block runs to the next round the loop acts on: the chunk's end,
@@ -437,13 +431,14 @@ def synchronize_batch(
             end = min(_INPUT_CHUNK, slot + budget - iterations)
             if config.protocol_mode:
                 end = min(end, slot + interval - iterations % interval)
-        # a simulation block also stops when a live pair coincides
-        stop = None if config.protocol_mode else len(w) - remaining
         if len(w) == 1:  # a lone trial skips the cost of the trial axis
             stack, xs, masks = w[0], inputs[slot:end, 0, 0], learned[slot:end, 0]
         else:
-            stack, xs, masks = w, inputs[slot:end], learned[slot:end]
-        iterations += _exchange_rounds(stack, xs, params.L, masks, stop_above=stop)
+            stack, xs, masks = w, inputs[slot:end], learned[slot:end, : len(w)]
+        # a simulation block also stops when a live pair coincides
+        rounds = _exchange_rounds(stack, xs, params.L, masks, differ=differ)
+        iterations += rounds
+        learning_steps += masks[:rounds, ..., 0].sum(axis=0)
         if traces is not None:
             overlaps = (w[:, 0] == w[:, 1]).mean(axis=(1, 2))
             for r in live.nonzero()[0]:

@@ -538,10 +538,19 @@ def test_local_fields_at_the_stack_dtype_boundary_match_the_oracle(monkeypatch, 
 # the block kernel: one call over n inputs against n one-round calls
 
 
-def one_round_at_a_time(w, xs, bound, geometric):
+def differ_flags(w):
+    """Which party pairs of a lone (shaped (1,)) or trial stack differ."""
+    return (w[..., 0, :, :] != w[..., 1, :, :]).any(axis=(-2, -1)).reshape(-1)
+
+
+def one_round_at_a_time(w, xs, bound, geometric, differ=None):
+    """The learn masks of the rounds of ``xs``, one call each, up to the
+    first round in which a pair flagged in ``differ`` coincides."""
     learned = np.zeros((len(xs),) + w.shape[:-2], dtype=bool)
     for i in range(len(xs)):
         assert sync._exchange_rounds(w, xs[i : i + 1], bound, learned[i : i + 1], geometric) == 1
+        if differ is not None and (differ > differ_flags(w)).any():
+            return learned[: i + 1]
     return learned
 
 
@@ -562,11 +571,15 @@ def test_a_block_of_rounds_equals_rounds_one_at_a_time(L, dtype):
             w = rng.integers(-L, L + 1, size=rows + (K, N)).astype(np.int32)
             x_shape = (n, K, N) if len(rows) == 1 else (n, rows[0], 1, K, N)
             xs = (rng.integers(0, 2, size=x_shape) * 2 - 1).astype(dtype)
-            block, rounds = w.copy(), w.copy()
-            learned = np.ones((n,) + rows, dtype=bool)  # every round must be written
-            assert sync._exchange_rounds(block, xs, L, learned, geometric) == n
-            assert np.array_equal(learned, one_round_at_a_time(rounds, xs, L, geometric))
-            assert np.array_equal(block, rounds)
+            # a parties-only stack runs once more, keeping its differ flags
+            for differ in (None, differ_flags(w)) if len(rows) == 2 else (None,):
+                block, rounds = w.copy(), w.copy()
+                learned = np.ones((n,) + rows, dtype=bool)  # every round run must be written
+                expected = one_round_at_a_time(rounds, xs, L, geometric, differ)
+                assert sync._exchange_rounds(block, xs, L, learned, geometric, differ) == len(expected)
+                assert np.array_equal(learned[: len(expected)], expected)
+                assert np.array_equal(block, rounds)
+                assert differ is None or np.array_equal(differ, differ_flags(rounds))
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
@@ -616,17 +629,21 @@ def test_a_block_stops_right_after_the_round_a_pair_coincides():
 
     w = np.stack([alice.weights, bob.weights]).astype(np.int32)
     learned = np.zeros((len(xs), 2), dtype=bool)
-    assert sync._exchange_rounds(w, xs, L, learned, stop_above=0) == 29
+    differ = np.array([True])
+    assert sync._exchange_rounds(w, xs, L, learned, differ=differ) == 29
     assert np.array_equal(w, np.stack([a.weights, b.weights]))
+    assert np.array_equal(differ, differ_flags(w))
 
-    # beside a random pair and a pair that is equal from the start, the pair
-    # stops a trial block only when the count of equal pairs exceeds the bound
+    # beside a random pair and a pair that is equal from the start, a trial
+    # block stops only when fewer pairs differ than were flagged on entry
     far_a, far_b = fresh_pair(BATCH_PARAMS, 11)
     stack = np.stack([[far_a.weights, far_b.weights], [alice.weights, bob.weights], [alice.weights] * 2])
     trial_xs = np.stack([xs] * 3, axis=1)[:, :, None]
     learned = np.zeros((len(xs), 3, 2), dtype=bool)
-    for stop_above, rounds in ((0, 1), (1, 29), (2, 64), (None, 64)):
+    for flags, rounds in (((1, 1, 1), 1), ((1, 1, 0), 29), ((1, 0, 0), 64), ((0, 0, 0), 64)):
         w = stack.astype(np.int32)
-        assert sync._exchange_rounds(w, trial_xs, L, learned, stop_above=stop_above) == rounds
+        differ = np.array(flags, dtype=bool)
+        assert sync._exchange_rounds(w, trial_xs, L, learned, differ=differ) == rounds
+        assert np.array_equal(differ, differ_flags(w))
         if rounds == 29:
             assert np.array_equal(w[1], np.stack([a.weights, b.weights]))
