@@ -17,12 +17,14 @@ bit, after a geometric Eve's flip of her weakest unit.
 The race watches for two events, and both are absorbing: once the parties'
 weights are equal they stay equal, and once an Eve's weights equal Alice's her
 output is always the public one, so she makes Alice's exact update or nobody
-learns. An untraced race therefore runs ``_CHECK_INTERVAL`` rounds unchecked,
-in one kernel call, and then compares every row with Alice's once. When that
-finds no new event, the interval's learning counts are added; when it finds
-one, the race restores the weights saved at the start of the interval and
-replays it round by round, counting and checking each round as a traced race
-does, so the round each event happens on is the same either way.
+learns. Both are checked once before the first round, so a pair or an Eve
+that starts equal to Alice reads round 0, as in ``synchronize_batch``. As both
+are absorbing, an untraced race then runs ``_CHECK_INTERVAL`` rounds
+unchecked, in one kernel call, and then compares every row with Alice's once.
+When that finds no new event, the interval's learning counts are added; when
+it finds one, the race restores the weights saved at the start of the
+interval and replays it round by round, counting and checking each round as a
+traced race does, so the round each event happens on is the same either way.
 """
 
 from __future__ import annotations
@@ -139,15 +141,18 @@ def run_attack(
     iterations = 0
     learning = np.zeros(len(w), dtype=np.int64)  # per row; the parties learn on every agreed round
     learned = np.empty((_CHECK_INTERVAL, len(w)), dtype=bool)  # per round of an interval
-    ab_converged_at = 0  # the round the parties first coincide; 0 until then
+    ab_converged_at: int | None = None  # the round the parties first coincide
     ab_learning_at = 0
     overlap_at_convergence = -1.0
-    eve_synced = False
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if record_overlap else None
     eve_trace: list[tuple[int, float]] | None = [] if record_overlap else None
     flat = w.reshape(len(w), -1)
     saved_w = np.empty_like(w)  # an untraced interval's start, for a replay
+    equal = (flat == flat[0]).all(axis=1).tolist()
+    if equal[1]:
+        ab_converged_at, overlap_at_convergence = 0, float((eves == w[0]).mean(axis=(1, 2)).max())
+    eve_synced = any(equal[2:])
 
     while iterations < attack.iteration_budget and not eve_synced:
         slot = iterations % _INPUT_CHUNK
@@ -160,7 +165,7 @@ def run_attack(
             # which rows equal Alice's, tested as a list: numpy's any() costs
             # more than the few flags it would read
             equal = (flat == flat[0]).all(axis=1).tolist()
-            if not any(equal[2:]) and (ab_converged_at or not equal[1]):
+            if not any(equal[2:]) and (ab_converged_at is not None or not equal[1]):
                 learning += learned[: len(xs)].sum(axis=0)
                 iterations += len(xs)
                 continue
@@ -171,7 +176,7 @@ def run_attack(
             _exchange_rounds(w, xs[i : i + 1], params.L, learned, geometric)
             learning += learned[0]
             equal = (flat == flat[0]).all(axis=1).tolist()
-            if not ab_converged_at and equal[1]:
+            if ab_converged_at is None and equal[1]:
                 ab_converged_at, ab_learning_at = iterations, int(learning[0])
                 overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())
             if trace is not None and eve_trace is not None:
@@ -184,11 +189,12 @@ def run_attack(
     ab_learning = int(learning[0])
     per_machine = (eves == w[0]).mean(axis=(1, 2)).tolist()
     best_overlap = max(per_machine)
+    converged = ab_converged_at is not None
     transcript = SyncTranscript(
-        iterations=ab_converged_at or iterations,
-        learning_steps=ab_learning_at if ab_converged_at else ab_learning,
+        iterations=ab_converged_at if converged else iterations,
+        learning_steps=ab_learning_at if converged else ab_learning,
         digest_exchanges=0,
-        converged=ab_converged_at > 0,
+        converged=converged,
         overlap_trace=trace,
     )
     result = AttackResult(

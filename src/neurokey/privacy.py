@@ -12,15 +12,13 @@ an integer convolution. Large products use a float64 FFT convolution, which
 costs O(n log n) instead of O(rows * cols) and is checked to round exactly;
 small ones keep the direct convolution, where FFT set-up would dominate.
 Both give the same integers, so the output bits do not depend on the path.
-A spec computes its diagonals' spectrum once, so the keys of both parties
-hashed with one spec cost one forward FFT each after the first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,10 +49,8 @@ _FFT_MIN_PRODUCT = 1 << 16
 
 # Thin shapes also need rows * cols >= _FFT_COST_RATIO * n * log2(n), n the FFT
 # length that _fft_length picks (the smallest 5-smooth n >= rows + cols - 1):
-# the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3. With
-# the spec's spectrum cached, a second key's FFT costs about a third less, which
-# moves its crossover to ~0.3-0.4; the rule is set for the first key (at 10000
-# columns: FFT 531 us vs direct 635 us at 0.21, 536 vs 245 us at 0.42).
+# the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3 (at
+# 10000 columns: FFT 531 us vs direct 635 us at 0.21, 536 vs 245 us at 0.42).
 _FFT_COST_RATIO = 4
 
 # Largest distance of an FFT output from the nearest integer that is still
@@ -131,6 +127,10 @@ class ToeplitzSpec:
     rows: int
     cols: int
     first_row_and_col: np.ndarray
+    # amplify's last key on the FFT path and its hash: (key bits, hash bits)
+    _last_hash: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -142,7 +142,7 @@ class ToeplitzSpec:
         arr = arr.astype(np.uint8, copy=True)
         if arr.size and arr.max(initial=0) > 1:
             raise ValueError("first_row_and_col entries must be 0 or 1")
-        arr.flags.writeable = False  # the cached spectrum below derives from it
+        arr.flags.writeable = False  # the kept last hash derives from it
         object.__setattr__(self, "first_row_and_col", arr)
 
     @classmethod
@@ -158,12 +158,6 @@ class ToeplitzSpec:
         reversed."""
         seq = self.first_row_and_col
         return np.concatenate([seq[: self.cols][::-1], seq[self.cols :]])
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """rfft of the diagonals at length _fft_length(rows + cols - 1),
-        computed on first use and kept for every later key."""
-        return np.fft.rfft(self.diagonals, _fft_length(self.rows + self.cols - 1))
 
 
 @lru_cache(maxsize=1024)  # each amplify asks twice; the search costs ~10 us
@@ -200,9 +194,7 @@ def _direct_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.convolve(diagonals.astype(np.int64), bits.astype(np.int64), "valid")
 
 
-def _fft_counts(
-    diagonals: np.ndarray, bits: np.ndarray, spectrum: np.ndarray | None = None
-) -> np.ndarray:
+def _fft_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The same dot products by a real FFT convolution of length n, the
     smallest 5-smooth integer >= len(diagonals) = rows + cols - 1.
 
@@ -213,16 +205,11 @@ def _fft_counts(
     integer <= cols, recovered by rounding; FftPrecisionError is raised
     instead of returning bits if any value is _ROUNDING_TOLERANCE or more
     from its nearest integer.
-
-    spectrum, when given, must be rfft(diagonals, n), as ToeplitzSpec.spectrum
-    caches it; otherwise it is computed here.
     """
     cols = bits.size
     rows = diagonals.size - cols + 1
     n = _fft_length(diagonals.size)
-    if spectrum is None:
-        spectrum = np.fft.rfft(diagonals, n)
-    product = spectrum * np.fft.rfft(bits, n)
+    product = np.fft.rfft(diagonals, n) * np.fft.rfft(bits, n)
     window = np.fft.irfft(product, n)[cols - 1 : cols - 1 + rows]
     counts = np.rint(window)
     error = float(np.max(np.abs(window - counts)))
@@ -245,17 +232,19 @@ def amplify(key: BitKey, spec: ToeplitzSpec) -> BitKey:
     convolution whose rounding is checked, n being the smallest 5-smooth
     length >= rows + cols - 1; smaller or thinner ones use the faster direct
     O(rows * cols) convolution. Both paths give the same integers, hence the
-    same bits. The FFT path takes the diagonals' spectrum from the spec,
-    which computes it on the first key, so a second key costs one forward
-    and one inverse FFT.
+    same bits. The FFT path keeps a copy of its key and hash on the spec, and
+    returns that hash with no transform when the next key's bits are equal,
+    as the second party's reconciled key is.
 
     Raises FftPrecisionError, and returns nothing, if the FFT result cannot
     be rounded safely; this has not been observed at any tested size.
     """
     if key.length != spec.cols:
         raise ValueError(f"key length {key.length} does not match matrix cols {spec.cols}")
-    if _fft_pays(spec.rows, spec.cols):
-        counts = _fft_counts(spec.diagonals, key.bits, spec.spectrum)
-    else:
-        counts = _direct_counts(spec.diagonals, key.bits)
-    return BitKey((counts & 1).astype(np.uint8))
+    if not _fft_pays(spec.rows, spec.cols):
+        return BitKey((_direct_counts(spec.diagonals, key.bits) & 1).astype(np.uint8))
+    last = spec._last_hash
+    if last is None or not np.array_equal(last[0], key.bits):
+        last = key.bits.copy(), (_fft_counts(spec.diagonals, key.bits) & 1).astype(np.uint8)
+        object.__setattr__(spec, "_last_hash", last)
+    return BitKey(last[1])

@@ -11,7 +11,13 @@ import pytest
 from neurokey import harness
 from neurokey.adversary import AttackConfig, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
-from neurokey.sync import _draw_inputs, _exchange_rounds, seed_initial_overlap
+from neurokey.sync import (
+    SyncConfig,
+    _draw_inputs,
+    _exchange_rounds,
+    seed_initial_overlap,
+    synchronize_batch,
+)
 from neurokey.tpm import (
     Tpm,
     TpmEvaluation,
@@ -90,6 +96,7 @@ class TestRunAttack:
         transcript, result = run_attack(alice, bob, 2, attack)
         assert result.synced
         assert result.best_overlap == 1.0
+        assert result.iterations_observed == 0
 
     def test_ensemble_of_one_equals_passive_under_same_seed(self):
         for seed in (3, 4, 5):
@@ -199,74 +206,74 @@ GOLDEN_RACE_DIGESTS = {
     "passive1-random-eveNone-trace": "1c6a879e235deee0",
     "passive1-random-eve0.9-notrace": "af13fc6394eece32",
     "passive1-random-eve0.9-trace": "a81692d7d16a585f",
-    "passive1-random-eve1.0-notrace": "40bf2fdb52350fe5",
-    "passive1-random-eve1.0-trace": "86b855261530488a",
+    "passive1-random-eve1.0-notrace": "bb7709f29b913fc2",
+    "passive1-random-eve1.0-trace": "d6be2839c0dcb704",
     "passive1-overlap-eveNone-notrace": "94c63b2d74341529",
     "passive1-overlap-eveNone-trace": "3829eb460cd3f4b9",
     "passive1-overlap-eve0.9-notrace": "c705b4f2c9a5d434",
     "passive1-overlap-eve0.9-trace": "d37ed5d7c8e85416",
-    "passive1-overlap-eve1.0-notrace": "40bf2fdb52350fe5",
-    "passive1-overlap-eve1.0-trace": "4a997daa97d6679c",
+    "passive1-overlap-eve1.0-notrace": "bb7709f29b913fc2",
+    "passive1-overlap-eve1.0-trace": "d6be2839c0dcb704",
     "passive1-from_qber-eveNone-notrace": "c9ff8175cc9ec9d9",
     "passive1-from_qber-eveNone-trace": "8b634e9a497ad0e7",
     "passive1-from_qber-eve0.9-notrace": "b2b1d84f49fcbf65",
     "passive1-from_qber-eve0.9-trace": "2a091b76c709c83a",
-    "passive1-from_qber-eve1.0-notrace": "25bad75538f46e6e",
-    "passive1-from_qber-eve1.0-trace": "4d70d706cd19686c",
+    "passive1-from_qber-eve1.0-notrace": "bb7709f29b913fc2",
+    "passive1-from_qber-eve1.0-trace": "d6be2839c0dcb704",
     "geometric1-random-eveNone-notrace": "67d4a85f4b2a5c1c",
     "geometric1-random-eveNone-trace": "2878589af498bae7",
     "geometric1-random-eve0.9-notrace": "776537a94be103ad",
     "geometric1-random-eve0.9-trace": "abfb4dabbb1eb540",
-    "geometric1-random-eve1.0-notrace": "40bf2fdb52350fe5",
-    "geometric1-random-eve1.0-trace": "86b855261530488a",
+    "geometric1-random-eve1.0-notrace": "bb7709f29b913fc2",
+    "geometric1-random-eve1.0-trace": "d6be2839c0dcb704",
     "geometric1-overlap-eveNone-notrace": "a06741b6831fe60e",
     "geometric1-overlap-eveNone-trace": "328012f7426406c4",
     "geometric1-overlap-eve0.9-notrace": "471fe31f11b83c3c",
     "geometric1-overlap-eve0.9-trace": "70a8fcd9058fff2b",
-    "geometric1-overlap-eve1.0-notrace": "40bf2fdb52350fe5",
-    "geometric1-overlap-eve1.0-trace": "4a997daa97d6679c",
+    "geometric1-overlap-eve1.0-notrace": "bb7709f29b913fc2",
+    "geometric1-overlap-eve1.0-trace": "d6be2839c0dcb704",
     "geometric1-from_qber-eveNone-notrace": "7f0d6ca2677139fa",
     "geometric1-from_qber-eveNone-trace": "fa2882be0f92661c",
     "geometric1-from_qber-eve0.9-notrace": "6e4eeef1fe59ff20",
     "geometric1-from_qber-eve0.9-trace": "1e2be5db18d7d143",
-    "geometric1-from_qber-eve1.0-notrace": "25bad75538f46e6e",
-    "geometric1-from_qber-eve1.0-trace": "f6e13d2d66253a18",
+    "geometric1-from_qber-eve1.0-notrace": "bb7709f29b913fc2",
+    "geometric1-from_qber-eve1.0-trace": "d6be2839c0dcb704",
     "ensemble3-random-eveNone-notrace": "5b24338254a37740",
     "ensemble3-random-eveNone-trace": "edecef561297d2b3",
     "ensemble3-random-eve0.9-notrace": "b9cdccebd23fc823",
     "ensemble3-random-eve0.9-trace": "f5ca5f31e58c943d",
-    "ensemble3-random-eve1.0-notrace": "2f49cc2a33441a72",
-    "ensemble3-random-eve1.0-trace": "4ec5d7c461bb439f",
+    "ensemble3-random-eve1.0-notrace": "fbbc540f014d24ca",
+    "ensemble3-random-eve1.0-trace": "bc38a31f2607f80b",
     "ensemble3-overlap-eveNone-notrace": "dcb588e5d628b205",
     "ensemble3-overlap-eveNone-trace": "75510539786c428d",
     "ensemble3-overlap-eve0.9-notrace": "cc9b7aa367d76cbf",
     "ensemble3-overlap-eve0.9-trace": "4016555d59fb1411",
-    "ensemble3-overlap-eve1.0-notrace": "2f49cc2a33441a72",
-    "ensemble3-overlap-eve1.0-trace": "a26895eadb6ce40d",
+    "ensemble3-overlap-eve1.0-notrace": "fbbc540f014d24ca",
+    "ensemble3-overlap-eve1.0-trace": "bc38a31f2607f80b",
     "ensemble3-from_qber-eveNone-notrace": "b024fbe85ef69670",
     "ensemble3-from_qber-eveNone-trace": "a301cbb8294fcd3e",
     "ensemble3-from_qber-eve0.9-notrace": "3ca0956daef68e07",
     "ensemble3-from_qber-eve0.9-trace": "7c54f1b10ac483d1",
-    "ensemble3-from_qber-eve1.0-notrace": "cac75e85619dd0cb",
-    "ensemble3-from_qber-eve1.0-trace": "f5938c6bf5eb683f",
+    "ensemble3-from_qber-eve1.0-notrace": "fbbc540f014d24ca",
+    "ensemble3-from_qber-eve1.0-trace": "bc38a31f2607f80b",
     "ensemble16-random-eveNone-notrace": "b17019b702f16d58",
     "ensemble16-random-eveNone-trace": "fd8984b2c891002f",
     "ensemble16-random-eve0.9-notrace": "a77f3fccafa808fd",
     "ensemble16-random-eve0.9-trace": "965ac4a56cd0b9a9",
-    "ensemble16-random-eve1.0-notrace": "9a5378fd2f452ac2",
-    "ensemble16-random-eve1.0-trace": "a835c5380973bdbb",
+    "ensemble16-random-eve1.0-notrace": "b852dceaee8e2113",
+    "ensemble16-random-eve1.0-trace": "4cf5df2fead0642f",
     "ensemble16-overlap-eveNone-notrace": "553dd0304150e4ae",
     "ensemble16-overlap-eveNone-trace": "1f88b3e3994909c0",
     "ensemble16-overlap-eve0.9-notrace": "96932e77843debf1",
     "ensemble16-overlap-eve0.9-trace": "65238be8c4d36286",
-    "ensemble16-overlap-eve1.0-notrace": "9a5378fd2f452ac2",
-    "ensemble16-overlap-eve1.0-trace": "ba12ea69abbccd61",
+    "ensemble16-overlap-eve1.0-notrace": "b852dceaee8e2113",
+    "ensemble16-overlap-eve1.0-trace": "4cf5df2fead0642f",
     "ensemble16-from_qber-eveNone-notrace": "f656080f980a0172",
     "ensemble16-from_qber-eveNone-trace": "7e051afeb5c9d415",
     "ensemble16-from_qber-eve0.9-notrace": "1529a105a6d0a11f",
     "ensemble16-from_qber-eve0.9-trace": "26d45d8ef701a7ff",
-    "ensemble16-from_qber-eve1.0-notrace": "edf29293d0b4ce4a",
-    "ensemble16-from_qber-eve1.0-trace": "5ff940feac101e17",
+    "ensemble16-from_qber-eve1.0-notrace": "b852dceaee8e2113",
+    "ensemble16-from_qber-eve1.0-trace": "4cf5df2fead0642f",
 }
 
 # sha256 of the CSV of the bundled fig2 scenario cut to its first 20 trials
@@ -326,6 +333,20 @@ def test_untraced_race_equals_the_traced_race(case):
         attack = AttackConfig(strategy, size, iteration_budget=budget, eve_initial_overlap=eve_overlap)
         untraced, traced = untraced_and_traced(alice, bob, 9100 + budget, attack)
         assert untraced == traced
+
+
+@pytest.mark.parametrize("strategy,size", GOLDEN_STRATEGIES, ids=[f"{s}{n}" for s, n in GOLDEN_STRATEGIES])
+def test_parties_that_start_equal_converge_at_round_zero(strategy, size):
+    # the race checks both events before its first round, as synchronize_batch
+    # does: equal parties converge at round 0, where each Eve still holds her
+    # starting overlap, 44/48 (floor(0.1 * 48) = 4 of Alice's weights changed)
+    alice, _ = fresh_pair(11)
+    batch = synchronize_batch([(alice.copy(), alice.copy())], SyncConfig(), [12])
+    assert (batch[0].iterations, batch[0].learning_steps, batch[0].converged) == (0, 0, True)
+    attack = AttackConfig(strategy, size, iteration_budget=40, eve_initial_overlap=0.9)
+    for transcript, result in untraced_and_traced(alice, alice.copy(), 12, attack):
+        assert [transcript] == batch
+        assert result.best_overlap_at_convergence == 44 / 48
 
 
 # (strategy, start, seed, budget, the event, the round it happens on); the

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,9 @@ from scipy.linalg import toeplitz
 
 from neurokey.adversary import leakage_after
 from neurokey import privacy
+from neurokey.channel import DEFAULT_SAMPLE_FRACTION, NoisyKeyPair, estimate_qber, generate_key_pair
+from neurokey.harness import run_pipeline
+from neurokey.parity import ParityConfig, run_parity_reconciliation
 from neurokey.privacy import (
     FftPrecisionError,
     InfeasibleBudgetError,
@@ -130,7 +134,7 @@ class TestToeplitzSpec:
         spec = ToeplitzSpec.from_seed(5, 7, seed=11)
         assert np.array_equal(spec.diagonals, diagonal_sequence(spec))
 
-    def test_bits_are_read_only_under_the_cached_spectrum(self):
+    def test_bits_are_read_only_under_the_kept_hash(self):
         spec = ToeplitzSpec.from_seed(300, 400, seed=2)
         with pytest.raises(ValueError, match="read-only"):
             spec.first_row_and_col[0] ^= 1
@@ -255,8 +259,8 @@ class TestAmplify:
 
     @pytest.mark.parametrize("rows,cols", [(600, 900), (1393, 1844), (11292, 14746)])
     def test_one_spec_hashes_two_keys_like_fresh_specs(self, rows, cols, monkeypatch):
-        # the spectrum a spec caches on its first key must serve a second,
-        # different key in either order, and cost no FFT of the diagonals
+        # a spec keeps its last FFT-path key and hash: an equal next key costs
+        # no transform, and a different one is hashed afresh in either order
         assert privacy._fft_pays(rows, cols)
         rng = np.random.default_rng(rows)
         keys = [BitKey(rng.integers(0, 2, size=cols, dtype=np.uint8)) for _ in range(2)]
@@ -267,14 +271,29 @@ class TestAmplify:
             for key in keys
         ]
         assert fresh == direct
-        rfft = np.fft.rfft
         transforms = []
-        monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: transforms.append(1) or rfft(*a, **kw))
-        for order in ([0, 1], [1, 0]):
+        for name in ("rfft", "irfft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, _t=transform, **kw: transforms.append(1) or _t(*a, **kw)
+            )
+        for order in ([0, 1], [1, 0], [0, 1, 0, 1]):
             spec = ToeplitzSpec.from_seed(rows, cols, seed=9)
-            transforms.clear()
             assert [amplify(keys[i], spec) for i in order] == [fresh[i] for i in order]
-            assert len(transforms) == 3  # the diagonals once, then each key
+        spec = ToeplitzSpec.from_seed(rows, cols, seed=9)
+        amplify(keys[0], spec)
+        transforms.clear()
+        assert amplify(BitKey(keys[0].bits), spec) == fresh[0]
+        assert transforms == []  # an equal second key: no rfft, no irfft
+
+        # neither the returned key nor the caller's key is the one kept
+        spec = ToeplitzSpec.from_seed(rows, cols, seed=9)
+        key = BitKey(keys[0].bits)
+        out = amplify(key, spec)
+        out.bits[:] ^= 1
+        assert amplify(keys[0], spec) == fresh[0]
+        key.bits[:] = keys[1].bits
+        assert amplify(key, spec) == fresh[1]
 
     def test_rounding_guard_refuses_to_return_bits(self, monkeypatch):
         irfft = np.fft.irfft
@@ -302,3 +321,104 @@ class TestAmplify:
         key, spec = seeded_case(8, 32, seed=4)
         expected = reference_matrix(spec).astype(np.int64) @ key.bits.astype(np.int64) % 2
         assert amplify(key, spec).bits.tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
+# both parties' final keys end to end, pinned by the first 16 hex digits of
+# the sha256 of each key's packed bits; a protocol that raises is pinned by
+# the exception's name. Captured while a spec still cached its spectrum.
+
+
+def key_digest(key: BitKey) -> str:
+    return hashlib.sha256(np.packbits(key.bits).tobytes()).hexdigest()[:16]
+
+
+def pipeline_outcome(seed: int, error_mode: str, protocol_mode: bool) -> str:
+    """run_pipeline at 2250 bits, K=10, N=30, L=2 and 3% QBER."""
+    try:
+        report = run_pipeline(
+            2250, 0.03, TpmParams(10, 30, 2), seed=seed, protocol_mode=protocol_mode, error_mode=error_mode
+        )
+    except Exception as error:  # the raised outcome is part of what is pinned
+        return type(error).__name__
+    keys = [key_digest(report.final_alice), key_digest(report.final_bob)]
+    return ":".join([str(report.budget.final_length), str(report.transcript.iterations)] + keys)
+
+
+def long_block_outcome(length: int, qber: float, error_mode: str, seed: int) -> str:
+    """The long-block composition: generate, estimate, Cascade, plan a budget
+    with no mutual-learning leakage, then hash both keys with one spec."""
+    pair_seed, sample_seed, parity_seed, hash_seed = (seed * 4 + part for part in range(4))
+    pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
+    estimate = estimate_qber(pair, DEFAULT_SAMPLE_FRACTION, seed=sample_seed)
+    alice, bob = estimate.remaining_alice, estimate.remaining_bob
+    errors = frozenset(np.flatnonzero(alice.bits != bob.bits).tolist())
+    hint = max(estimate.estimate, 1.0 / estimate.sampled_count)
+    outcome = run_parity_reconciliation(
+        NoisyKeyPair(alice, bob, errors, qber), ParityConfig(qber_hint=hint, seed=parity_seed)
+    )
+    n = alice.length
+    budget = plan_budget(n, leakage_after(0, TpmParams(1, 1, 1)), outcome.disclosed_bits)
+    spec = ToeplitzSpec.from_seed(budget.final_length, n, hash_seed)
+    keys = [key_digest(amplify(outcome.corrected_alice, spec)), key_digest(amplify(outcome.corrected_bob, spec))]
+    return ":".join([str(budget.final_length), str(outcome.residual_errors)] + keys)
+
+
+PIPELINE_CASES = list(itertools.product(range(4), ("uniform", "burst"), (False, True)))
+GOLDEN_PIPELINE_OUTCOMES = {
+    (0, "uniform", False): "347:298:f0c5f3958f707839:f0c5f3958f707839",
+    (0, "uniform", True): "153:300:26d99e83bb4c598e:26d99e83bb4c598e",
+    (0, "burst", False): "624:21:98c14de8142e0069:98c14de8142e0069",
+    (0, "burst", True): "481:100:17c981bdbac063f8:17c981bdbac063f8",
+    (1, "uniform", False): "264:381:6ad3131634cc82ab:6ad3131634cc82ab",
+    (1, "uniform", True): "InfeasibleBudgetError",
+    (1, "burst", False): "443:202:0bc6aac1b220ce54:0bc6aac1b220ce54",
+    (1, "burst", True): "153:300:d770671348e4319f:d770671348e4319f",
+    (2, "uniform", False): "550:95:534dad4d7b7794c9:534dad4d7b7794c9",
+    (2, "uniform", True): "481:100:530b21c4d8cf7508:530b21c4d8cf7508",
+    (2, "burst", False): "599:46:f0cc479502994f93:f0cc479502994f93",
+    (2, "burst", True): "481:100:3a8880bc8fd50193:3a8880bc8fd50193",
+    (3, "uniform", False): "396:249:b83842d99f2e568c:b83842d99f2e568c",
+    (3, "uniform", True): "153:300:ae9f399b31d49da2:ae9f399b31d49da2",
+    (3, "burst", False): "497:148:29f198d80879ece4:29f198d80879ece4",
+    (3, "burst", True): "317:200:ffaa9dff717eadb9:ffaa9dff717eadb9",
+}
+
+# (length, qber, error mode, seed); at (4096, 0.02, "burst", 0) Cascade leaves
+# two residual errors, so the parties' final keys differ
+LONG_BLOCK_CASES = [
+    (n, q, m, seed)
+    for n in (4096, 16384)
+    for q, m in ((0.02, "uniform"), (0.02, "burst"), (0.03, "uniform"), (0.03, "burst"))
+    for seed in (0, 1)
+]
+GOLDEN_LONG_BLOCK_OUTCOMES = {
+    (4096, 0.02, "uniform", 0): "3031:0:b4491a890f961c32:b4491a890f961c32",
+    (4096, 0.02, "uniform", 1): "3025:0:08b9402878e98597:08b9402878e98597",
+    (4096, 0.02, "burst", 0): "3128:2:118eedf4792adac8:3fb002b2fb42a7a5",
+    (4096, 0.02, "burst", 1): "3113:0:a5ca4f2911a77f69:a5ca4f2911a77f69",
+    (4096, 0.03, "uniform", 0): "2819:0:c03fa410d3af4f85:c03fa410d3af4f85",
+    (4096, 0.03, "uniform", 1): "2791:0:a7f5a2af90942e8c:a7f5a2af90942e8c",
+    (4096, 0.03, "burst", 0): "2876:0:5d10f27403420f1e:5d10f27403420f1e",
+    (4096, 0.03, "burst", 1): "2885:0:2c8f91338d66373e:2c8f91338d66373e",
+    (16384, 0.02, "uniform", 0): "12448:0:691d8bf58168c017:691d8bf58168c017",
+    (16384, 0.02, "uniform", 1): "12397:0:5c302ae52e13ada1:5c302ae52e13ada1",
+    (16384, 0.02, "burst", 0): "12396:0:059c1626a7fcdfdc:059c1626a7fcdfdc",
+    (16384, 0.02, "burst", 1): "12410:0:8aad0d1137400468:8aad0d1137400468",
+    (16384, 0.03, "uniform", 0): "11541:0:fc3cf8924836dace:fc3cf8924836dace",
+    (16384, 0.03, "uniform", 1): "11470:0:c49deef6db6a6e87:c49deef6db6a6e87",
+    (16384, 0.03, "burst", 0): "11501:0:45ce68d8d616897b:45ce68d8d616897b",
+    (16384, 0.03, "burst", 1): "11497:0:2ff0dc1ad1192293:2ff0dc1ad1192293",
+}
+
+
+@pytest.mark.parametrize(
+    "case", PIPELINE_CASES, ids=[f"seed{s}-{m}-{'protocol' if p else 'simulation'}" for s, m, p in PIPELINE_CASES]
+)
+def test_golden_pipeline_final_keys(case):
+    assert pipeline_outcome(*case) == GOLDEN_PIPELINE_OUTCOMES[case]
+
+
+@pytest.mark.parametrize("case", LONG_BLOCK_CASES, ids=[f"{n}b-{q:g}-{m}-seed{s}" for n, q, m, s in LONG_BLOCK_CASES])
+def test_golden_long_block_final_keys(case):
+    assert long_block_outcome(*case) == GOLDEN_LONG_BLOCK_OUTCOMES[case]
