@@ -24,9 +24,7 @@ the number of errors, not with the key length. Each pass keeps the sorted
 ranks (places in that pass's order) of the remaining errors and a count per
 block: a block is odd when its count is, a binary-search level bisects the
 sorted ranks at the midpoint, and a flip removes the error from its block in
-every pass still tracked. Pass 1 and every BBBSS pass cannot reopen a block
-of another pass, so with many odd blocks all of their searches run as one
-vectorised bisection. Every comparison is still counted as above.
+every pass still tracked.
 """
 
 from __future__ import annotations
@@ -86,13 +84,6 @@ class ParityOutcome:
     flipped_positions: list[int]
 
 
-# Passes with fewer odd blocks than this search them one at a time: the
-# vectorised search costs a dozen numpy calls per level whatever the count,
-# and a first pass takes 1.16x the sequential time at 20-23 odd blocks but
-# 0.95x at 24-27 and 0.5x at 70 (2-CPU VM, numpy 2.4).
-_VECTOR_MIN_BLOCKS = 24
-
-
 def block_size_for(qber: float) -> int:
     """Pass-1 block size: 0.73/qber rounded half-up, at least 1."""
     if qber <= 0.0:
@@ -118,31 +109,6 @@ def _locate(ranks: list[int], i_lo: int, i_hi: int, lo: int, hi: int) -> tuple[i
         else:
             lo, i_lo = mid, i_mid
     return i_lo, checks
-
-
-def _locate_all(ranks: np.ndarray, odd: np.ndarray, size: int, n: int) -> tuple[np.ndarray, int]:
-    """Binary-search every odd block of one pass at once, as _locate would.
-
-    ranks are the sorted ranks of the errors and odd the indices of the
-    blocks holding an odd number of them. Returns the rank found in each
-    block, in the order of odd, and the parity checks spent. The search
-    moves its lower end only past an even number of errors, so a first half
-    is odd exactly when the parity of the errors ranked below its midpoint
-    differs from that below the block's start. A finished block (one rank
-    wide) stays put, and the level count fits the widest block.
-    """
-    lo = odd * size
-    hi = np.minimum(lo + size, n)
-    start_parity = np.searchsorted(ranks, lo) & 1
-    checks = 0
-    for _ in range((size - 1).bit_length()):
-        width = hi - lo
-        checks += np.count_nonzero(width > 1)
-        mid = lo + ((width + 1) >> 1)
-        first_half_odd = (np.searchsorted(ranks, mid) & 1) != start_parity
-        hi = np.where(first_half_odd, mid, hi)
-        lo = np.where(first_half_odd, lo, mid)
-    return lo, checks
 
 
 def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> ParityOutcome:
@@ -176,24 +142,6 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
         odd = np.flatnonzero(counts & 1)
         if not odd.size:  # a clean pass ends the run
             break
-
-        if (p == 0 or not cascade) and odd.size >= _VECTOR_MIN_BLOCKS:
-            # no search here can turn an earlier pass's block odd, so the
-            # blocks are searched in one go; heap order puts a short last
-            # block first, then goes by index
-            located, spent = _locate_all(ranks, odd, size, n)
-            checks += spent
-            if odd[-1] == counts.size - 1 and n % size:
-                located = np.roll(located, 1)
-            found = np.searchsorted(ranks, located)
-            flips.extend(positions[found].tolist())
-            if not cascade:  # BBBSS never looks at a finished pass again
-                continue
-            keep = np.ones(ranks.size, dtype=bool)
-            keep[found] = False
-            ranks, positions = ranks[keep], positions[keep]
-            counts[odd] -= 1
-            odd = odd[:0]
 
         rank_list = ranks.tolist()
         position_list = positions.tolist()

@@ -447,7 +447,8 @@ def synchronize_batch(
 
 def seed_initial_overlap(base: Tpm, overlap: float, seed: int) -> Tpm:
     """Copy of ``base`` with exactly floor((1-overlap)*K*N) uniformly chosen
-    positions replaced by a uniformly random *different* weight."""
+    positions replaced by a uniformly random *different* weight; an overlap
+    below 1 that replaces none is a ValueError."""
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     params = base.params
@@ -456,6 +457,8 @@ def seed_initial_overlap(base: Tpm, overlap: float, seed: int) -> Tpm:
     count = int(np.floor((1.0 - overlap) * total + 1e-9))
     result = base.copy()
     if count == 0:
+        if overlap < 1.0:
+            raise ValueError(f"overlap {overlap} changes no weight of K*N = {total}; use 1 for a copy")
         return result
     rng = np.random.default_rng(seed)
     positions = rng.choice(total, size=count, replace=False)

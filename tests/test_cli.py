@@ -207,6 +207,21 @@ def test_scenario_start_mode_error_names_the_range(capsys, tmp_path, mode, messa
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[scenario]\nK = 6\nN = 8\ntrials = 2\nstart_mode = overlap:0.99\n",
+        "[scenario]\nkind = attack\nK = 6\nN = 8\ntrials = 2\n[attack]\neve_initial_overlap = 0.99\n",
+    ],
+    ids=["party", "eve"],
+)
+def test_scenario_overlap_that_changes_no_weight_exit_three(capsys, tmp_path, text):
+    config = tmp_path / "still.ini"
+    config.write_text(text)
+    assert main(["scenario", str(config)]) == 3
+    assert "config error: overlap 0.99 changes no weight of K*N = 48" in capsys.readouterr().err
+
+
 def test_scenario_directory_exit_three(capsys, tmp_path):
     assert main(["scenario", str(tmp_path)]) == 3
     assert "config error" in capsys.readouterr().err

@@ -427,6 +427,22 @@ class TestRunScenario:
         for record in records:
             assert 0.0 <= record.attacker_best_overlap <= 1.0
 
+    @pytest.mark.parametrize(
+        "kind, start, attack",
+        [
+            ("sync", StartMode("overlap", 0.99), None),
+            ("attack", StartMode("random"), AttackConfig(iteration_budget=300, eve_initial_overlap=0.99)),
+        ],
+        ids=["party", "eve"],
+    )
+    def test_overlap_that_changes_no_weight_is_rejected(self, kind, start, attack):
+        scenario = Scenario(
+            name="still", kind=kind, L=2, K_values=(6,), N_values=(8,), start_modes=(start,),
+            trials=2, base_seed=5, attack=attack,
+        )
+        with pytest.raises(ValueError, match=r"overlap 0\.99 changes no weight of K\*N = 48"):
+            list(run_scenario(scenario))
+
     def test_converged_run_with_differing_machines_raises(self, monkeypatch):
         # every digest collides, so protocol mode stops at the first check
         monkeypatch.setattr("neurokey.sync._weight_digest", lambda weights: b"")

@@ -284,7 +284,7 @@ class TestRunParity:
 # The parity engine pinned over key lengths, error rates, error modes and
 # pass counts; each digest covers one (algorithm, length) and hashes, per run,
 # the check count, the flipped positions in order and Bob's corrected bits.
-GOLDEN_LENGTHS = (1, 2, 7, 500, 600, 2048, 4096, 16384)
+GOLDEN_LENGTHS = (1, 2, 7, 500, 600, 2048, 4096, 16384, 100000)
 GOLDEN_QBERS = (0.02, 0.03, 0.05)
 
 
@@ -310,6 +310,7 @@ GOLDEN_PARITY_DIGESTS = {
     "bbbss-2048": "de138f6d7c8a458f",
     "bbbss-4096": "66854afe8958a2ea",
     "bbbss-16384": "27468a4d6ffb5718",
+    "bbbss-100000": "312e8c95b82bb21c",
     "cascade-1": "7a6fa5048721ed87",
     "cascade-2": "1691f1dd76259a15",
     "cascade-7": "8129fc7f3279add0",
@@ -318,6 +319,7 @@ GOLDEN_PARITY_DIGESTS = {
     "cascade-2048": "0337f39031d3ab0e",
     "cascade-4096": "68fa10136387733b",
     "cascade-16384": "47b57934ce87a46c",
+    "cascade-100000": "af97c65d92795407",
 }
 
 
@@ -353,31 +355,17 @@ def test_sparse_engine_matches_the_dense_reference(data):
 
 # 1000 bits in blocks of 24 leave a last block of 16 bits. MANY_ODD puts one
 # error in each of blocks 0-29, two more in block 10 and one in the last
-# block: 31 odd blocks, enough for the vectorised first pass. FEW_ODD makes
-# three odd blocks, searched one at a time.
+# block: 31 odd blocks. FEW_ODD makes three odd blocks.
 MANY_ODD = [24 * b + 5 for b in range(30)] + [24 * 10 + 7, 24 * 10 + 20, 24 * 41 + 9]
 FEW_ODD = [5, 24 * 2 + 3, 24 * 41 + 9]
 
 
 @pytest.mark.parametrize("algorithm", parity.ALGORITHMS)
 @pytest.mark.parametrize("passes", [1, 4])
-@pytest.mark.parametrize(
-    "positions,vectorised", [(MANY_ODD, True), (FEW_ODD, False)], ids=["many-odd", "few-odd"]
-)
-def test_short_odd_last_block_is_searched_first(algorithm, passes, positions, vectorised, monkeypatch):
-    searched_at_once = []
-    locate_all = parity._locate_all
-
-    def spy(ranks, odd, size, n):
-        searched_at_once.append(len(odd))
-        return locate_all(ranks, odd, size, n)
-
-    monkeypatch.setattr(parity, "_locate_all", spy)
+@pytest.mark.parametrize("positions", [MANY_ODD, FEW_ODD], ids=["many-odd", "few-odd"])
+def test_short_odd_last_block_is_searched_first(algorithm, passes, positions):
     pair = pair_with_errors(1000, positions)
     config = ParityConfig(qber_hint=0.73 / 24, passes=passes, seed=11, algorithm=algorithm)
     outcome = run_parity_reconciliation(pair, config)
     assert_same_outcome(outcome, reference_reconciliation(pair, config))
     assert outcome.flipped_positions[0] == 24 * 41 + 9
-    assert bool(searched_at_once) == vectorised
-    if vectorised:
-        assert searched_at_once[0] >= parity._VECTOR_MIN_BLOCKS

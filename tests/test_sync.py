@@ -250,6 +250,14 @@ class TestSeedInitialOverlap:
         with pytest.raises(ValueError):
             seed_initial_overlap(base, 1.5, seed=0)
 
+    def test_overlap_that_changes_no_weight_is_rejected(self):
+        # floor((1 - 0.99) * 48) = 0 weights would change: a silent copy
+        base = Tpm.random(TpmParams(K=6, N=8, L=2), np.random.default_rng(10))
+        with pytest.raises(ValueError, match=r"overlap 0\.99 changes no weight of K\*N = 48"):
+            seed_initial_overlap(base, 0.99, seed=0)
+        nearest = seed_initial_overlap(base, 47 / 48, seed=0)
+        assert int((base.weights != nearest.weights).sum()) == 1
+
 
 class TestReconcile:
     def test_corrects_noisy_keys_bit_identically(self):
