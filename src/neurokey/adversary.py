@@ -40,6 +40,7 @@ from .sync import (
     _INPUT_CHUNK,
     _draw_inputs,
     _exchange_rounds,
+    _stack_dtype,
     leakage_after,
     seed_initial_overlap,
 )
@@ -128,7 +129,7 @@ def run_attack(
     input_stream = np.random.PCG64(input_seq)
     eve_rng = np.random.default_rng(eve_seq)
 
-    w = np.empty((2 + attack.ensemble_size, params.K, params.N), dtype=np.int32)
+    w = np.empty((2 + attack.ensemble_size, params.K, params.N), dtype=_stack_dtype(params))
     w[:2] = alice.weights, bob.weights
     eves = w[2:]
     for eve in eves:
@@ -141,31 +142,40 @@ def run_attack(
     iterations = 0
     learning = np.zeros(len(w), dtype=np.int64)  # per row; the parties learn on every agreed round
     learned = np.empty((_CHECK_INTERVAL, len(w)), dtype=bool)  # per round of an interval
-    ab_converged_at: int | None = None  # the round the parties first coincide
-    ab_learning_at = 0
-    overlap_at_convergence = -1.0
+    # (round, learning steps, best Eve overlap) when the parties first coincide
+    at_convergence: tuple[int, int, float] | None = None
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if record_overlap else None
     eve_trace: list[tuple[int, float]] | None = [] if record_overlap else None
     flat = w.reshape(len(w), -1)
     saved_w = np.empty_like(w)  # an untraced interval's start, for a replay
-    equal = (flat == flat[0]).all(axis=1).tolist()
-    if equal[1]:
-        ab_converged_at, overlap_at_convergence = 0, float((eves == w[0]).mean(axis=(1, 2)).max())
-    eve_synced = any(equal[2:])
 
+    def equal_to_alice() -> list[bool]:
+        # a list: numpy's any() costs more than the few flags it would read
+        return (flat == flat[0]).all(axis=1).tolist()
+
+    def eve_overlaps() -> list[float]:
+        return (eves == w[0]).mean(axis=(1, 2)).tolist()
+
+    def check() -> bool:
+        """Snapshot the parties' first coincidence; True once an Eve equals Alice."""
+        nonlocal at_convergence
+        equal = equal_to_alice()
+        if at_convergence is None and equal[1]:
+            at_convergence = (iterations, int(learning[0]), max(eve_overlaps()))
+        return any(equal[2:])
+
+    eve_synced = check()
     while iterations < attack.iteration_budget and not eve_synced:
         slot = iterations % _INPUT_CHUNK
         if slot == 0:
-            chunk = _draw_inputs(input_stream, (params.K, params.N))
+            chunk = _draw_inputs(input_stream, (params.K, params.N)).astype(w.dtype)
         xs = chunk[slot : slot + min(_CHECK_INTERVAL, attack.iteration_budget - iterations)]
         if trace is None:
             np.copyto(saved_w, w)
             _exchange_rounds(w, xs, params.L, learned, geometric)
-            # which rows equal Alice's, tested as a list: numpy's any() costs
-            # more than the few flags it would read
-            equal = (flat == flat[0]).all(axis=1).tolist()
-            if not any(equal[2:]) and (ab_converged_at is not None or not equal[1]):
+            equal = equal_to_alice()
+            if not any(equal[2:]) and (at_convergence is not None or not equal[1]):
                 learning += learned[: len(xs)].sum(axis=0)
                 iterations += len(xs)
                 continue
@@ -175,26 +185,21 @@ def run_attack(
             iterations += 1
             _exchange_rounds(w, xs[i : i + 1], params.L, learned, geometric)
             learning += learned[0]
-            equal = (flat == flat[0]).all(axis=1).tolist()
-            if ab_converged_at is None and equal[1]:
-                ab_converged_at, ab_learning_at = iterations, int(learning[0])
-                overlap_at_convergence = float((eves == w[0]).mean(axis=(1, 2)).max())
+            eve_synced = check()
             if trace is not None and eve_trace is not None:
                 trace.append((iterations, float((w[0] == w[1]).mean())))
-                eve_trace.append((iterations, float((eves == w[0]).mean(axis=(1, 2)).max())))
-            eve_synced = any(equal[2:])
+                eve_trace.append((iterations, max(eve_overlaps())))
             if eve_synced:
                 break
 
-    ab_learning = int(learning[0])
-    per_machine = (eves == w[0]).mean(axis=(1, 2)).tolist()
+    per_machine = eve_overlaps()
     best_overlap = max(per_machine)
-    converged = ab_converged_at is not None
+    rounds, steps, overlap_at_convergence = at_convergence or (iterations, int(learning[0]), -1.0)
     transcript = SyncTranscript(
-        iterations=ab_converged_at if converged else iterations,
-        learning_steps=ab_learning_at if converged else ab_learning,
+        iterations=rounds,
+        learning_steps=steps,
         digest_exchanges=0,
-        converged=converged,
+        converged=at_convergence is not None,
         overlap_trace=trace,
     )
     result = AttackResult(
@@ -203,7 +208,7 @@ def run_attack(
         iterations_observed=iterations,
         per_machine_overlap=per_machine,
         eve_learning_steps=learning[2:].tolist(),
-        exchange_learning_steps=ab_learning,
+        exchange_learning_steps=int(learning[0]),
         best_overlap_at_convergence=overlap_at_convergence,
         eve_overlap_trace=eve_trace,
     )

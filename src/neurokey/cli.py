@@ -83,10 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest_interval(args, default: int) -> int:
+def _digest_interval(args) -> dict[str, int]:
+    # passed on only when given, so the callee's default is the one default
     if args.digest_interval is not None and not args.protocol_mode:
         raise ScenarioError("--digest-interval applies only with --protocol-mode")
-    return default if args.digest_interval is None else args.digest_interval
+    return {} if args.digest_interval is None else {"digest_check_interval": args.digest_interval}
 
 
 def cmd_sync(args) -> int:
@@ -100,11 +101,7 @@ def cmd_sync(args) -> int:
     params = TpmParams(K=args.K, N=args.N, L=args.L)
     init_seed, aux_seed, sync_seed = machine_trial_seeds(args.seed, 0, params, 0)
     alice, bob = mode.machines(params, init_seed, aux_seed)
-    config = SyncConfig(
-        max_iterations=args.budget,
-        digest_check_interval=_digest_interval(args, 10),
-        protocol_mode=args.protocol_mode,
-    )
+    config = SyncConfig(max_iterations=args.budget, protocol_mode=args.protocol_mode, **_digest_interval(args))
     transcript = synchronize_from_weights(alice, bob, config, sync_seed, record_overlap=args.trace)
     for iteration, overlap in transcript.overlap_trace or ():
         print(f"{iteration}\t{overlap:.6f}")
@@ -151,7 +148,7 @@ def cmd_pipeline(args) -> int:
         sample_fraction=args.sample_fraction,
         qber_threshold=args.threshold,
         protocol_mode=args.protocol_mode,
-        digest_check_interval=_digest_interval(args, 100),
+        **_digest_interval(args),
     )
     print(report.summary())
     return 0

@@ -78,11 +78,6 @@ class ScenarioError(ValueError):
 class QberAbortError(RuntimeError):
     """Estimated error rate exceeded the abort threshold."""
 
-    def __init__(self, estimate: float, threshold: float) -> None:
-        super().__init__(f"estimated QBER {estimate:.4f} exceeds threshold {threshold:.4f}")
-        self.estimate = estimate
-        self.threshold = threshold
-
 
 @dataclass(frozen=True)
 class StartMode:
@@ -453,7 +448,7 @@ def _run_compare_trials(scenario: Scenario, setting_index: int, trials: range) -
                 TrialRecord(
                     scenario=f"{scenario.name}/{algorithm}/{setting.key_length}b",
                     trial=trial,
-                    start_mode=f"from_qber:{setting.qber:g}",
+                    start_mode=str(StartMode("from_qber", setting.qber)),
                     parity_checks=outcome.parity_checks,
                     disclosed_bits=outcome.disclosed_bits,
                     converged=outcome.residual_errors == 0,
@@ -720,7 +715,7 @@ def run_pipeline(
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)
     if estimate.estimate > qber_threshold:
-        raise QberAbortError(estimate.estimate, qber_threshold)
+        raise QberAbortError(f"estimated QBER {estimate.estimate:.4f} exceeds threshold {qber_threshold:.4f}")
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
     key_a, key_b, transcript = reconcile(
         estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy._core.umath import clip as clamp
 
-from .tpm import BitKey, Tpm, TpmParams, bits_to_weights, weights_to_bits
+from .tpm import BitKey, Tpm, TpmParams, bits_to_weights, weight_overlap, weights_to_bits
 
 __all__ = [
     "DIGEST_BITS",
@@ -285,16 +285,11 @@ def _stack_dtype(params: TpmParams) -> type[np.signedinteger]:
     return np.int16 if params.L * params.N <= np.iinfo(np.int16).max else np.int32
 
 
-_budget_cache: dict[TpmParams, int] = {}
-
-
+@functools.cache
 def resolve_iteration_budget(params: TpmParams) -> int:
     """Automatic iteration budget: ten times the mean random-start
     synchronization length over a few fixed-seed pilot runs, run as one
     lockstep batch (cached)."""
-    cached = _budget_cache.get(params)
-    if cached is not None:
-        return cached
     pairs, seeds = [], []
     for pilot in range(_PILOTS):
         entropy = np.random.SeedSequence([_PILOT_TAG, params.K, params.N, params.L, pilot])
@@ -304,9 +299,7 @@ def resolve_iteration_budget(params: TpmParams) -> int:
         seeds.append(sync_seed)
     # a pilot that hits the cap counts at the cap
     total = sum(t.iterations for t in synchronize_batch(pairs, SyncConfig(max_iterations=_PILOT_CAP), seeds))
-    budget = max(1_000, 10 * total // _PILOTS)
-    _budget_cache[params] = budget
-    return budget
+    return max(1_000, 10 * total // _PILOTS)
 
 
 def synchronize_from_weights(
@@ -326,7 +319,7 @@ def synchronize_from_weights(
         source = "explicit max_iterations=" if config.max_iterations else "pilot budget "
         raise NonConvergenceError(
             f"no convergence within {budget} iterations ({source}{budget}) for {alice.params}; "
-            f"final party overlap {float((alice.weights == bob.weights).mean()):.4f}",
+            f"final party overlap {weight_overlap(alice, bob):.4f}",
             transcript,
         )
     return transcript

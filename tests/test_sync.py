@@ -102,7 +102,7 @@ class TestSynchronize:
 
     def test_non_convergence_names_a_pilot_budget(self, monkeypatch):
         params = TpmParams(K=3, N=7, L=2)
-        monkeypatch.setitem(sync._budget_cache, params, 4)
+        monkeypatch.setattr(sync, "resolve_iteration_budget", lambda shape: 4)
         alice, bob = fresh_pair(params, 14)
         with pytest.raises(NonConvergenceError) as excinfo:
             synchronize_from_weights(alice, bob, SyncConfig(), 15)
@@ -213,10 +213,10 @@ GOLDEN_BUDGETS = {
 }
 
 
-def test_pilot_budgets_are_pinned(monkeypatch):
-    monkeypatch.setattr(sync, "_budget_cache", {})
+def test_pilot_budgets_are_pinned():
+    # the uncached function, so every budget is measured afresh
     budgets = {
-        shape: resolve_iteration_budget(TpmParams(*shape, L=2)) for shape in GOLDEN_BUDGETS
+        shape: resolve_iteration_budget.__wrapped__(TpmParams(*shape, L=2)) for shape in GOLDEN_BUDGETS
     }
     assert budgets == GOLDEN_BUDGETS
 
