@@ -39,6 +39,7 @@ from .sync import (
     LeakageEstimate,
     SyncConfig,
     SyncTranscript,
+    changed_weight_count,
     leakage_after,
     reconcile,
     seed_initial_overlap,
@@ -147,6 +148,11 @@ class CompareSetting:
         if not 0.0 < self.qber <= 0.5:
             raise ScenarioError(f"compare qber must be in (0, 0.5], got {self.qber}")
 
+    @property
+    def tpm_start(self) -> StartMode:
+        """The mutual-learning row's start: weight overlap 1 - qber."""
+        return StartMode("overlap", 1.0 - self.qber)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -193,6 +199,18 @@ class Scenario:
             raise ScenarioError(f"protocol_mode applies only to sync scenarios, not {self.kind}")
         if self.max_iterations is not None and self.kind == "attack":
             raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
+        # an overlap start must change some weight at the smallest K*N it meets
+        eve = self.attack.eve_initial_overlap if self.attack else None
+        N = min(self.N_values)
+        starts = [(f"start_mode = {m}", m.value, N) for m in self.start_modes if m.kind == "overlap"]
+        starts += [(f"eve_initial_overlap = {eve:g}", eve, N)] if eve is not None else []
+        for s in self.compare_settings:  # a compare row's machines are tpm_K x tpm_N
+            starts.append((f"settings entry {s.key_length}:{s.qber:g}:{s.tpm_n}", s.tpm_start.value, s.tpm_n))
+        for key, overlap, n in starts:
+            try:
+                changed_weight_count(overlap, min(self.K_values) * n)
+            except ValueError as err:
+                raise ScenarioError(f"{key}: {err}") from err
 
 
 @dataclass(kw_only=True)
@@ -460,7 +478,7 @@ def _run_compare_trials(scenario: Scenario, setting_index: int, trials: range) -
         scenario,
         f"{scenario.name}/tpm/{setting.key_length}b",
         params,
-        StartMode("overlap", 1.0 - setting.qber),
+        setting.tpm_start,
         trials,
         machine_seeds,
     )

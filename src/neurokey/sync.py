@@ -37,6 +37,7 @@ __all__ = [
     "NonConvergenceError",
     "SyncConfig",
     "SyncTranscript",
+    "changed_weight_count",
     "leakage_after",
     "reconcile",
     "resolve_iteration_budget",
@@ -438,23 +439,28 @@ def synchronize_batch(
                 traces[trial_of_row[r]].append((iterations, float(overlaps[r])))
 
 
+def changed_weight_count(overlap: float, weight_count: int) -> int:
+    """floor((1-overlap)*K*N), the weights a start at this overlap replaces of
+    K*N; an overlap below 1 that replaces none is a ValueError."""
+    # epsilon guards against float noise in (1 - overlap) just below an integer
+    count = int(np.floor((1.0 - overlap) * weight_count + 1e-9))
+    if count == 0 and overlap < 1.0:
+        raise ValueError(f"overlap {overlap} changes no weight of K*N = {weight_count}; use 1 for a copy")
+    return count
+
+
 def seed_initial_overlap(base: Tpm, overlap: float, seed: int) -> Tpm:
-    """Copy of ``base`` with exactly floor((1-overlap)*K*N) uniformly chosen
-    positions replaced by a uniformly random *different* weight; an overlap
-    below 1 that replaces none is a ValueError."""
+    """Copy of ``base`` with exactly ``changed_weight_count`` uniformly chosen
+    positions replaced by a uniformly random *different* weight."""
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     params = base.params
-    total = params.weight_count
-    # epsilon guards against float noise in (1 - overlap) just below an integer
-    count = int(np.floor((1.0 - overlap) * total + 1e-9))
+    count = changed_weight_count(overlap, params.weight_count)
     result = base.copy()
     if count == 0:
-        if overlap < 1.0:
-            raise ValueError(f"overlap {overlap} changes no weight of K*N = {total}; use 1 for a copy")
         return result
     rng = np.random.default_rng(seed)
-    positions = rng.choice(total, size=count, replace=False)
+    positions = rng.choice(params.weight_count, size=count, replace=False)
     flat = result.weights.reshape(-1)
     old = flat[positions]
     # uniform over [-L, L] minus the current value

@@ -8,13 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from neurokey import harness
+from neurokey import adversary, harness
 from neurokey.adversary import AttackConfig, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
 from neurokey.sync import (
     SyncConfig,
     _draw_inputs,
     _exchange_rounds,
+    _stack_dtype,
     seed_initial_overlap,
     synchronize_batch,
 )
@@ -465,8 +466,9 @@ def test_exchange_round_matches_the_oracle_round_by_round(geometric):
     for L in (1, 2, 3):
         params = TpmParams(K=3, N=4, L=L)
         # a lone stack: 7 rows on int32 inputs, as a 5-machine ensemble race
-        # passes them, and the parties with one Eve on int8 inputs, the shape
-        # of a geometric race and (less the Eve) of a lone batch trial
+        # passes them where L*N > 32767, and the parties with one Eve on int8
+        # inputs, the shape of a geometric race and (less the Eve) of a lone
+        # batch trial
         for rows, dtype in ((7, np.int32), (3, np.int8)):
             machines = [Tpm.random(params, rng) for _ in range(rows)]
             w = np.stack([m.weights for m in machines])
@@ -536,3 +538,21 @@ def test_run_attack_replays_with_the_reference_operations(strategy):
         assert [v for _, v in result.eve_overlap_trace] == eve_trace
         assert [v for _, v in transcript.overlap_trace] == party_trace
         assert result.iterations_observed == len(eve_trace)
+
+
+@pytest.mark.parametrize("N, dtype", [(16383, np.int16), (16384, np.int32)])
+def test_race_stack_dtype_follows_the_sync_rule(monkeypatch, N, dtype):
+    # L*N = 32766 fits int16 and 32768 does not: the race's weights and its
+    # inputs take sync._stack_dtype, as a sync batch's do
+    params = TpmParams(K=1, N=N, L=2)
+    assert _stack_dtype(params) is dtype
+    seen = []
+
+    def spy(w, xs, *args, **kwargs):
+        seen.append((w.dtype, xs.dtype))
+        return _exchange_rounds(w, xs, *args, **kwargs)
+
+    monkeypatch.setattr(adversary, "_exchange_rounds", spy)
+    alice, bob = fresh_pair(41, params)
+    run_attack(alice, bob, 42, AttackConfig(iteration_budget=1))
+    assert seen and set(seen) == {(np.dtype(dtype), np.dtype(dtype))}

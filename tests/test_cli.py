@@ -50,6 +50,8 @@ def test_sync_non_convergence_exit_two(capsys):
         ([], StartMode("random")),
         (["--overlap", "0.9"], StartMode("overlap", 0.9)),
         (["--qber", "0.15"], StartMode("from_qber", 0.15)),
+        # no --digest-interval: the command and the scenario share SyncConfig's default
+        (["--protocol-mode"], StartMode("random")),
     ],
 )
 @pytest.mark.parametrize("seed", [5, 12])
@@ -67,6 +69,7 @@ def test_sync_replays_trial_zero_of_the_one_point_scenario(capsys, flags, mode, 
         trials=1,
         base_seed=seed,
         max_iterations=50000,
+        protocol_mode="--protocol-mode" in flags,
     )
     (record,) = run_scenario(scenario)
     assert record.iterations > 0
@@ -208,18 +211,37 @@ def test_scenario_start_mode_error_names_the_range(capsys, tmp_path, mode, messa
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, key",
     [
-        "[scenario]\nK = 6\nN = 8\ntrials = 2\nstart_mode = overlap:0.99\n",
-        "[scenario]\nkind = attack\nK = 6\nN = 8\ntrials = 2\n[attack]\neve_initial_overlap = 0.99\n",
+        ("[scenario]\nK = 6\nN = 8\ntrials = 2\nstart_mode = overlap:0.99\n", "start_mode = overlap:0.99"),
+        (
+            "[scenario]\nkind = attack\nK = 6\nN = 8\ntrials = 2\n[attack]\neve_initial_overlap = 0.99\n",
+            "eve_initial_overlap = 0.99",
+        ),
     ],
     ids=["party", "eve"],
 )
-def test_scenario_overlap_that_changes_no_weight_exit_three(capsys, tmp_path, text):
+def test_scenario_overlap_that_changes_no_weight_exit_three(capsys, tmp_path, text, key):
     config = tmp_path / "still.ini"
     config.write_text(text)
     assert main(["scenario", str(config)]) == 3
-    assert "config error: overlap 0.99 changes no weight of K*N = 48" in capsys.readouterr().err
+    assert f"config error: {key}: overlap 0.99 changes no weight of K*N = 48" in capsys.readouterr().err
+
+
+def test_scenario_compare_setting_that_changes_no_weight_fails_before_any_trial(capsys, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_scenario called for a setting that changes no weight")
+
+    monkeypatch.setattr("neurokey.cli.run_scenario", no_run)
+    config = tmp_path / "two.ini"
+    config.write_text(
+        "[scenario]\nkind = compare\ntrials = 1000\n[compare]\ntpm_K = 10\nsettings = 500:0.05:25, 200:0.01:5\n"
+    )
+    out = tmp_path / "two.csv"
+    assert main(["scenario", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "config error: settings entry 200:0.01:5: overlap 0.99 changes no weight of K*N = 50" in err
+    assert not out.exists()
 
 
 def test_scenario_directory_exit_three(capsys, tmp_path):

@@ -428,20 +428,38 @@ class TestRunScenario:
             assert 0.0 <= record.attacker_best_overlap <= 1.0
 
     @pytest.mark.parametrize(
-        "kind, start, attack",
+        "fields, message",
         [
-            ("sync", StartMode("overlap", 0.99), None),
-            ("attack", StartMode("random"), AttackConfig(iteration_budget=300, eve_initial_overlap=0.99)),
+            (
+                {"start_modes": (StartMode("overlap", 0.99),)},
+                "start_mode = overlap:0.99: overlap 0.99 changes no weight of K*N = 48",
+            ),
+            (
+                {"kind": "attack", "attack": AttackConfig(iteration_budget=300, eve_initial_overlap=0.99)},
+                "eve_initial_overlap = 0.99: overlap 0.99 changes no weight of K*N = 48",
+            ),
+            # 0.98 changes one weight of 10*8 but none of 6*8
+            (
+                {"K_values": (10, 6), "start_modes": (StartMode("overlap", 0.98),)},
+                "start_mode = overlap:0.98: overlap 0.98 changes no weight of K*N = 48",
+            ),
+            # the TPM row at qber 0.01 starts at overlap 0.99, of 10*5 weights
+            (
+                {
+                    "kind": "compare",
+                    "K_values": (10,),
+                    "compare_settings": (CompareSetting(500, 0.05, 25), CompareSetting(200, 0.01, 5)),
+                },
+                "settings entry 200:0.01:5: overlap 0.99 changes no weight of K*N = 50",
+            ),
         ],
-        ids=["party", "eve"],
+        ids=["party", "eve", "sweep", "compare"],
     )
-    def test_overlap_that_changes_no_weight_is_rejected(self, kind, start, attack):
-        scenario = Scenario(
-            name="still", kind=kind, L=2, K_values=(6,), N_values=(8,), start_modes=(start,),
-            trials=2, base_seed=5, attack=attack,
-        )
-        with pytest.raises(ValueError, match=r"overlap 0\.99 changes no weight of K\*N = 48"):
-            list(run_scenario(scenario))
+    def test_overlap_that_changes_no_weight_is_rejected(self, fields, message):
+        # refused when the scenario is built, before any trial runs
+        with pytest.raises(ScenarioError) as excinfo:
+            Scenario(**{"name": "still", "K_values": (6,), "N_values": (8,), "trials": 2, **fields})
+        assert str(excinfo.value).startswith(message)
 
     def test_converged_run_with_differing_machines_raises(self, monkeypatch):
         # every digest collides, so protocol mode stops at the first check
