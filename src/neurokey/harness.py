@@ -199,7 +199,8 @@ class Scenario:
             raise ScenarioError(f"protocol_mode applies only to sync scenarios, not {self.kind}")
         if self.max_iterations is not None and self.kind == "attack":
             raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
-        # an overlap start must change some weight at the smallest K*N it meets
+        # an overlap start must change some weight at the smallest K*N it meets,
+        # as the count grows with K*N
         eve = self.attack.eve_initial_overlap if self.attack else None
         N = min(self.N_values)
         starts = [(f"start_mode = {m}", m.value, N) for m in self.start_modes if m.kind == "overlap"]

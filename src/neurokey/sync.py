@@ -440,8 +440,8 @@ def synchronize_batch(
 
 
 def changed_weight_count(overlap: float, weight_count: int) -> int:
-    """floor((1-overlap)*K*N), the weights a start at this overlap replaces of
-    K*N; an overlap below 1 that replaces none is a ValueError."""
+    """How many of ``weight_count`` = K*N weights a start at this overlap
+    replaces, floor((1-overlap)*K*N); none below overlap 1 is a ValueError."""
     # epsilon guards against float noise in (1 - overlap) just below an integer
     count = int(np.floor((1.0 - overlap) * weight_count + 1e-9))
     if count == 0 and overlap < 1.0:
