@@ -9,6 +9,7 @@ protocol abort (QBER over threshold, budget exhausted), 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import replace
 
@@ -46,6 +47,7 @@ def _add_shape_flags(parser: argparse.ArgumentParser, n=25) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="neurokey", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    cadence = "protocol-mode digest cadence (default: {})".format
 
     p_sync = sub.add_parser("sync", help="one synchronization run with an overlap trace")
     _add_shape_flags(p_sync)
@@ -54,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--qber", type=float, help="start from keys over a channel at this rate")
     p_sync.add_argument("--seed", type=int, default=0)
     p_sync.add_argument("--budget", type=int, default=None, help="iteration cap (default: pilot-based)")
-    p_sync.add_argument("--digest-interval", type=int, help="protocol-mode digest cadence (default: 10)")
+    p_sync.add_argument("--digest-interval", type=int, help=cadence(SyncConfig.digest_check_interval))
     p_sync.add_argument("--protocol-mode", action="store_true")
     p_sync.add_argument("--trace", action="store_true", help="print per-iteration overlap")
     p_sync.set_defaults(func=cmd_sync)
@@ -77,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--sample-fraction", type=float, default=DEFAULT_SAMPLE_FRACTION)
     p_pipe.add_argument("--threshold", type=float, default=DEFAULT_QBER_THRESHOLD)
     p_pipe.add_argument("--protocol-mode", action="store_true")
-    p_pipe.add_argument("--digest-interval", type=int, help="protocol-mode digest cadence (default: 100)")
+    pipe_interval = inspect.signature(run_pipeline).parameters["digest_check_interval"].default
+    p_pipe.add_argument("--digest-interval", type=int, help=cadence(pipe_interval))
     p_pipe.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -303,9 +303,13 @@ def _parse_compare_settings(text: str) -> tuple[CompareSetting, ...]:
         if len(pieces) != 3:
             raise ScenarioError(f"compare setting must be length:qber:tpm_N, got {part!r}")
         try:
-            settings.append(CompareSetting(int(pieces[0]), float(pieces[1]), int(pieces[2])))
+            numbers = int(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError as err:
             raise ScenarioError(f"bad compare setting {part!r}") from err
+        try:
+            settings.append(CompareSetting(*numbers))
+        except ScenarioError as err:
+            raise ScenarioError(f"settings entry {part}: {err}") from err
     return tuple(settings)
 
 

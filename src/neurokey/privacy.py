@@ -8,9 +8,9 @@ margin on top of that; the residual information the attacker is expected to
 keep about the compressed key is at most 2^-margin divided by ln 2.
 
 The hash is a Toeplitz matrix-vector product over GF(2), i.e. the parity of
-an integer convolution. Large products use a float64 FFT convolution, which
-costs O(n log n) instead of O(rows * cols) and is checked to round exactly;
-small ones keep the direct convolution, where FFT set-up would dominate.
+an integer convolution. Products under 2^16 bit pairs use the direct
+convolution, where FFT set-up would dominate; larger ones use a float64 FFT
+convolution, O(n log n) instead of O(rows * cols), checked to round exactly.
 Both give the same integers, so the output bits do not depend on the path.
 """
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,12 +45,6 @@ DEFAULT_SECURITY_BITS = 30
 # the shape the collision and linearity tests call ~4e5 times); the two cross
 # near 5e4-6.5e4 products for rows/cols between 0.05 and 1 (table in CHANGES.md).
 _FFT_MIN_PRODUCT = 1 << 16
-
-# Thin shapes also need rows * cols >= _FFT_COST_RATIO * n * log2(n), n the FFT
-# length that _fft_length picks (the smallest 5-smooth n >= rows + cols - 1):
-# the FFT wins below n*log2(n) / (rows*cols) ~ 0.2 and loses above ~0.3 (at
-# 10000 columns: FFT 531 us vs direct 635 us at 0.21, 536 vs 245 us at 0.42).
-_FFT_COST_RATIO = 4
 
 # Largest distance of an FFT output from the nearest integer that is still
 # read as that integer. Measured errors stay below 1e-10 at 1e6 columns.
@@ -160,7 +153,6 @@ class ToeplitzSpec:
         return np.concatenate([seq[: self.cols][::-1], seq[self.cols :]])
 
 
-@lru_cache(maxsize=1024)  # each amplify asks twice; the search costs ~10 us
 def _fft_length(m: int) -> int:
     """The smallest 5-smooth integer (2^a 3^b 5^c) >= m, at least 1.
 
@@ -177,15 +169,6 @@ def _fft_length(m: int) -> int:
             power35 *= 3
         power5 *= 5
     return best
-
-
-def _fft_pays(rows: int, cols: int) -> bool:
-    """Whether the FFT convolution beats the direct one at this shape, by
-    the _FFT_MIN_PRODUCT and _FFT_COST_RATIO rules."""
-    if rows * cols < _FFT_MIN_PRODUCT:
-        return False
-    n = _fft_length(rows + cols - 1)
-    return rows * cols >= _FFT_COST_RATIO * n * math.log2(n)
 
 
 def _direct_counts(diagonals: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -227,21 +210,20 @@ def amplify(key: BitKey, spec: ToeplitzSpec) -> BitKey:
     Output bit i is the parity of the integer dot product of matrix row i with
     the key. All rows come from one convolution of the key with the diagonal
     sequence (first row reversed, then the rest of the first column), without
-    materializing the matrix. Products with rows * cols of at least
-    _FFT_MIN_PRODUCT and _FFT_COST_RATIO * n log2 n use a float64 FFT
-    convolution whose rounding is checked, n being the smallest 5-smooth
-    length >= rows + cols - 1; smaller or thinner ones use the faster direct
-    O(rows * cols) convolution. Both paths give the same integers, hence the
-    same bits. The FFT path keeps a copy of its key and hash on the spec, and
-    returns that hash with no transform when the next key's bits are equal,
-    as the second party's reconciled key is.
+    materializing the matrix. Products under 2^16 bit pairs (rows * cols <
+    _FFT_MIN_PRODUCT) use the direct O(rows * cols) convolution; larger ones
+    use a float64 FFT convolution whose rounding is checked, of the smallest
+    5-smooth length >= rows + cols - 1. Both paths give the same integers,
+    hence the same bits. The FFT path keeps a copy of its key and hash on
+    the spec, and returns that hash with no transform when the next key's
+    bits are equal, as the second party's reconciled key is.
 
     Raises FftPrecisionError, and returns nothing, if the FFT result cannot
     be rounded safely; this has not been observed at any tested size.
     """
     if key.length != spec.cols:
         raise ValueError(f"key length {key.length} does not match matrix cols {spec.cols}")
-    if not _fft_pays(spec.rows, spec.cols):
+    if spec.rows * spec.cols < _FFT_MIN_PRODUCT:
         return BitKey((_direct_counts(spec.diagonals, key.bits) & 1).astype(np.uint8))
     last = spec._last_hash
     if last is None or not np.array_equal(last[0], key.bits):

@@ -6,6 +6,7 @@ import pytest
 from neurokey import harness
 from neurokey.cli import main
 from neurokey.harness import Scenario, ScenarioError, StartMode, load_scenario, run_scenario
+from neurokey.sync import SyncConfig
 
 
 def test_sync_success_exit_zero(capsys):
@@ -88,6 +89,15 @@ def test_digest_interval_without_protocol_mode_is_a_config_error(capsys, argv):
     assert "config error: --digest-interval applies only with --protocol-mode" in captured.err
 
 
+@pytest.mark.parametrize("command, default", [("sync", 13), ("pipeline", 17)])
+def test_digest_interval_help_shows_the_callee_default(capsys, monkeypatch, command, default):
+    # the help text reads each default where it is set, so a changed default shows
+    monkeypatch.setattr(SyncConfig, "digest_check_interval", 13)
+    monkeypatch.setattr("neurokey.cli.run_pipeline", lambda digest_check_interval=17: None)
+    assert main([command, "--help"]) == 0
+    assert f"digest cadence (default: {default})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_bad_flag_value_exit_three():
     code = main(["sync", "--K", "0", "--N", "4", "--L", "2"])
     assert code == 3
@@ -164,15 +174,15 @@ BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\n
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        BAD_COMPARE.format(2, "200:0.7:5"),
-        BAD_COMPARE.format(2, "0:0.05:5"),
-        BAD_COMPARE.format(2, "200:0.0:5"),
-        BAD_COMPARE.format(0, "200:0.05:5"),
-        BAD_SYNC.format(-5),
-        BAD_SYNC.format(0),
-        BAD_ATTACK.format("passive", 4),
+        (BAD_COMPARE.format(2, "200:0.7:5"), "settings entry 200:0.7:5: compare qber must be in (0, 0.5], got 0.7"),
+        (BAD_COMPARE.format(2, "0:0.05:5"), "settings entry 0:0.05:5: compare key length and tpm_N must be positive"),
+        (BAD_COMPARE.format(2, "200:0.0:5"), "settings entry 200:0.0:5: compare qber must be in (0, 0.5], got 0.0"),
+        (BAD_COMPARE.format(0, "200:0.05:5"), ""),
+        (BAD_SYNC.format(-5), ""),
+        (BAD_SYNC.format(0), ""),
+        (BAD_ATTACK.format("passive", 4), ""),
     ],
     ids=[
         "qber-0.7",
@@ -184,12 +194,12 @@ BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\n
         "ensemble_size-passive",
     ],
 )
-def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, text):
+def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, text, message):
     config = tmp_path / "bad.ini"
     config.write_text(text)
     out = tmp_path / "never.csv"
     assert main(["scenario", str(config), "--out", str(out)]) == 3
-    assert "config error" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -153,12 +153,11 @@ def five_smooth_up_to(limit: int) -> list[int]:
 
 def test_fft_length_is_the_next_five_smooth_integer():
     smooth = five_smooth_up_to(2**18)
-    fft_length = privacy._fft_length.__wrapped__  # every m once: skip the cache
     index = 0
     for m in range(1, 2**17 + 1):
         while smooth[index] < m:
             index += 1
-        assert fft_length(m) == smooth[index], m
+        assert privacy._fft_length(m) == smooth[index], m
 
 
 class TestAmplify:
@@ -261,7 +260,7 @@ class TestAmplify:
     def test_one_spec_hashes_two_keys_like_fresh_specs(self, rows, cols, monkeypatch):
         # a spec keeps its last FFT-path key and hash: an equal next key costs
         # no transform, and a different one is hashed afresh in either order
-        assert privacy._fft_pays(rows, cols)
+        assert rows * cols >= CROSSOVER
         rng = np.random.default_rng(rows)
         keys = [BitKey(rng.integers(0, 2, size=cols, dtype=np.uint8)) for _ in range(2)]
         fresh = [amplify(key, ToeplitzSpec.from_seed(rows, cols, seed=9)) for key in keys]
@@ -303,15 +302,20 @@ class TestAmplify:
         with pytest.raises(FftPrecisionError, match="from an integer"):
             amplify(key, spec)
 
-    @pytest.mark.parametrize("rows,cols", [(1, 100_000), (10_000, 1), (10_000, 8)])
-    def test_thin_products_skip_the_fft(self, rows, cols, monkeypatch):
-        def no_fft(*args, **kwargs):
-            raise AssertionError("thin products must use the direct convolution")
-
-        monkeypatch.setattr(np.fft, "irfft", no_fft)
+    @pytest.mark.parametrize(
+        "rows,cols,fft",
+        [(1, 100_000, True), (10_000, 1, False), (10_000, 8, True)],
+        ids=["1-100000", "10000-1", "10000-8"],
+    )
+    def test_thin_products_follow_the_size_rule(self, rows, cols, fft, monkeypatch):
+        # the shape does not matter: rows * cols alone picks the convolution
+        calls = []
+        fft_counts = privacy._fft_counts
+        monkeypatch.setattr(privacy, "_fft_counts", lambda *a: calls.append(1) or fft_counts(*a))
         key, spec = seeded_case(rows, cols, seed=rows + cols)
         expected = reference_matrix(spec).astype(np.int64) @ key.bits.astype(np.int64) % 2
         assert amplify(key, spec).bits.tolist() == expected.tolist()
+        assert calls == [1] * fft
 
     def test_small_products_skip_the_fft(self, monkeypatch):
         def no_fft(*args, **kwargs):
