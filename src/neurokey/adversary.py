@@ -18,13 +18,12 @@ The race watches for two events, and both are absorbing: once the parties'
 weights are equal they stay equal, and once an Eve's weights equal Alice's her
 output is always the public one, so she makes Alice's exact update or nobody
 learns. Both are checked once before the first round, so a pair or an Eve
-that starts equal to Alice reads round 0, as in ``synchronize_batch``. As both
-are absorbing, an untraced race then runs ``_CHECK_INTERVAL`` rounds
-unchecked, in one kernel call, and then compares every row with Alice's once.
-When that finds no new event, the interval's learning counts are added; when
-it finds one, the race restores the weights saved at the start of the
-interval and replays it round by round, counting and checking each round as a
-traced race does, so the round each event happens on is the same either way.
+that starts equal to Alice reads round 0, as in ``synchronize_batch``. The
+race then runs sync's blocks, each unchecked up to the end of the input chunk
+or the budget, and compares Bob and every Eve with Alice once per block. A
+block in which one of them came to equal Alice is restored from the copy
+saved at its start and run once more under the kernel's stop flags, which end
+it right after that round; so each event reads the round it happened on.
 """
 
 from __future__ import annotations
@@ -56,10 +55,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("passive", "geometric", "ensemble")
-
-# Rounds between an untraced race's event checks. It divides _INPUT_CHUNK, so
-# an interval never spans two input chunks.
-_CHECK_INTERVAL = 16
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,9 @@ def run_attack(
     measured against the complete public stream. The run ends early only if
     some Eve machine reaches full overlap. The returned transcript describes
     the Alice/Bob process, frozen at their convergence round;
-    ``record_overlap`` also traces the party and best-Eve overlaps. The
-    caller's machines are not modified; the race runs on internal copies.
-
-    Without ``record_overlap`` the events are looked for once per
-    ``_CHECK_INTERVAL`` rounds, and an interval in which one happened is
-    replayed from its start with a check after every round; the results
-    equal those of a traced run.
+    ``record_overlap`` also traces the party and best-Eve overlaps, and then
+    every block is one round, as in a traced sync. The caller's machines are
+    not modified; the race runs on internal copies.
     """
     if alice.params != bob.params:
         raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
@@ -139,58 +130,46 @@ def run_attack(
             eve_seed = int(eve_rng.integers(0, 2**63, dtype=np.uint64))
             eve[...] = seed_initial_overlap(alice, attack.eve_initial_overlap, eve_seed).weights
 
+    budget = attack.iteration_budget
     iterations = 0
     learning = np.zeros(len(w), dtype=np.int64)  # per row; the parties learn on every agreed round
-    learned = np.empty((_CHECK_INTERVAL, len(w)), dtype=bool)  # per round of an interval
+    learned = np.empty((_INPUT_CHUNK, len(w)), dtype=bool)  # per round of a block
     # (round, learning steps, best Eve overlap) when the parties first coincide
     at_convergence: tuple[int, int, float] | None = None
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if record_overlap else None
     eve_trace: list[tuple[int, float]] | None = [] if record_overlap else None
     flat = w.reshape(len(w), -1)
-    saved_w = np.empty_like(w)  # an untraced interval's start, for a replay
-
-    def equal_to_alice() -> list[bool]:
-        # a list: numpy's any() costs more than the few flags it would read
-        return (flat == flat[0]).all(axis=1).tolist()
+    saved_w = np.empty_like(w)  # a block's start, for a re-run
 
     def eve_overlaps() -> list[float]:
         return (eves == w[0]).mean(axis=(1, 2)).tolist()
 
-    def check() -> bool:
-        """Snapshot the parties' first coincidence; True once an Eve equals Alice."""
-        nonlocal at_convergence
-        equal = equal_to_alice()
-        if at_convergence is None and equal[1]:
-            at_convergence = (iterations, int(learning[0]), max(eve_overlaps()))
-        return any(equal[2:])
+    def differing() -> np.ndarray:
+        """Which of Bob and the Eves differ from Alice: the kernel's stop flags."""
+        return (flat[1:] != flat[0]).any(axis=1)
 
-    eve_synced = check()
-    while iterations < attack.iteration_budget and not eve_synced:
+    differ = differing()
+    while True:
+        if at_convergence is None and not differ[0]:
+            at_convergence = (iterations, int(learning[0]), max(eve_overlaps()))
+        if iterations >= budget or not differ[1:].all():
+            break
         slot = iterations % _INPUT_CHUNK
         if slot == 0:
             chunk = _draw_inputs(input_stream, (params.K, params.N)).astype(w.dtype)
-        xs = chunk[slot : slot + min(_CHECK_INTERVAL, attack.iteration_budget - iterations)]
-        if trace is None:
-            np.copyto(saved_w, w)
-            _exchange_rounds(w, xs, params.L, learned, geometric)
-            equal = equal_to_alice()
-            if not any(equal[2:]) and (at_convergence is not None or not equal[1]):
-                learning += learned[: len(xs)].sum(axis=0)
-                iterations += len(xs)
-                continue
-            # an event happened in this interval: replay it round by round
+        end = slot + 1 if trace is not None else min(_INPUT_CHUNK, slot + budget - iterations)
+        np.copyto(saved_w, w)
+        rounds = _exchange_rounds(w, chunk[slot:end], params.L, learned, geometric)
+        if np.count_nonzero(differing()) < np.count_nonzero(differ):
+            # an event: run the block again, stopping right after its round
             np.copyto(w, saved_w)
-        for i in range(len(xs)):
-            iterations += 1
-            _exchange_rounds(w, xs[i : i + 1], params.L, learned, geometric)
-            learning += learned[0]
-            eve_synced = check()
-            if trace is not None and eve_trace is not None:
-                trace.append((iterations, float((w[0] == w[1]).mean())))
-                eve_trace.append((iterations, max(eve_overlaps())))
-            if eve_synced:
-                break
+            rounds = _exchange_rounds(w, chunk[slot:end], params.L, learned, geometric, differ)
+        learning += learned[:rounds].sum(axis=0)
+        iterations += rounds
+        if trace is not None and eve_trace is not None:
+            trace.append((iterations, float((w[0] == w[1]).mean())))
+            eve_trace.append((iterations, max(eve_overlaps())))
 
     per_machine = eve_overlaps()
     best_overlap = max(per_machine)

@@ -140,8 +140,8 @@ def cmd_scenario(args) -> int:
 
 def cmd_pipeline(args) -> int:
     params = TpmParams(K=args.K, N=args.N, L=args.L)
-    if args.security_bits >= params.key_bits:
-        raise ScenarioError(f"security_bits={args.security_bits} must be < {params.key_bits} = K*N*b")
+    if not 0 <= args.security_bits < params.key_bits:
+        raise ScenarioError(f"security_bits={args.security_bits} must be in [0, K*N*b) = [0, {params.key_bits})")
     report = run_pipeline(
         length=args.length,
         qber=args.qber,

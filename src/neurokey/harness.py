@@ -144,7 +144,7 @@ class CompareSetting:
 
     def __post_init__(self) -> None:
         if self.key_length < 1 or self.tpm_n < 1:
-            raise ScenarioError(f"compare key length and tpm_N must be positive in {self}")
+            raise ScenarioError("compare key length and tpm_N must be positive")
         if not 0.0 < self.qber <= 0.5:
             raise ScenarioError(f"compare qber must be in (0, 0.5], got {self.qber}")
 
@@ -728,12 +728,15 @@ def run_pipeline(
     error_mode: str = "uniform",
 ) -> PipelineReport:
     """Generate - estimate - reconcile - plan - amplify, with an abort when
-    the estimated error rate crosses the threshold.
+    the estimated error rate crosses the threshold; a threshold outside
+    [0, 0.5] is a ValueError before any key is drawn.
 
     In protocol mode every digest exchange costs 64 disclosed bits, so the
     interval defaults to a sparser cadence than SyncConfig's: frequent checks
     can easily eat the whole budget of a small machine.
     """
+    if not 0.0 <= qber_threshold <= 0.5:
+        raise ValueError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)

@@ -175,10 +175,12 @@ def _exchange_rounds(
     one first flipping the sign of its unit with the smallest |local field|
     (the first on ties).
 
-    ``differ`` flags the party pairs whose weights differ, shaped (1,) for a
-    lone stack or (T,), and the kernel keeps it after every round; the block
-    ends right after the first round in which fewer pairs differ than on
-    entry. Returns the rounds run.
+    ``differ`` flags each row after its stack's first whose weights differ
+    from that first row's: Bob and every Eve of a lone stack, shaped (1 + E,),
+    or each trial's Bob, (T, 1); a batch's lone pair keeps its (1, 1). The
+    kernel keeps the flags after every round, and the block ends right after
+    the first round in which fewer flagged rows differ than on entry. Returns
+    the rounds run.
 
     A unit's sign is -1 where its local field is <= 0, and a row's output is
     -1 where an odd number of its signs are. A learning row outputs the
@@ -199,9 +201,9 @@ def _exchange_rounds(
     odd = np.empty(w.shape[:-2], dtype=bool)
     lone = w.ndim == 3
     if differ is not None:
-        alice, bob = w[..., 0, :, :], w[..., 1, :, :]
-        unequal = np.empty(alice.shape, dtype=bool)
-        unequal_by_trial = unequal.reshape(w.shape[:-3] + (-1,))  # fresh scratch, so a view
+        first, others = w[..., :1, :, :], w[..., 1:, :, :]
+        unequal = np.empty(others.shape, dtype=bool)
+        unequal_by_row = unequal.reshape(differ.shape + (-1,))  # fresh scratch, so a view
         entry = count_nonzero(differ)
     if lone:  # tau is one scalar, so one masked add or subtract
         greater, add, subtract = np.greater, np.add, np.subtract
@@ -253,15 +255,10 @@ def _exchange_rounds(
         # one call where minimum and maximum are two
         clamp(w, lower, upper, out=w)
         if differ is not None:
-            np.not_equal(alice, bob, out=unequal)
-            if lone:  # fewer unequal weights than its flag only once the pair coincides
-                if count_nonzero(unequal) < entry:
-                    differ[0] = False
-                    return i + 1
-            else:
-                np.logical_or.reduce(unequal_by_trial, axis=-1, out=differ)
-                if count_nonzero(differ) < entry:
-                    return i + 1
+            np.not_equal(others, first, out=unequal)
+            np.logical_or.reduce(unequal_by_row, axis=-1, out=differ)
+            if count_nonzero(differ) < entry:
+                return i + 1
     return len(xs)
 
 
@@ -348,9 +345,10 @@ def synchronize_batch(
     one round. Each call allocates its scratch buffers once, the largest a
     delta of T * 2 * K * N elements in the stack dtype. Each block's learn
     masks are added to the learning steps right after the call. In simulation
-    mode the kernel keeps each pair's differ flag and also stops a block right
-    after the round in which a live pair coincides, so that pair retires at
-    that round, its flag clear.
+    mode the kernel keeps each trial's flag of whether Bob differs from
+    Alice, (T, 1), and stops a block by its one rule, which an attack race
+    shares: right after the round in which a live pair coincides, so that
+    pair retires at that round, its flag clear.
 
     A trial retires when it converges or reaches the budget; retired rows run
     on unread until fewer than half the rows are live, and then the stack,
@@ -370,8 +368,9 @@ def synchronize_batch(
     inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=dtype)
     learned = np.empty((_INPUT_CHUNK, len(pairs), 2), dtype=bool)  # which rows learned, per round of a block
     learning_steps = np.zeros(len(pairs), dtype=np.int64)
-    # which pairs' weights differ, kept by the kernel in simulation mode
-    differ = None if config.protocol_mode else (w[:, 0] != w[:, 1]).any(axis=(1, 2))
+    # whether each trial's Bob differs from its Alice, (T, 1), kept by the
+    # kernel in simulation mode
+    differ = None if config.protocol_mode else (w[:, 1:] != w[:, :1]).any(axis=(2, 3))
     trial_of_row = np.arange(len(pairs))
     live = np.ones(len(pairs), dtype=bool)
     traces: list[list[tuple[int, float]]] | None = [[] for _ in pairs] if record_overlap else None
@@ -381,7 +380,7 @@ def synchronize_batch(
     digest_exchanges = 0  # every live trial checks digests at the same rounds
     interval = config.digest_check_interval
     while True:
-        converged = None if differ is None else live & ~differ
+        converged = None if differ is None else live & ~differ[:, 0]
         if differ is None and iterations and iterations % interval == 0:
             digest_exchanges += 1
             converged = np.zeros(len(w), dtype=bool)

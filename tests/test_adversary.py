@@ -302,9 +302,10 @@ def test_golden_fig2_slice():
 
 
 # ---------------------------------------------------------------------------
-# an untraced race checks its absorbing events once per interval of rounds
-# and replays an interval in which one happened; a traced race checks every
-# round, so the two must agree in everything but the traces
+# an untraced race checks its absorbing events once per block of rounds and
+# re-runs a block in which one happened under the kernel's stop flags; a
+# traced race runs blocks of one round, so the two must agree in everything
+# but the traces
 
 
 def untraced_and_traced(alice, bob, seed, attack):
@@ -506,6 +507,32 @@ def test_exchange_round_matches_the_oracle_round_by_round(geometric):
         edge_cases = ("zero field", "clamp", "idle row at tau -1", "idle row at tau +1")
     assert all(lone_seen[case] > 0 for case in edge_cases), lone_seen
     assert all(batch_seen[case] > 0 for case in ("zero field", "clamp")), batch_seen
+
+
+@pytest.mark.parametrize("geometric", [False, True])
+def test_a_race_block_stops_right_after_the_round_an_eve_equals_alice(geometric):
+    # Bob and a second Eve start at random, and the first Eve is Alice with a
+    # tenth of her weights redrawn; on these inputs the reference rule makes
+    # that Eve equal Alice on round 22, before Bob or the other Eve do
+    params = TpmParams(K=4, N=6, L=2)
+    rng = np.random.default_rng(18)
+    alice, bob, far = (Tpm.random(params, rng) for _ in range(3))
+    start = [alice, bob, seed_initial_overlap(alice, 0.9, 19), far]
+    xs = random_inputs(rng, (64, params.K, params.N), np.int8)
+    machines = start
+    for coincide_at, x in enumerate(xs, 1):
+        machines, _ = oracle_round(machines, x, geometric)
+        equal = [weight_overlap(machines[0], m) == 1.0 for m in machines[1:]]
+        if any(equal):
+            break
+    assert (coincide_at, equal) == (22, [False, True, False])
+
+    w = np.stack([m.weights for m in start]).astype(np.int32)
+    learned = np.zeros((len(xs), len(w)), dtype=bool)
+    differ = np.ones(len(w) - 1, dtype=bool)
+    assert _exchange_rounds(w, xs, params.L, learned, geometric, differ) == 22
+    assert np.array_equal(w, np.stack([m.weights for m in machines]))
+    assert differ.tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("strategy", ["passive", "geometric"])

@@ -3,10 +3,10 @@ import re
 
 import pytest
 
-from neurokey import harness
+from neurokey import harness, sync
 from neurokey.cli import main
 from neurokey.harness import Scenario, ScenarioError, StartMode, load_scenario, run_scenario
-from neurokey.sync import SyncConfig
+from neurokey.sync import SyncConfig, synchronize_batch
 
 
 def test_sync_success_exit_zero(capsys):
@@ -199,7 +199,11 @@ def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, tex
     config.write_text(text)
     out = tmp_path / "never.csv"
     assert main(["scenario", str(config), "--out", str(out)]) == 3
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if message:  # the whole message, so the entry is named once and no repr follows
+        assert err == f"neurokey: config error: {message}\n"
+    else:
+        assert "neurokey: config error: " in err
     assert not out.exists()
 
 
@@ -362,6 +366,32 @@ def test_pipeline_infeasible_budget_exit_three(capsys):
          "--security-bits", "100", "--seed", "4"]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--threshold", "-1"], "qber_threshold must be in [0, 0.5], got -1.0"),
+        (["--threshold", "0.6"], "qber_threshold must be in [0, 0.5], got 0.6"),
+        (["--security-bits", "-5"], "security_bits=-5 must be in [0, K*N*b) = [0, 900)"),
+    ],
+    ids=["threshold-negative", "threshold-0.6", "security-bits-negative"],
+)
+def test_pipeline_bad_threshold_or_margin_fails_before_any_sync(monkeypatch, capsys, flags, message):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return synchronize_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sync, "synchronize_batch", spy)
+    assert main(["pipeline", *flags]) == 3
+    assert capsys.readouterr().err == f"neurokey: config error: {message}\n"
+    assert calls == []
+    # the spy sees the sync of a valid run
+    assert main(["pipeline", "--length", "400", "--qber", "0.02", "--K", "4", "--N", "6", "--seed", "3",
+                 "--security-bits", "10"]) == 0
+    assert calls
 
 
 def test_pipeline_exhausted_budget_is_an_abort_exit_two(capsys):

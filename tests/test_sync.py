@@ -547,13 +547,15 @@ def test_local_fields_at_the_stack_dtype_boundary_match_the_oracle(monkeypatch, 
 
 
 def differ_flags(w):
-    """Which party pairs of a lone (shaped (1,)) or trial stack differ."""
-    return (w[..., 0, :, :] != w[..., 1, :, :]).any(axis=(-2, -1)).reshape(-1)
+    """Which rows after its stack's first differ from that first row: Bob and
+    every Eve of a lone stack, shaped (1 + E,), or each trial's Bob, (T, 1)."""
+    return (w[..., 1:, :, :] != w[..., :1, :, :]).any(axis=(-2, -1))
 
 
 def one_round_at_a_time(w, xs, bound, geometric, differ=None):
     """The learn masks of the rounds of ``xs``, one call each, up to the
-    first round in which a pair flagged in ``differ`` coincides."""
+    first round in which a row flagged in ``differ`` comes to equal its
+    stack's first row."""
     learned = np.zeros((len(xs),) + w.shape[:-2], dtype=bool)
     for i in range(len(xs)):
         assert sync._exchange_rounds(w, xs[i : i + 1], bound, learned[i : i + 1], geometric) == 1
@@ -579,8 +581,8 @@ def test_a_block_of_rounds_equals_rounds_one_at_a_time(L, dtype):
             w = rng.integers(-L, L + 1, size=rows + (K, N)).astype(np.int32)
             x_shape = (n, K, N) if len(rows) == 1 else (n, rows[0], 1, K, N)
             xs = (rng.integers(0, 2, size=x_shape) * 2 - 1).astype(dtype)
-            # a parties-only stack runs once more, keeping its differ flags
-            for differ in (None, differ_flags(w)) if len(rows) == 2 else (None,):
+            # every stack runs once more, keeping its differ flags
+            for differ in (None, differ_flags(w)):
                 block, rounds = w.copy(), w.copy()
                 learned = np.ones((n,) + rows, dtype=bool)  # every round run must be written
                 expected = one_round_at_a_time(rounds, xs, L, geometric, differ)
@@ -650,7 +652,7 @@ def test_a_block_stops_right_after_the_round_a_pair_coincides():
     learned = np.zeros((len(xs), 3, 2), dtype=bool)
     for flags, rounds in (((1, 1, 1), 1), ((1, 1, 0), 29), ((1, 0, 0), 64), ((0, 0, 0), 64)):
         w = stack.astype(np.int32)
-        differ = np.array(flags, dtype=bool)
+        differ = np.array(flags, dtype=bool)[:, None]
         assert sync._exchange_rounds(w, trial_xs, L, learned, differ=differ) == rounds
         assert np.array_equal(differ, differ_flags(w))
         if rounds == 29:
