@@ -33,6 +33,7 @@ from .privacy import (
     AmplificationBudget,
     ToeplitzSpec,
     amplify,
+    check_margin,
     plan_budget,
 )
 from .sync import (
@@ -729,7 +730,7 @@ def run_pipeline(
 ) -> PipelineReport:
     """Generate - estimate - reconcile - plan - amplify, with an abort when
     the estimated error rate crosses the threshold; a threshold outside
-    [0, 0.5] is a ValueError before any key is drawn.
+    [0, 0.5] or a negative margin is a ValueError before any key is drawn.
 
     In protocol mode every digest exchange costs 64 disclosed bits, so the
     interval defaults to a sparser cadence than SyncConfig's: frequent checks
@@ -737,6 +738,7 @@ def run_pipeline(
     """
     if not 0.0 <= qber_threshold <= 0.5:
         raise ValueError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
+    check_margin(security_bits)
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)

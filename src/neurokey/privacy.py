@@ -80,6 +80,12 @@ class AmplificationBudget:
         return 2.0**-self.security_bits / BOUND_LOG_DIVISOR
 
 
+def check_margin(security_bits: int) -> None:
+    """Reject a negative security margin, for plan_budget and its callers."""
+    if security_bits < 0:
+        raise ValueError("security_bits must be >= 0")
+
+
 def plan_budget(
     reconciled_length: int,
     leakage: LeakageEstimate,
@@ -92,8 +98,7 @@ def plan_budget(
         raise ValueError("reconciled_length must be >= 1")
     if disclosed_bits < 0:
         raise ValueError("disclosed_bits must be >= 0")
-    if security_bits < 0:
-        raise ValueError("security_bits must be >= 0")
+    check_margin(security_bits)
     eve_known = int(math.ceil(leakage.bit_reduction)) + int(disclosed_bits)
     if security_bits >= reconciled_length - eve_known:
         raise InfeasibleBudgetError(

@@ -170,10 +170,10 @@ def _exchange_rounds(
 
     ``learned[i]`` receives round i's mask of the rows that learned, shaped
     (2 + E) or (T, 2). It is all False, as nobody learns, where the parties'
-    outputs differ (in a trial). Else it holds the rows whose output is the
-    public one, or in a lone stack under ``geometric`` all rows, each other
-    one first flipping the sign of its unit with the smallest |local field|
-    (the first on ties).
+    outputs differ (in a trial, whose round still runs, by steps of zero).
+    Else it holds the rows whose output is the public one, or in a lone stack
+    under ``geometric`` all rows, each other one first flipping the sign of
+    its unit with the smallest |local field| (the first on ties).
 
     ``differ`` flags each row after its stack's first whose weights differ
     from that first row's: Bob and every Eve of a lone stack, shaped (1 + E,),
@@ -243,8 +243,6 @@ def _exchange_rounds(
                 add(w, x, out=w, where=move)
         else:
             equal(odd, partner, out=learn)
-            if not count_nonzero(learn):
-                continue
             equal(negative, public, out=negative)
             logical_and(negative, learn_units, out=step)
             np.negative(step, out=step, where=public)
@@ -380,23 +378,20 @@ def synchronize_batch(
     digest_exchanges = 0  # every live trial checks digests at the same rounds
     interval = config.digest_check_interval
     while True:
-        converged = None if differ is None else live & ~differ[:, 0]
+        converged = np.zeros(len(w), dtype=bool) if differ is None else live & ~differ[:, 0]
         if differ is None and iterations and iterations % interval == 0:
             digest_exchanges += 1
-            converged = np.zeros(len(w), dtype=bool)
             for r in live.nonzero()[0]:
                 converged[r] = _weight_digest(w[r, 0]) == _weight_digest(w[r, 1])
-        done = live if iterations >= budget else converged
-        retiring = () if done is None else done.nonzero()[0]
+        retiring = (live if iterations >= budget else converged).nonzero()[0]
         if len(retiring):
             for r in retiring:
                 trial = trial_of_row[r]
-                synced = converged is not None and bool(converged[r])
+                synced = bool(converged[r])
                 if synced and not np.array_equal(w[r, 0], w[r, 1]):  # a digest collision
                     raise RuntimeError("converged run produced differing machines")
-                alice, bob = pairs[trial]
-                alice.weights[...] = w[r, 0]
-                bob.weights[...] = w[r, 1]
+                for machine, weights in zip(pairs[trial], w[r]):
+                    machine.weights[...] = weights
                 transcripts[trial] = SyncTranscript(
                     iterations=iterations,
                     learning_steps=int(learning_steps[r]),
@@ -418,12 +413,9 @@ def synchronize_batch(
                 inputs[:, r, 0] = _draw_inputs(streams[trial_of_row[r]], (params.K, params.N))
         # a block runs to the next round the loop acts on: the chunk's end,
         # the budget or a digest round, or with a trace the next round
-        if traces is not None:
-            end = slot + 1
-        else:
-            end = min(_INPUT_CHUNK, slot + budget - iterations)
-            if config.protocol_mode:
-                end = min(end, slot + interval - iterations % interval)
+        end = min(_INPUT_CHUNK, slot + budget - iterations, (slot + 1) if traces is not None else _INPUT_CHUNK)
+        if config.protocol_mode:
+            end = min(end, slot + interval - iterations % interval)
         if len(w) == 1:  # a lone trial skips the cost of the trial axis
             stack, xs, masks = w[0], inputs[slot:end, 0, 0], learned[slot:end, 0]
         else:

@@ -28,8 +28,8 @@ from neurokey.harness import (
     run_scenario,
     summarize,
 )
-from neurokey.privacy import InfeasibleBudgetError
-from neurokey.sync import seed_initial_overlap
+from neurokey.privacy import InfeasibleBudgetError, plan_budget
+from neurokey.sync import leakage_after, seed_initial_overlap
 from neurokey.tpm import Tpm, TpmParams, bits_to_weights
 
 SMALL_SYNC = Scenario(
@@ -609,6 +609,25 @@ class TestPipeline:
         params = TpmParams(K=3, N=4, L=2)  # reconciled length 72
         with pytest.raises(InfeasibleBudgetError):
             run_pipeline(length=500, qber=0.0, params=params, security_bits=100, seed=4)
+
+    def test_negative_margin_fails_before_any_key_is_drawn(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return generate_key_pair(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_key_pair", spy)
+        params = TpmParams(K=4, N=6, L=2)
+        with pytest.raises(ValueError) as excinfo:
+            run_pipeline(400, 0.02, params, security_bits=-5, seed=3)
+        assert not calls
+        with pytest.raises(ValueError) as planned:
+            plan_budget(400, leakage_after(0, params), 0, security_bits=-5)
+        assert str(excinfo.value) == str(planned.value) == "security_bits must be >= 0"
+        # the spy sees the key draw of a run with a valid margin
+        run_pipeline(length=300, qber=0.0, params=params, security_bits=0, seed=1)
+        assert len(calls) == 1
 
     def test_protocol_mode_digests_are_charged(self):
         params = TpmParams(K=10, N=20, L=2)
