@@ -12,6 +12,7 @@ import argparse
 import inspect
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .harness import (
     QberAbortError,
@@ -127,6 +128,8 @@ def cmd_scenario(args) -> int:
         overrides["protocol_mode"] = True
     if overrides:
         scenario = replace(scenario, **overrides)
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ScenarioError(f"--out {args.out} must name a file in an existing directory")
     # every record exists before --out is opened, so a failed run leaves no file
     records = list(run_scenario(scenario, workers=args.workers))
     if args.out:
@@ -139,13 +142,10 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    params = TpmParams(K=args.K, N=args.N, L=args.L)
-    if not 0 <= args.security_bits < params.key_bits:
-        raise ScenarioError(f"security_bits={args.security_bits} must be in [0, K*N*b) = [0, {params.key_bits})")
     report = run_pipeline(
         length=args.length,
         qber=args.qber,
-        params=params,
+        params=TpmParams(K=args.K, N=args.N, L=args.L),
         security_bits=args.security_bits,
         seed=args.seed,
         sample_fraction=args.sample_fraction,

@@ -33,7 +33,6 @@ from .privacy import (
     AmplificationBudget,
     ToeplitzSpec,
     amplify,
-    check_margin,
     plan_budget,
 )
 from .sync import (
@@ -729,22 +728,26 @@ def run_pipeline(
     error_mode: str = "uniform",
 ) -> PipelineReport:
     """Generate - estimate - reconcile - plan - amplify, with an abort when
-    the estimated error rate crosses the threshold; a threshold outside
-    [0, 0.5] or a negative margin is a ValueError before any key is drawn.
+    the estimated error rate crosses the threshold. A security margin
+    outside [0, K*N*b) (it must leave some of the machine's key), a threshold
+    outside [0, 0.5] and a bad SyncConfig are, in that order, a ValueError
+    before any key is drawn; a margin that fits the key but not what the run
+    disclosed is an InfeasibleBudgetError from plan_budget.
 
     In protocol mode every digest exchange costs 64 disclosed bits, so the
     interval defaults to a sparser cadence than SyncConfig's: frequent checks
     can easily eat the whole budget of a small machine.
     """
+    if not 0 <= security_bits < params.key_bits:
+        raise ValueError(f"security_bits={security_bits} must be in [0, K*N*b) = [0, {params.key_bits})")
     if not 0.0 <= qber_threshold <= 0.5:
         raise ValueError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
-    check_margin(security_bits)
+    config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)
     if estimate.estimate > qber_threshold:
         raise QberAbortError(f"estimated QBER {estimate.estimate:.4f} exceeds threshold {qber_threshold:.4f}")
-    config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
     key_a, key_b, transcript = reconcile(
         estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed
     )

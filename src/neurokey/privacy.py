@@ -80,12 +80,6 @@ class AmplificationBudget:
         return 2.0**-self.security_bits / BOUND_LOG_DIVISOR
 
 
-def check_margin(security_bits: int) -> None:
-    """Reject a negative security margin, for plan_budget and its callers."""
-    if security_bits < 0:
-        raise ValueError("security_bits must be >= 0")
-
-
 def plan_budget(
     reconciled_length: int,
     leakage: LeakageEstimate,
@@ -93,12 +87,14 @@ def plan_budget(
     security_bits: int = DEFAULT_SECURITY_BITS,
 ) -> AmplificationBudget:
     """Combine leakage accounting with explicitly disclosed bits and check
-    that the margin fits (strictly) inside what remains."""
+    that the margin is >= 0 (else ValueError) and fits strictly inside what
+    remains (else InfeasibleBudgetError)."""
     if reconciled_length < 1:
         raise ValueError("reconciled_length must be >= 1")
     if disclosed_bits < 0:
         raise ValueError("disclosed_bits must be >= 0")
-    check_margin(security_bits)
+    if security_bits < 0:
+        raise ValueError("security_bits must be >= 0")
     eve_known = int(math.ceil(leakage.bit_reduction)) + int(disclosed_bits)
     if security_bits >= reconciled_length - eve_known:
         raise InfeasibleBudgetError(

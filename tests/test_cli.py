@@ -168,6 +168,18 @@ def test_scenario_worker_count_out_of_range_exit_three(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+def test_scenario_bad_out_path_fails_before_any_trial(monkeypatch, capsys, tmp_path, target):
+    calls = []
+    monkeypatch.setattr("neurokey.cli.run_scenario", lambda *args, **kwargs: calls.append(args) or [])
+    out = tmp_path / target
+    assert main(["scenario", "fig4", "--trials", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"neurokey: config error: --out {out} must name a file in an existing directory\n"
+    assert calls == []
+    assert not (tmp_path / "missing").exists() and list(tmp_path.iterdir()) == []
+
+
 BAD_SYNC = "[scenario]\nkind = sync\nK = 3\nN = 4\nmax_iterations = {}\n"
 BAD_COMPARE = "[scenario]\nkind = compare\ntrials = 2\nL = {}\n[compare]\nsettings = {}\n"
 BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\nensemble_size = {}\n"

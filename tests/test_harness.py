@@ -28,9 +28,9 @@ from neurokey.harness import (
     run_scenario,
     summarize,
 )
-from neurokey.privacy import InfeasibleBudgetError, plan_budget
-from neurokey.sync import leakage_after, seed_initial_overlap
-from neurokey.tpm import Tpm, TpmParams, bits_to_weights
+from neurokey.privacy import InfeasibleBudgetError
+from neurokey.sync import seed_initial_overlap
+from neurokey.tpm import BitKey, Tpm, TpmParams, bits_to_weights
 
 SMALL_SYNC = Scenario(
     name="small",
@@ -606,11 +606,23 @@ class TestPipeline:
             run_pipeline(length=2000, qber=0.2, params=params, seed=3, qber_threshold=0.11)
 
     def test_infeasible_budget_surfaces(self):
-        params = TpmParams(K=3, N=4, L=2)  # reconciled length 72
+        # protocol mode exchanges one 64-bit digest, longer than the machine's 36-bit key
+        params = TpmParams(K=3, N=4, L=2)
+        assert params.key_bits < 64
         with pytest.raises(InfeasibleBudgetError):
-            run_pipeline(length=500, qber=0.0, params=params, security_bits=100, seed=4)
+            run_pipeline(length=500, qber=0.0, params=params, security_bits=0, seed=4, protocol_mode=True)
 
-    def test_negative_margin_fails_before_any_key_is_drawn(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # K*N*b = 4*6*3 = 72 bits: the margin must leave some of them
+            ({"security_bits": -5}, "security_bits=-5 must be in [0, K*N*b) = [0, 72)"),
+            ({"security_bits": 72}, "security_bits=72 must be in [0, K*N*b) = [0, 72)"),
+            ({"protocol_mode": True, "digest_check_interval": 0}, "digest_check_interval must be >= 1"),
+        ],
+        ids=["margin-negative", "margin-key-bits", "digest-interval-0"],
+    )
+    def test_bad_input_fails_before_any_key_is_drawn(self, monkeypatch, kwargs, message):
         calls = []
 
         def spy(*args, **kwargs):
@@ -620,11 +632,9 @@ class TestPipeline:
         monkeypatch.setattr(harness, "generate_key_pair", spy)
         params = TpmParams(K=4, N=6, L=2)
         with pytest.raises(ValueError) as excinfo:
-            run_pipeline(400, 0.02, params, security_bits=-5, seed=3)
+            run_pipeline(400, 0.02, params, seed=3, **kwargs)
         assert not calls
-        with pytest.raises(ValueError) as planned:
-            plan_budget(400, leakage_after(0, params), 0, security_bits=-5)
-        assert str(excinfo.value) == str(planned.value) == "security_bits must be >= 0"
+        assert str(excinfo.value) == message
         # the spy sees the key draw of a run with a valid margin
         run_pipeline(length=300, qber=0.0, params=params, security_bits=0, seed=1)
         assert len(calls) == 1
@@ -636,6 +646,33 @@ class TestPipeline:
         )
         assert report.transcript.digest_exchanges >= 1
         assert report.stage_disclosed_bits["sync_digests"] == 64 * report.transcript.digest_exchanges
+
+    @pytest.fixture(scope="class")
+    def measured_case(self):
+        # ROADMAP item 3's measured case: K=10, N=30, L=2 at 3%
+        params = TpmParams(K=10, N=30, L=2)
+        return params, run_pipeline(3000, 0.03, params, sample_fraction=0.02, seed=1)
+
+    @staticmethod
+    def mod_loader_min_entropy(params):
+        # load every b-bit chunk once, as the weights of one K=1 machine
+        b = params.bits_per_weight
+        chunks = (np.arange(2**b)[:, None] >> np.arange(b - 1, -1, -1)) & 1
+        loaded = bits_to_weights(BitKey(chunks.reshape(-1)), TpmParams(K=1, N=2**b, L=params.L))
+        _, counts = np.unique(loaded.weights, return_counts=True)
+        return -np.log2(counts.max() / 2**b)
+
+    def test_measured_case_inputs_to_the_entropy_bound(self, measured_case):
+        params, report = measured_case
+        assert self.mod_loader_min_entropy(params) == 2.0
+        assert report.transcript.iterations == 173
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3, step one")
+    def test_final_length_fits_the_loaders_min_entropy(self, measured_case):
+        params, report = measured_case
+        cap = params.weight_count * self.mod_loader_min_entropy(params)
+        # 300 * 2 - 173 - 30 = 397 bits, where the pipeline prints 637
+        assert report.budget.final_length <= cap - report.transcript.iterations - report.budget.security_bits
 
 
 # ---------------------------------------------------------------------------
