@@ -24,6 +24,7 @@ __all__ = [
     "QberEstimate",
     "estimate_qber",
     "generate_key_pair",
+    "sample_size",
 ]
 
 # Common abort level for the estimated error rate; callers may override.
@@ -137,17 +138,25 @@ def generate_key_pair(
     return NoisyKeyPair(BitKey(alice_bits), BitKey(bob_bits), positions, float(qber))
 
 
-def estimate_qber(pair: NoisyKeyPair, sample_fraction: float, seed: int) -> QberEstimate:
-    """Disclose a uniform sample of positions, estimate the error rate on it,
-    and drop the disclosed bits from both keys."""
+def sample_size(length: int, sample_fraction: float) -> int:
+    """Bits of a ``length``-bit raw key disclosed to estimate its error rate:
+    floor(sample_fraction * length), at least 1, with the fraction in (0, 1)."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
     if not 0.0 < sample_fraction < 1.0:
         raise ValueError(f"sample_fraction must be in (0, 1), got {sample_fraction}")
-    n = pair.length
-    size = int(math.floor(sample_fraction * n + 1e-9))
+    size = int(math.floor(sample_fraction * length + 1e-9))
     if size < 1:
         raise ValueError("sample would be empty; use a larger fraction or key")
+    return size
+
+
+def estimate_qber(pair: NoisyKeyPair, sample_fraction: float, seed: int) -> QberEstimate:
+    """Disclose a uniform sample of ``sample_size`` positions, estimate the
+    error rate on it, and drop the disclosed bits from both keys."""
+    size = sample_size(pair.length, sample_fraction)
     rng = np.random.default_rng(seed)
-    positions = np.sort(rng.choice(n, size=size, replace=False))
+    positions = np.sort(rng.choice(pair.length, size=size, replace=False))
     mismatches = int((pair.alice.bits[positions] != pair.bob.bits[positions]).sum())
     return QberEstimate(
         sampled_count=size,

@@ -26,6 +26,7 @@ from .channel import (
     QberEstimate,
     estimate_qber,
     generate_key_pair,
+    sample_size,
 )
 from .parity import ParityConfig, run_parity_reconciliation
 from .privacy import (
@@ -46,7 +47,7 @@ from .sync import (
     synchronize_batch,
     synchronize_from_weights,  # noqa: F401  traced benchmark runs wrap this name here
 )
-from .tpm import BitKey, Tpm, TpmParams, bits_to_weights
+from .tpm import BitKey, KeyMaterialError, Tpm, TpmParams, bits_to_weights
 
 __all__ = [
     "PipelineReport",
@@ -730,9 +731,10 @@ def run_pipeline(
     """Generate - estimate - reconcile - plan - amplify, with an abort when
     the estimated error rate crosses the threshold. A security margin
     outside [0, K*N*b) (it must leave some of the machine's key), a threshold
-    outside [0, 0.5] and a bad SyncConfig are, in that order, a ValueError
-    before any key is drawn; a margin that fits the key but not what the run
-    disclosed is an InfeasibleBudgetError from plan_budget.
+    outside [0, 0.5], a bad SyncConfig or ``sample_size`` and fewer than
+    K*N*b bits left after the sample (KeyMaterialError) are, in that order, a
+    ValueError before any key is drawn; a margin that fits the key but not
+    what the run disclosed is an InfeasibleBudgetError from plan_budget.
 
     In protocol mode every digest exchange costs 64 disclosed bits, so the
     interval defaults to a sparser cadence than SyncConfig's: frequent checks
@@ -743,6 +745,7 @@ def run_pipeline(
     if not 0.0 <= qber_threshold <= 0.5:
         raise ValueError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
+    KeyMaterialError.check(length - sample_size(length, sample_fraction), params)
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)

@@ -8,25 +8,25 @@ Per round, one party draws a random input matrix, both evaluate, and the
 update. An "iteration" is one input draw plus output exchange whether or
 not learning happens; learning steps are counted separately.
 
-Termination is decided in one of two modes:
+A session stops at the first comparison that finds the weight matrices
+equal, made at one of two cadences:
 
-* simulation mode (default): an oracle compares the weight matrices every
-  iteration. Used for experiment statistics.
-* protocol mode: the parties exchange a 64-bit blake2b digest of their
-  weights every ``digest_check_interval`` iterations and stop when the
-  digests match; the digest bits count as disclosed information.
+* simulation mode (default): an oracle compares them every iteration. Used
+  for experiment statistics.
+* protocol mode: a 64-bit digest exchange every ``digest_check_interval``
+  iterations, counted as disclosed bits; it compares exactly (no collision).
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+# the clip ufunc, one call for minimum and maximum, without np.clip's costly wrapper
 from numpy._core.umath import clip as clamp
 
 from .tpm import BitKey, Tpm, TpmParams, bits_to_weights, weight_overlap, weights_to_bits
@@ -140,11 +140,6 @@ def leakage_after(iterations: int, params: TpmParams) -> LeakageEstimate:
     )
 
 
-def _weight_digest(weights: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(weights, dtype=np.int64).tobytes()
-    return hashlib.blake2b(data, digest_size=DIGEST_BITS // 8).digest()
-
-
 @functools.cache
 def _kernel_constants(dtype: np.dtype, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0-d (0, -bound, bound) in the stack dtype, built once and shared by
@@ -162,6 +157,8 @@ def _exchange_rounds(
     learned: np.ndarray,
     geometric: bool = False,
     differ: np.ndarray | None = None,
+    start: int = 0,
+    cadence: int = 1,
 ) -> int:
     """Public rounds, in place, one per input of ``xs``, on one of two stacks:
     a lone stack ``w`` shaped (2 + E, K, N), the parties in rows 0 and 1 and
@@ -178,18 +175,17 @@ def _exchange_rounds(
     ``differ`` flags each row after its stack's first whose weights differ
     from that first row's: Bob and every Eve of a lone stack, shaped (1 + E,),
     or each trial's Bob, (T, 1); a batch's lone pair keeps its (1, 1). The
-    kernel keeps the flags after every round, and the block ends right after
-    the first round in which fewer flagged rows differ than on entry. Returns
-    the rounds run.
+    kernel sets them after each round whose number in the session (``start``
+    rounds precede the block) is a multiple of ``cadence``, and the block
+    ends right after the first such round in which fewer flagged rows differ
+    than on entry. Returns the rounds run.
 
     A unit's sign is -1 where its local field is <= 0, and a row's output is
     -1 where an odd number of its signs are. A learning row outputs the
     public tau, so its moving units are those whose sign is tau, and each
-    steps by x * tau before the clamp to [-bound, bound]. In a lone stack tau
-    is one scalar, so the move mask is one call on the rows' learn flags and
-    the units' sign masks: their conjunction where tau is -1, and where tau
-    is +1 the units of learning rows whose sign is not -1 (learn > negative).
-    Either overwrites the sign masks, which the next round draws afresh.
+    steps by x * tau before the clamp to [-bound, bound]. In a lone stack the
+    move mask overwrites the sign masks in one call: learn and negative where
+    the scalar tau is -1, and learn > negative where it is +1.
     """
     # views, scratch buffers and ufuncs are set up once per block, and each
     # round's ufuncs write into them
@@ -200,6 +196,7 @@ def _exchange_rounds(
     negative = np.empty(field.shape, dtype=bool)
     odd = np.empty(w.shape[:-2], dtype=bool)
     lone = w.ndim == 3
+    check = -(start + 1) % cadence if differ is not None else len(xs)  # the next compared round
     if differ is not None:
         first, others = w[..., :1, :, :], w[..., 1:, :, :]
         unequal = np.empty(others.shape, dtype=bool)
@@ -223,24 +220,28 @@ def _exchange_rounds(
         if lone:
             tau_negative = odd[0]  # a ufunc takes a scalar faster than a broadcast view
             equal(odd, tau_negative, out=learn)
-            if not learn[1]:
+            if learn[1]:
+                if geometric:
+                    # a Python list tests a few flags faster than numpy's all()
+                    flags = learn.tolist()
+                    if not all(flags):
+                        for row, agrees in enumerate(flags):
+                            if not agrees:
+                                unit = np.abs(field[row]).argmin()
+                                negative[row, unit] = not negative[row, unit]
+                        learn[...] = True
+                if tau_negative:
+                    logical_and(negative, learn_units, out=negative)
+                    subtract(w, x, out=w, where=move)
+                else:
+                    greater(learn_units, negative, out=negative)
+                    add(w, x, out=w, where=move)
+                clamp(w, lower, upper, out=w)
+            else:  # nobody moves
                 learn[...] = False
-                continue
-            if geometric:
-                # a Python list tests a few flags faster than numpy's all()
-                flags = learn.tolist()
-                if not all(flags):
-                    for row, agrees in enumerate(flags):
-                        if not agrees:
-                            unit = np.abs(field[row]).argmin()
-                            negative[row, unit] = not negative[row, unit]
-                    learn[...] = True
-            if tau_negative:
-                logical_and(negative, learn_units, out=negative)
-                subtract(w, x, out=w, where=move)
-            else:
-                greater(learn_units, negative, out=negative)
-                add(w, x, out=w, where=move)
+                if cadence == 1:  # so the flags compared after the last round stand
+                    check += 1
+                    continue
         else:
             equal(odd, partner, out=learn)
             equal(negative, public, out=negative)
@@ -248,15 +249,13 @@ def _exchange_rounds(
             np.negative(step, out=step, where=public)
             np.multiply(x, steps, out=delta)
             np.add(w, delta, out=w)
-        # the clip ufunc itself: np.clip wraps it in Python-level argument
-        # handling that costs more than the clamp at these sizes, and it is
-        # one call where minimum and maximum are two
-        clamp(w, lower, upper, out=w)
-        if differ is not None:
+            clamp(w, lower, upper, out=w)
+        if i == check:
             np.not_equal(others, first, out=unequal)
             np.logical_or.reduce(unequal_by_row, axis=-1, out=differ)
             if count_nonzero(differ) < entry:
                 return i + 1
+            check += cadence
     return len(xs)
 
 
@@ -329,24 +328,22 @@ def synchronize_batch(
     Pair i draws its inputs from its own ``PCG64(seeds[i])``, so its transcript
     and final weights equal those of ``synchronize_from_weights`` with
     ``seeds[i]``; machines are updated in place. A pair that exhausts the
-    budget gets a transcript with ``converged=False`` instead of an error. A
-    pair that retires converged with differing weights (a protocol-mode
-    digest collision) raises RuntimeError.
+    budget gets a transcript with ``converged=False`` instead of an error.
 
     The pairs are rows of one (T, 2, K, N) stack of one integer dtype, int16
     where every local field fits (L * N <= 32767) and else int32, with a
     buffer of 64 inputs per trial in that dtype (T * 64 * K * N elements, 2
     or 4 bytes each) refilled at the same round for every trial.
     ``_exchange_rounds`` advances the stack a block of rounds per call, up to
-    the next round the loop acts on: the end of the input chunk, the budget
-    or, in protocol mode, the next digest round; a traced run takes blocks of
-    one round. Each call allocates its scratch buffers once, the largest a
-    delta of T * 2 * K * N elements in the stack dtype. Each block's learn
-    masks are added to the learning steps right after the call. In simulation
-    mode the kernel keeps each trial's flag of whether Bob differs from
-    Alice, (T, 1), and stops a block by its one rule, which an attack race
-    shares: right after the round in which a live pair coincides, so that
-    pair retires at that round, its flag clear.
+    the end of the input chunk or the budget, or one round in a traced run.
+    Each call allocates its scratch buffers once, the largest a delta of
+    T * 2 * K * N elements in the stack dtype. Each block's learn masks are
+    added to the learning steps right after the call. The kernel keeps each
+    trial's flag of whether Bob differs from Alice, (T, 1), set every round
+    in simulation mode and at each digest exchange in protocol mode, where
+    they start set. It stops a block by its one rule, which an attack race
+    shares: right after the compared round in which a live pair coincides,
+    so that pair retires at that round, its flag clear.
 
     A trial retires when it converges or reaches the budget; retired rows run
     on unread until fewer than half the rows are live, and then the stack,
@@ -366,44 +363,35 @@ def synchronize_batch(
     inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=dtype)
     learned = np.empty((_INPUT_CHUNK, len(pairs), 2), dtype=bool)  # which rows learned, per round of a block
     learning_steps = np.zeros(len(pairs), dtype=np.int64)
-    # whether each trial's Bob differs from its Alice, (T, 1), kept by the
-    # kernel in simulation mode
-    differ = None if config.protocol_mode else (w[:, 1:] != w[:, :1]).any(axis=(2, 3))
+    interval = config.digest_check_interval if config.protocol_mode else 1
+    # whether each trial's Bob differs from its Alice, as of the last comparison (protocol mode: none yet)
+    differ = (w[:, 1:] != w[:, :1]).any(axis=(2, 3)) | config.protocol_mode
     trial_of_row = np.arange(len(pairs))
     live = np.ones(len(pairs), dtype=bool)
     traces: list[list[tuple[int, float]]] | None = [[] for _ in pairs] if record_overlap else None
     transcripts: list[SyncTranscript] = [None] * len(pairs)  # type: ignore[list-item]
 
     iterations = 0
-    digest_exchanges = 0  # every live trial checks digests at the same rounds
-    interval = config.digest_check_interval
     while True:
-        converged = np.zeros(len(w), dtype=bool) if differ is None else live & ~differ[:, 0]
-        if differ is None and iterations and iterations % interval == 0:
-            digest_exchanges += 1
-            for r in live.nonzero()[0]:
-                converged[r] = _weight_digest(w[r, 0]) == _weight_digest(w[r, 1])
+        converged = live & ~differ[:, 0]
         retiring = (live if iterations >= budget else converged).nonzero()[0]
         if len(retiring):
             for r in retiring:
                 trial = trial_of_row[r]
-                synced = bool(converged[r])
-                if synced and not np.array_equal(w[r, 0], w[r, 1]):  # a digest collision
-                    raise RuntimeError("converged run produced differing machines")
                 for machine, weights in zip(pairs[trial], w[r]):
                     machine.weights[...] = weights
                 transcripts[trial] = SyncTranscript(
                     iterations=iterations,
                     learning_steps=int(learning_steps[r]),
-                    digest_exchanges=digest_exchanges,
-                    converged=synced,
+                    digest_exchanges=iterations // interval if config.protocol_mode else 0,
+                    converged=bool(converged[r]),
                     overlap_trace=None if traces is None else traces[trial],
                 )
             live[retiring] = False
             if not live.any():
                 return transcripts
             if 2 * np.count_nonzero(live) < len(w):
-                w, inputs, differ = w[live], inputs[:, live], differ if differ is None else differ[live]
+                w, inputs, differ = w[live], inputs[:, live], differ[live]
                 trial_of_row, learning_steps = trial_of_row[live], learning_steps[live]
                 live = live[live]
 
@@ -411,17 +399,14 @@ def synchronize_batch(
         if slot == 0:
             for r in live.nonzero()[0]:
                 inputs[:, r, 0] = _draw_inputs(streams[trial_of_row[r]], (params.K, params.N))
-        # a block runs to the next round the loop acts on: the chunk's end,
-        # the budget or a digest round, or with a trace the next round
+        # a block runs to the chunk's end or the budget, or with a trace one round
         end = min(_INPUT_CHUNK, slot + budget - iterations, (slot + 1) if traces is not None else _INPUT_CHUNK)
-        if config.protocol_mode:
-            end = min(end, slot + interval - iterations % interval)
         if len(w) == 1:  # a lone trial skips the cost of the trial axis
             stack, xs, masks = w[0], inputs[slot:end, 0, 0], learned[slot:end, 0]
         else:
             stack, xs, masks = w, inputs[slot:end], learned[slot:end, : len(w)]
-        # a simulation block also stops when a live pair coincides
-        rounds = _exchange_rounds(stack, xs, params.L, masks, differ=differ)
+        # a block also stops when a live pair is found to coincide
+        rounds = _exchange_rounds(stack, xs, params.L, masks, differ=differ, start=iterations, cadence=interval)
         iterations += rounds
         learning_steps += masks[:rounds, ..., 0].sum(axis=0)
         if traces is not None:

@@ -32,6 +32,12 @@ __all__ = [
 class KeyMaterialError(ValueError):
     """Bit key is too short to fill the requested machine."""
 
+    @classmethod
+    def check(cls, length: int, params: TpmParams) -> None:
+        """Raise unless ``length`` key bits fill a machine of shape ``params``."""
+        if length < params.key_bits:
+            raise cls(f"need {params.key_bits} bits for K={params.K}, N={params.N}, L={params.L}; got {length}")
+
 
 @dataclass(frozen=True)
 class TpmParams:
@@ -211,13 +217,9 @@ def bits_to_weights(key: BitKey, params: TpmParams) -> Tpm:
     Trailing bits beyond K*N*b are ignored; a too-short key raises
     KeyMaterialError.
     """
-    needed = params.key_bits
-    if key.length < needed:
-        raise KeyMaterialError(
-            f"need {needed} bits for K={params.K}, N={params.N}, L={params.L}; got {key.length}"
-        )
+    KeyMaterialError.check(key.length, params)
     b = params.bits_per_weight
-    chunks = key.bits[:needed].reshape(params.weight_count, b)
+    chunks = key.bits[: params.key_bits].reshape(params.weight_count, b)
     place = (1 << np.arange(b - 1, -1, -1)).astype(np.int64)
     values = chunks.astype(np.int64) @ place
     weights = (values % params.alphabet_size - params.L).astype(np.int32)

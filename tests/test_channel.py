@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from neurokey.channel import NoisyKeyPair, _kth_open, estimate_qber, generate_key_pair
+from neurokey.channel import NoisyKeyPair, _kth_open, estimate_qber, generate_key_pair, sample_size
 from neurokey.tpm import BitKey
 
 
@@ -166,6 +166,27 @@ class TestEstimateQber:
         pair = generate_key_pair(5, 0.0, seed=1)
         with pytest.raises(ValueError):
             estimate_qber(pair, 0.1, seed=0)
+
+    @pytest.mark.parametrize("length, fraction", [(100, 0.2), (101, 0.1), (2250, 0.1), (7, 0.5), (3, 0.34)])
+    def test_the_sample_is_the_sample_size(self, length, fraction):
+        # the one rule estimate_qber and run_pipeline share: floor(fraction * length)
+        pair = generate_key_pair(length, 0.1, seed=3)
+        estimate = estimate_qber(pair, fraction, seed=4)
+        assert estimate.sampled_count == sample_size(length, fraction) == int(fraction * length + 1e-9)
+        assert estimate.remaining_alice.length == length - estimate.sampled_count
+
+    @pytest.mark.parametrize(
+        "length, fraction, message",
+        [
+            (0, 0.1, "length must be >= 1"),
+            (100, 1.0, "sample_fraction must be in (0, 1), got 1.0"),
+            (5, 0.1, "sample would be empty; use a larger fraction or key"),
+        ],
+    )
+    def test_sample_size_rejects_no_key_a_bad_fraction_and_no_sample(self, length, fraction, message):
+        with pytest.raises(ValueError) as excinfo:
+            sample_size(length, fraction)
+        assert str(excinfo.value) == message
 
     def test_mean_estimate_converges_to_nominal(self):
         length, qber, runs = 2000, 0.05, 60

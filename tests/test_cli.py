@@ -372,7 +372,7 @@ def test_pipeline_abort_exit_two(capsys):
     assert code == 2
 
 
-def test_pipeline_infeasible_budget_exit_three(capsys):
+def test_pipeline_margin_beyond_the_key_is_a_config_error_exit_three(capsys):
     code = main(
         ["pipeline", "--length", "500", "--qber", "0.0", "--K", "3", "--N", "4", "--L", "2",
          "--security-bits", "100", "--seed", "4"]

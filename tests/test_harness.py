@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from neurokey import harness
+from neurokey import harness, sync
 from neurokey.adversary import AttackConfig
 from neurokey.channel import generate_key_pair
 from neurokey.harness import (
@@ -30,7 +30,7 @@ from neurokey.harness import (
 )
 from neurokey.privacy import InfeasibleBudgetError
 from neurokey.sync import seed_initial_overlap
-from neurokey.tpm import BitKey, Tpm, TpmParams, bits_to_weights
+from neurokey.tpm import BitKey, KeyMaterialError, Tpm, TpmParams, bits_to_weights
 
 SMALL_SYNC = Scenario(
     name="small",
@@ -461,15 +461,6 @@ class TestRunScenario:
             Scenario(**{"name": "still", "K_values": (6,), "N_values": (8,), "trials": 2, **fields})
         assert str(excinfo.value).startswith(message)
 
-    def test_converged_run_with_differing_machines_raises(self, monkeypatch):
-        # every digest collides, so protocol mode stops at the first check
-        monkeypatch.setattr("neurokey.sync._weight_digest", lambda weights: b"")
-        scenario = dataclasses.replace(
-            SMALL_SYNC, start_modes=(StartMode("random"),), protocol_mode=True
-        )
-        with pytest.raises(RuntimeError, match="differing machines"):
-            list(run_scenario(scenario))
-
     def test_wide_machine_iterations_grow_with_k(self):
         # N=50, 99% initial agreement: mean rounds must rise with K
         scenario = Scenario(
@@ -638,6 +629,26 @@ class TestPipeline:
         # the spy sees the key draw of a run with a valid margin
         run_pipeline(length=300, qber=0.0, params=params, security_bits=0, seed=1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            # 500 - floor(0.1 * 500) = 450 bits are left for a 10*30*3 = 900-bit machine
+            ({}, KeyMaterialError, "need 900 bits for K=10, N=30, L=2; got 450"),
+            ({"sample_fraction": 0.0}, ValueError, "sample_fraction must be in (0, 1), got 0.0"),
+            ({"sample_fraction": 0.001}, ValueError, "sample would be empty; use a larger fraction or key"),
+        ],
+        ids=["key-short", "fraction-0", "sample-empty"],
+    )
+    def test_bad_sample_or_short_key_fails_before_any_key_is_drawn(self, monkeypatch, kwargs, error, message):
+        calls = []
+        for module, name in ((harness, "generate_key_pair"), (sync, "synchronize_batch")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
+        with pytest.raises(ValueError) as excinfo:
+            run_pipeline(500, 0.03, TpmParams(10, 30, 2), **kwargs)
+        assert not calls
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
     def test_protocol_mode_digests_are_charged(self):
         params = TpmParams(K=10, N=20, L=2)

@@ -74,6 +74,38 @@ class TestSynchronize:
         assert transcript.iterations % config.digest_check_interval == 0
         assert np.array_equal(alice.weights, bob.weights)
 
+    def test_protocol_mode_runs_a_block_through_its_digest_rounds(self, monkeypatch):
+        # the kernel compares the pair on rounds 10, 20, ..., 60 itself, so an
+        # unconverged 64-round session is one call, not one per digest round
+        exchange_rounds, calls = sync._exchange_rounds, []
+
+        def spy(w, xs, *args, **kwargs):
+            calls.append(len(xs))
+            return exchange_rounds(w, xs, *args, **kwargs)
+
+        monkeypatch.setattr(sync, "_exchange_rounds", spy)
+        alice, bob = fresh_pair(TpmParams(K=6, N=8, L=2), 16)
+        config = SyncConfig(max_iterations=64, protocol_mode=True, digest_check_interval=10)
+        [transcript] = synchronize_batch([(alice, bob)], config, [17])
+        assert not transcript.converged
+        assert (transcript.iterations, transcript.digest_exchanges) == (64, 6)
+        assert calls == [64]
+
+    def test_protocol_mode_misses_a_coincidence_after_the_last_digest_round(self):
+        # simulation mode finds the pair equal on a round that no digest round
+        # reaches within a budget ending short of the next one
+        alice, bob = fresh_pair(PARAMS, 7)
+        simulated = synchronize_from_weights(alice.copy(), bob.copy(), SyncConfig(max_iterations=20_000), 8)
+        coincide_at, interval = simulated.iterations, 7
+        assert coincide_at % interval
+        budget = coincide_at - coincide_at % interval + interval - 1
+        config = SyncConfig(max_iterations=budget, protocol_mode=True, digest_check_interval=interval)
+        [transcript] = synchronize_batch([(alice, bob)], config, [8])
+        assert not transcript.converged
+        assert transcript.iterations == budget
+        assert transcript.digest_exchanges == budget // interval
+        assert np.array_equal(alice.weights, bob.weights)
+
     def test_deterministic_replay(self):
         results = []
         for _ in range(2):
@@ -133,14 +165,6 @@ class TestSynchronize:
         pairs = [fresh_pair(PARAMS, 13), fresh_pair(TpmParams(3, 6, 2), 14)]
         with pytest.raises(ValueError, match="machine shapes differ: .*K=4.* vs .*K=3"):
             synchronize_batch(pairs, SyncConfig(max_iterations=5), [1, 2])
-
-    def test_digest_collision_raises_in_protocol_mode(self, monkeypatch):
-        # every digest collides, so protocol mode stops at the first check
-        monkeypatch.setattr(sync, "_weight_digest", lambda weights: b"")
-        alice, bob = fresh_pair(PARAMS, 19)
-        config = SyncConfig(max_iterations=200, protocol_mode=True, digest_check_interval=10)
-        with pytest.raises(RuntimeError, match="converged run produced differing machines"):
-            synchronize_from_weights(alice, bob, config, 20)
 
     def test_loop_matches_public_single_step_operations(self):
         # replay the first iterations manually with evaluate/hebbian_step and
@@ -566,14 +590,15 @@ def differ_flags(w):
     return (w[..., 1:, :, :] != w[..., :1, :, :]).any(axis=(-2, -1))
 
 
-def one_round_at_a_time(w, xs, bound, geometric, differ=None):
+def one_round_at_a_time(w, xs, bound, geometric, differ=None, start=0, cadence=1):
     """The learn masks of the rounds of ``xs``, one call each, up to the
-    first round in which a row flagged in ``differ`` comes to equal its
-    stack's first row."""
+    first round whose number after ``start`` is a multiple of ``cadence`` and
+    in which a row flagged in ``differ`` comes to equal its stack's first
+    row."""
     learned = np.zeros((len(xs),) + w.shape[:-2], dtype=bool)
     for i in range(len(xs)):
         assert sync._exchange_rounds(w, xs[i : i + 1], bound, learned[i : i + 1], geometric) == 1
-        if differ is not None and (differ > differ_flags(w)).any():
+        if differ is not None and (start + i + 1) % cadence == 0 and (differ > differ_flags(w)).any():
             return learned[: i + 1]
     return learned
 
@@ -604,6 +629,42 @@ def test_a_block_of_rounds_equals_rounds_one_at_a_time(L, dtype):
                 assert np.array_equal(learned[: len(expected)], expected)
                 assert np.array_equal(block, rounds)
                 assert differ is None or np.array_equal(differ, differ_flags(rounds))
+
+
+@pytest.mark.parametrize("start, cadence", [(0, 1), (0, 3), (5, 7), (13, 10)])
+def test_a_block_compares_its_rows_only_on_rounds_at_its_cadence(start, cadence):
+    # in each stack the last row equals the first and the others are one
+    # weight away from it, so most come to equal it within the block; the
+    # flags are exact on entry or, as before a first digest exchange, all set
+    rng = np.random.default_rng(80 + cadence)
+    K, N, L, n = 3, 4, 1, 64
+    stopped = 0
+    for rows, geometric in BLOCK_STACKS:
+        w = np.repeat(rng.integers(-L, L + 1, size=rows[:-1] + (1, K, N)), rows[-1], axis=-3).astype(np.int32)
+        w[..., 1:, 0, 0] = np.where(w[..., 1:, 0, 0] == L, -L, L)
+        stacks = w.reshape((-1,) + w.shape[-3:])  # a lone stack as a stack of one
+        stacks[-1, -1] = stacks[-1, 0]
+        x_shape = (n, K, N) if len(rows) == 1 else (n, rows[0], 1, K, N)
+        xs = (rng.integers(0, 2, size=x_shape) * 2 - 1).astype(np.int32)
+        exact = differ_flags(w)
+        for differ in (exact, np.ones_like(exact)) if cadence > 1 else (exact,):
+            block, rounds, flags = w.copy(), w.copy(), differ.copy()
+            learned = np.ones((n,) + rows, dtype=bool)
+            expected = one_round_at_a_time(rounds, xs, L, geometric, differ, start, cadence)
+            ran = sync._exchange_rounds(block, xs, L, learned, geometric, flags, start, cadence)
+            assert ran == len(expected)
+            assert np.array_equal(learned[:ran], expected)
+            assert np.array_equal(block, rounds)
+            stopped += ran < n
+            # the flags stand as of the last compared round, or as on entry
+            compared = (start + ran) // cadence * cadence - start
+            if compared > 0:
+                last = w.copy()
+                sync._exchange_rounds(last, xs[:compared], L, learned, geometric)
+                assert np.array_equal(flags, differ_flags(last))
+            else:
+                assert np.array_equal(flags, differ)
+    assert stopped
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
