@@ -88,14 +88,9 @@ class AttackResult:
     best_overlap: float
     synced: bool
     iterations_observed: int
-    per_machine_overlap: list[float]
-    eve_learning_steps: list[int]
-    # total rounds where the parties agreed (Eve can never learn on more)
-    exchange_learning_steps: int
     # best machine's overlap at the round the parties first coincided
     # (-1.0 when they never did within the budget)
     best_overlap_at_convergence: float = -1.0
-    eve_overlap_trace: list[tuple[int, float]] | None = None
 
 
 def run_attack(
@@ -109,9 +104,9 @@ def run_attack(
     measured against the complete public stream. The run ends early only if
     some Eve machine reaches full overlap. The returned transcript describes
     the Alice/Bob process, frozen at their convergence round;
-    ``record_overlap`` also traces the party and best-Eve overlaps, and then
-    every block is one round, as in a traced sync. The caller's machines are
-    not modified; the race runs on internal copies.
+    ``record_overlap`` also traces the parties' overlap, and then every block
+    is one round, as in a traced sync. The caller's machines are not
+    modified; the race runs on internal copies.
     """
     if alice.params != bob.params:
         raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
@@ -132,18 +127,17 @@ def run_attack(
 
     budget = attack.iteration_budget
     iterations = 0
-    learning = np.zeros(len(w), dtype=np.int64)  # per row; the parties learn on every agreed round
+    steps = 0  # the parties' learning steps: they learn on every agreed round
     learned = np.empty((_INPUT_CHUNK, len(w)), dtype=bool)  # per round of a block
     # (round, learning steps, best Eve overlap) when the parties first coincide
     at_convergence: tuple[int, int, float] | None = None
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if record_overlap else None
-    eve_trace: list[tuple[int, float]] | None = [] if record_overlap else None
     flat = w.reshape(len(w), -1)
     saved_w = np.empty_like(w)  # a block's start, for a re-run
 
-    def eve_overlaps() -> list[float]:
-        return (eves == w[0]).mean(axis=(1, 2)).tolist()
+    def best_eve_overlap() -> float:
+        return float((eves == w[0]).mean(axis=(1, 2)).max())
 
     def differing() -> np.ndarray:
         """Which of Bob and the Eves differ from Alice: the kernel's stop flags."""
@@ -152,7 +146,7 @@ def run_attack(
     differ = differing()
     while True:
         if at_convergence is None and not differ[0]:
-            at_convergence = (iterations, int(learning[0]), max(eve_overlaps()))
+            at_convergence = (iterations, steps, best_eve_overlap())
         if iterations >= budget or not differ[1:].all():
             break
         slot = iterations % _INPUT_CHUNK
@@ -165,18 +159,16 @@ def run_attack(
             # an event: run the block again, stopping right after its round
             np.copyto(w, saved_w)
             rounds = _exchange_rounds(w, chunk[slot:end], params.L, learned, geometric, differ)
-        learning += learned[:rounds].sum(axis=0)
+        steps += int(np.count_nonzero(learned[:rounds, 0]))
         iterations += rounds
-        if trace is not None and eve_trace is not None:
+        if trace is not None:
             trace.append((iterations, float((w[0] == w[1]).mean())))
-            eve_trace.append((iterations, max(eve_overlaps())))
 
-    per_machine = eve_overlaps()
-    best_overlap = max(per_machine)
-    rounds, steps, overlap_at_convergence = at_convergence or (iterations, int(learning[0]), -1.0)
+    best_overlap = best_eve_overlap()
+    rounds, party_steps, overlap_at_convergence = at_convergence or (iterations, steps, -1.0)
     transcript = SyncTranscript(
         iterations=rounds,
-        learning_steps=steps,
+        learning_steps=party_steps,
         digest_exchanges=0,
         converged=at_convergence is not None,
         overlap_trace=trace,
@@ -185,10 +177,6 @@ def run_attack(
         best_overlap=best_overlap,
         synced=best_overlap == 1.0,
         iterations_observed=iterations,
-        per_machine_overlap=per_machine,
-        eve_learning_steps=learning[2:].tolist(),
-        exchange_learning_steps=int(learning[0]),
         best_overlap_at_convergence=overlap_at_convergence,
-        eve_overlap_trace=eve_trace,
     )
     return transcript, result

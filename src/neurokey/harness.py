@@ -676,6 +676,7 @@ def compare_algorithms(
 class PipelineReport:
     """Everything one end-to-end run discloses and produces."""
 
+    params: TpmParams
     raw_length: int
     qber_estimate: QberEstimate
     transcript: SyncTranscript
@@ -698,16 +699,21 @@ class PipelineReport:
         }
 
     def summary(self) -> str:
-        stages = self.stage_disclosed_bits
+        stages, p = self.stage_disclosed_bits, self.params
+        # Shannon entropy of the loaded weights: `doubled` values take 2 of the 2^b chunks
+        b, doubled = p.bits_per_weight, 2**p.bits_per_weight - p.alphabet_size
+        shannon = p.weight_count * (b - 2 * doubled / 2**b)
         lines = [
             f"raw key length        {self.raw_length}",
             f"estimated QBER        {self.qber_estimate.estimate:.4f}"
             f" ({self.qber_estimate.mismatches}/{self.qber_estimate.sampled_count})",
             f"sync iterations       {self.transcript.iterations}"
             f" (learning steps {self.transcript.learning_steps})",
-            f"disclosed: estimation {stages['qber_estimation']}, sync outputs"
-            f" {stages['sync_outputs']}, digests {stages['sync_digests']}",
-            f"reconciled length     {self.budget.reconciled_length}",
+            f"disclosed: estimation {stages['qber_estimation']} (not charged: the sample left the key)",
+            f"charged: sync outputs {stages['sync_outputs']} (the paper's accounting, not shown to be"
+            f" sound), digests {stages['sync_digests']}",
+            f"reconciled length     {p.key_bits} (budget on its min-entropy {self.budget.reconciled_length};"
+            f" the paper's Shannon figure {shannon:g})",
             f"dropped key bits      {self.transcript.truncated_bits}",
             f"removed (known+margin) {self.budget.eve_known_bits}+{self.budget.security_bits}",
             f"final key length      {self.budget.final_length}",
@@ -730,18 +736,20 @@ def run_pipeline(
 ) -> PipelineReport:
     """Generate - estimate - reconcile - plan - amplify, with an abort when
     the estimated error rate crosses the threshold. A security margin
-    outside [0, K*N*b) (it must leave some of the machine's key), a threshold
-    outside [0, 0.5], a bad SyncConfig or ``sample_size`` and fewer than
-    K*N*b bits left after the sample (KeyMaterialError) are, in that order, a
-    ValueError before any key is drawn; a margin that fits the key but not
-    what the run disclosed is an InfeasibleBudgetError from plan_budget.
+    outside [0, K*N*(b-1)) (it must leave some of the loaded machine's
+    min-entropy, the budget's cap), a threshold outside [0, 0.5], a bad
+    SyncConfig or ``sample_size`` and fewer than K*N*b bits left after the
+    sample (KeyMaterialError) are, in that order, a ValueError before any key
+    is drawn; a margin that fits the cap but not what the run disclosed is an
+    InfeasibleBudgetError from plan_budget. The sample is not charged:
+    ``estimate_qber`` already cut it from the key.
 
     In protocol mode every digest exchange costs 64 disclosed bits, so the
     interval defaults to a sparser cadence than SyncConfig's: frequent checks
     can easily eat the whole budget of a small machine.
     """
-    if not 0 <= security_bits < params.key_bits:
-        raise ValueError(f"security_bits={security_bits} must be in [0, K*N*b) = [0, {params.key_bits})")
+    if not 0 <= security_bits < params.min_entropy_bits:
+        raise ValueError(f"security_bits={security_bits} must be in [0, K*N*(b-1)) = [0, {params.min_entropy_bits})")
     if not 0.0 <= qber_threshold <= 0.5:
         raise ValueError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
@@ -755,14 +763,14 @@ def run_pipeline(
         estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed
     )
     leakage = leakage_after(transcript.iterations, params)
-    disclosed = estimate.sampled_count + transcript.disclosed_bits
-    budget = plan_budget(key_a.length, leakage, disclosed, security_bits)
+    budget = plan_budget(params.min_entropy_bits, leakage, transcript.disclosed_bits, security_bits)
     spec = ToeplitzSpec.from_seed(budget.final_length, key_a.length, hash_seed)
     final_a = amplify(key_a, spec)
     final_b = amplify(key_b, spec)
     if final_a != final_b:
         raise RuntimeError("pipeline produced differing final keys")
     return PipelineReport(
+        params=params,
         raw_length=length,
         qber_estimate=estimate,
         transcript=transcript,

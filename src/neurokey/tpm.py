@@ -67,6 +67,12 @@ class TpmParams:
         return (self.alphabet_size - 1).bit_length()
 
     @property
+    def min_entropy_bits(self) -> int:
+        """Min-entropy of a machine loaded from uniform bits: 2^b < 2(2L+1), so
+        bits_to_weights maps at most 2 of the 2^b chunks to each weight value."""
+        return self.weight_count * (self.bits_per_weight - 1)
+
+    @property
     def weight_count(self) -> int:
         return self.K * self.N
 

@@ -105,15 +105,7 @@ class TestRunAttack:
             alice_b, bob_b = fresh_pair(seed)
             t1, r1 = run_attack(alice_a, bob_a, 100 + seed, AttackConfig("passive", iteration_budget=400))
             t2, r2 = run_attack(alice_b, bob_b, 100 + seed, AttackConfig("ensemble", 1, iteration_budget=400))
-            assert t1 == t2
-            assert r1.per_machine_overlap == r2.per_machine_overlap
-            assert r1.eve_learning_steps == r2.eve_learning_steps
-
-    def test_eve_learns_on_a_subset_of_exchanges(self):
-        for seed in range(8):
-            alice, bob = fresh_pair(20 + seed)
-            _, result = run_attack(alice, bob, 40 + seed, AttackConfig("passive", iteration_budget=600))
-            assert result.eve_learning_steps[0] <= result.exchange_learning_steps
+            assert (t1, r1) == (t2, r2)
 
     def test_passive_eve_usually_fails(self):
         trials, failures = 60, 0
@@ -136,10 +128,12 @@ class TestRunAttack:
         assert totals["geometric"] >= totals["passive"]
 
     def test_ensemble_takes_the_best_machine(self):
+        # the ensemble's first machine is the passive race's Eve: both draw
+        # her first from the same Eve seed, and both see the same inputs
         alice, bob = fresh_pair(600)
-        _, result = run_attack(alice, bob, 601, AttackConfig("ensemble", 4, iteration_budget=300))
-        assert len(result.per_machine_overlap) == 4
-        assert result.best_overlap == max(result.per_machine_overlap)
+        _, passive = run_attack(alice, bob, 601, AttackConfig("passive", iteration_budget=300))
+        _, ensemble = run_attack(alice, bob, 601, AttackConfig("ensemble", 4, iteration_budget=300))
+        assert ensemble.best_overlap >= passive.best_overlap
 
     def test_parties_converge_while_eve_watches(self):
         alice, bob = fresh_pair(700)
@@ -203,78 +197,78 @@ def race_digest(index):
 
 
 GOLDEN_RACE_DIGESTS = {
-    "passive1-random-eveNone-notrace": "a3a5eaff8822dcfa",
-    "passive1-random-eveNone-trace": "1c6a879e235deee0",
-    "passive1-random-eve0.9-notrace": "af13fc6394eece32",
-    "passive1-random-eve0.9-trace": "a81692d7d16a585f",
-    "passive1-random-eve1.0-notrace": "bb7709f29b913fc2",
-    "passive1-random-eve1.0-trace": "d6be2839c0dcb704",
-    "passive1-overlap-eveNone-notrace": "94c63b2d74341529",
-    "passive1-overlap-eveNone-trace": "3829eb460cd3f4b9",
-    "passive1-overlap-eve0.9-notrace": "c705b4f2c9a5d434",
-    "passive1-overlap-eve0.9-trace": "d37ed5d7c8e85416",
-    "passive1-overlap-eve1.0-notrace": "bb7709f29b913fc2",
-    "passive1-overlap-eve1.0-trace": "d6be2839c0dcb704",
-    "passive1-from_qber-eveNone-notrace": "c9ff8175cc9ec9d9",
-    "passive1-from_qber-eveNone-trace": "8b634e9a497ad0e7",
-    "passive1-from_qber-eve0.9-notrace": "b2b1d84f49fcbf65",
-    "passive1-from_qber-eve0.9-trace": "2a091b76c709c83a",
-    "passive1-from_qber-eve1.0-notrace": "bb7709f29b913fc2",
-    "passive1-from_qber-eve1.0-trace": "d6be2839c0dcb704",
-    "geometric1-random-eveNone-notrace": "67d4a85f4b2a5c1c",
-    "geometric1-random-eveNone-trace": "2878589af498bae7",
-    "geometric1-random-eve0.9-notrace": "776537a94be103ad",
-    "geometric1-random-eve0.9-trace": "abfb4dabbb1eb540",
-    "geometric1-random-eve1.0-notrace": "bb7709f29b913fc2",
-    "geometric1-random-eve1.0-trace": "d6be2839c0dcb704",
-    "geometric1-overlap-eveNone-notrace": "a06741b6831fe60e",
-    "geometric1-overlap-eveNone-trace": "328012f7426406c4",
-    "geometric1-overlap-eve0.9-notrace": "471fe31f11b83c3c",
-    "geometric1-overlap-eve0.9-trace": "70a8fcd9058fff2b",
-    "geometric1-overlap-eve1.0-notrace": "bb7709f29b913fc2",
-    "geometric1-overlap-eve1.0-trace": "d6be2839c0dcb704",
-    "geometric1-from_qber-eveNone-notrace": "7f0d6ca2677139fa",
-    "geometric1-from_qber-eveNone-trace": "fa2882be0f92661c",
-    "geometric1-from_qber-eve0.9-notrace": "6e4eeef1fe59ff20",
-    "geometric1-from_qber-eve0.9-trace": "1e2be5db18d7d143",
-    "geometric1-from_qber-eve1.0-notrace": "bb7709f29b913fc2",
-    "geometric1-from_qber-eve1.0-trace": "d6be2839c0dcb704",
-    "ensemble3-random-eveNone-notrace": "5b24338254a37740",
-    "ensemble3-random-eveNone-trace": "edecef561297d2b3",
-    "ensemble3-random-eve0.9-notrace": "b9cdccebd23fc823",
-    "ensemble3-random-eve0.9-trace": "f5ca5f31e58c943d",
-    "ensemble3-random-eve1.0-notrace": "fbbc540f014d24ca",
-    "ensemble3-random-eve1.0-trace": "bc38a31f2607f80b",
-    "ensemble3-overlap-eveNone-notrace": "dcb588e5d628b205",
-    "ensemble3-overlap-eveNone-trace": "75510539786c428d",
-    "ensemble3-overlap-eve0.9-notrace": "cc9b7aa367d76cbf",
-    "ensemble3-overlap-eve0.9-trace": "4016555d59fb1411",
-    "ensemble3-overlap-eve1.0-notrace": "fbbc540f014d24ca",
-    "ensemble3-overlap-eve1.0-trace": "bc38a31f2607f80b",
-    "ensemble3-from_qber-eveNone-notrace": "b024fbe85ef69670",
-    "ensemble3-from_qber-eveNone-trace": "a301cbb8294fcd3e",
-    "ensemble3-from_qber-eve0.9-notrace": "3ca0956daef68e07",
-    "ensemble3-from_qber-eve0.9-trace": "7c54f1b10ac483d1",
-    "ensemble3-from_qber-eve1.0-notrace": "fbbc540f014d24ca",
-    "ensemble3-from_qber-eve1.0-trace": "bc38a31f2607f80b",
-    "ensemble16-random-eveNone-notrace": "b17019b702f16d58",
-    "ensemble16-random-eveNone-trace": "fd8984b2c891002f",
-    "ensemble16-random-eve0.9-notrace": "a77f3fccafa808fd",
-    "ensemble16-random-eve0.9-trace": "965ac4a56cd0b9a9",
-    "ensemble16-random-eve1.0-notrace": "b852dceaee8e2113",
-    "ensemble16-random-eve1.0-trace": "4cf5df2fead0642f",
-    "ensemble16-overlap-eveNone-notrace": "553dd0304150e4ae",
-    "ensemble16-overlap-eveNone-trace": "1f88b3e3994909c0",
-    "ensemble16-overlap-eve0.9-notrace": "96932e77843debf1",
-    "ensemble16-overlap-eve0.9-trace": "65238be8c4d36286",
-    "ensemble16-overlap-eve1.0-notrace": "b852dceaee8e2113",
-    "ensemble16-overlap-eve1.0-trace": "4cf5df2fead0642f",
-    "ensemble16-from_qber-eveNone-notrace": "f656080f980a0172",
-    "ensemble16-from_qber-eveNone-trace": "7e051afeb5c9d415",
-    "ensemble16-from_qber-eve0.9-notrace": "1529a105a6d0a11f",
-    "ensemble16-from_qber-eve0.9-trace": "26d45d8ef701a7ff",
-    "ensemble16-from_qber-eve1.0-notrace": "b852dceaee8e2113",
-    "ensemble16-from_qber-eve1.0-trace": "4cf5df2fead0642f",
+    "passive1-random-eveNone-notrace": "8f0c70a0f465a391",
+    "passive1-random-eveNone-trace": "17f933f1a450bcb9",
+    "passive1-random-eve0.9-notrace": "5d5d216be50361c1",
+    "passive1-random-eve0.9-trace": "07a7ddb92fad33b8",
+    "passive1-random-eve1.0-notrace": "ff47684d5bf4a783",
+    "passive1-random-eve1.0-trace": "83f91ad4edebc450",
+    "passive1-overlap-eveNone-notrace": "2fc7eae06e10c0e5",
+    "passive1-overlap-eveNone-trace": "37bd8f7039427c35",
+    "passive1-overlap-eve0.9-notrace": "5f537ca20ae06277",
+    "passive1-overlap-eve0.9-trace": "d92611f1af7b8abb",
+    "passive1-overlap-eve1.0-notrace": "ff47684d5bf4a783",
+    "passive1-overlap-eve1.0-trace": "83f91ad4edebc450",
+    "passive1-from_qber-eveNone-notrace": "8e35350230c64a64",
+    "passive1-from_qber-eveNone-trace": "b74911084d962c67",
+    "passive1-from_qber-eve0.9-notrace": "94e09674481090e7",
+    "passive1-from_qber-eve0.9-trace": "1d891b6ccdb16e37",
+    "passive1-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
+    "passive1-from_qber-eve1.0-trace": "83f91ad4edebc450",
+    "geometric1-random-eveNone-notrace": "33a6a3992fc637f4",
+    "geometric1-random-eveNone-trace": "3f4588e903018963",
+    "geometric1-random-eve0.9-notrace": "524483dbe85774cb",
+    "geometric1-random-eve0.9-trace": "35690ab688d5cc47",
+    "geometric1-random-eve1.0-notrace": "ff47684d5bf4a783",
+    "geometric1-random-eve1.0-trace": "83f91ad4edebc450",
+    "geometric1-overlap-eveNone-notrace": "446cb6022cf3e920",
+    "geometric1-overlap-eveNone-trace": "f113d1af3a3e3da9",
+    "geometric1-overlap-eve0.9-notrace": "33016d485ae31ad2",
+    "geometric1-overlap-eve0.9-trace": "e300ec181d67a4a8",
+    "geometric1-overlap-eve1.0-notrace": "ff47684d5bf4a783",
+    "geometric1-overlap-eve1.0-trace": "83f91ad4edebc450",
+    "geometric1-from_qber-eveNone-notrace": "97b74d2247889fa9",
+    "geometric1-from_qber-eveNone-trace": "fc85d741924d944b",
+    "geometric1-from_qber-eve0.9-notrace": "eb0d95a90499a25e",
+    "geometric1-from_qber-eve0.9-trace": "63d935e11cb12545",
+    "geometric1-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
+    "geometric1-from_qber-eve1.0-trace": "83f91ad4edebc450",
+    "ensemble3-random-eveNone-notrace": "bcc54c9d5a14c3c2",
+    "ensemble3-random-eveNone-trace": "81ab834320a91913",
+    "ensemble3-random-eve0.9-notrace": "b94f164b7d513a11",
+    "ensemble3-random-eve0.9-trace": "57da9a90ac46ce22",
+    "ensemble3-random-eve1.0-notrace": "ff47684d5bf4a783",
+    "ensemble3-random-eve1.0-trace": "83f91ad4edebc450",
+    "ensemble3-overlap-eveNone-notrace": "884684db428cb4ce",
+    "ensemble3-overlap-eveNone-trace": "5e5f2f0d67ed9f54",
+    "ensemble3-overlap-eve0.9-notrace": "27c488bc46ae475c",
+    "ensemble3-overlap-eve0.9-trace": "b1391a7310e748f9",
+    "ensemble3-overlap-eve1.0-notrace": "ff47684d5bf4a783",
+    "ensemble3-overlap-eve1.0-trace": "83f91ad4edebc450",
+    "ensemble3-from_qber-eveNone-notrace": "50a492d81d81e313",
+    "ensemble3-from_qber-eveNone-trace": "51654178508d59e1",
+    "ensemble3-from_qber-eve0.9-notrace": "45a4257d24d67be6",
+    "ensemble3-from_qber-eve0.9-trace": "3d6bd0a1387053b4",
+    "ensemble3-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
+    "ensemble3-from_qber-eve1.0-trace": "83f91ad4edebc450",
+    "ensemble16-random-eveNone-notrace": "489ac46ee95d174a",
+    "ensemble16-random-eveNone-trace": "cb644a7b8aec93e5",
+    "ensemble16-random-eve0.9-notrace": "c2340e6f93115a6f",
+    "ensemble16-random-eve0.9-trace": "2bcde266dfb64b48",
+    "ensemble16-random-eve1.0-notrace": "ff47684d5bf4a783",
+    "ensemble16-random-eve1.0-trace": "83f91ad4edebc450",
+    "ensemble16-overlap-eveNone-notrace": "0d20e5b645174cdd",
+    "ensemble16-overlap-eveNone-trace": "6ac5b3b26e59b3ba",
+    "ensemble16-overlap-eve0.9-notrace": "7dcb1d696fd3a528",
+    "ensemble16-overlap-eve0.9-trace": "8a067f304cb8507a",
+    "ensemble16-overlap-eve1.0-notrace": "ff47684d5bf4a783",
+    "ensemble16-overlap-eve1.0-trace": "83f91ad4edebc450",
+    "ensemble16-from_qber-eveNone-notrace": "b35da7db636aa029",
+    "ensemble16-from_qber-eveNone-trace": "8d06fb206d7b56b2",
+    "ensemble16-from_qber-eve0.9-notrace": "6f82b10124b69049",
+    "ensemble16-from_qber-eve0.9-trace": "f237576e22f26051",
+    "ensemble16-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
+    "ensemble16-from_qber-eve1.0-trace": "83f91ad4edebc450",
 }
 
 # sha256 of the CSV of the bundled fig2 scenario cut to its first 20 trials
@@ -305,20 +299,15 @@ def test_golden_fig2_slice():
 # an untraced race checks its absorbing events once per block of rounds and
 # re-runs a block in which one happened under the kernel's stop flags; a
 # traced race runs blocks of one round, so the two must agree in everything
-# but the traces
+# but the trace
 
 
 def untraced_and_traced(alice, bob, seed, attack):
-    """Both runs of one race, each with its overlap traces blanked."""
+    """Both runs of one race, each with its overlap trace blanked."""
     runs = []
     for record in (False, True):
         transcript, result = run_attack(alice, bob, seed, attack, record)
-        runs.append(
-            (
-                dataclasses.replace(transcript, overlap_trace=None),
-                dataclasses.replace(result, eve_overlap_trace=None),
-            )
-        )
+        runs.append((dataclasses.replace(transcript, overlap_trace=None), result))
     return runs
 
 
@@ -538,7 +527,8 @@ def test_a_race_block_stops_right_after_the_round_an_eve_equals_alice(geometric)
 @pytest.mark.parametrize("strategy", ["passive", "geometric"])
 def test_run_attack_replays_with_the_reference_operations(strategy):
     # the same race, rebuilt from evaluate/hebbian_step on the input stream
-    # run_attack draws, must give the same overlaps and learning counts
+    # run_attack draws, must give the same overlaps and learning counts, both
+    # over the whole race and when a shorter budget cuts it at any round
     for seed in range(4):
         alice, bob = fresh_pair(1100 + seed)
         attack = AttackConfig(strategy, iteration_budget=500)
@@ -548,23 +538,27 @@ def test_run_attack_replays_with_the_reference_operations(strategy):
         stream = np.random.PCG64(input_seq)
         inputs = (x for _ in itertools.count() for x in _draw_inputs(stream, (PARAMS.K, PARAMS.N)))
         machines = [alice, bob, Tpm.random(PARAMS, np.random.default_rng(eve_seq))]
-        eve_steps = party_steps = 0
+        party_steps = [0]  # after each round; the parties learn on every agreed round
         party_trace, eve_trace = [], []
         for _ in range(attack.iteration_budget):
             machines, learned = oracle_round(machines, next(inputs), strategy == "geometric")
-            if learned is not None:
-                party_steps += 1
-                eve_steps += learned[2]
+            party_steps.append(party_steps[-1] + (learned is not None))
             party_trace.append(weight_overlap(machines[0], machines[1]))
             eve_trace.append(weight_overlap(machines[2], machines[0]))
             if eve_trace[-1] == 1.0:
                 break
-        assert result.eve_learning_steps == [eve_steps]
-        assert result.exchange_learning_steps == party_steps
-        assert result.per_machine_overlap == [eve_trace[-1]]
-        assert [v for _, v in result.eve_overlap_trace] == eve_trace
         assert [v for _, v in transcript.overlap_trace] == party_trace
         assert result.iterations_observed == len(eve_trace)
+
+        # the transcript freezes at the parties' first equal round
+        converged_at = party_trace.index(1.0) + 1 if 1.0 in party_trace else len(party_trace)
+        for budget in (1, 2, 15, 16, 17, 63, 64, 65, 128, len(eve_trace)):
+            short = dataclasses.replace(attack, iteration_budget=budget)
+            transcript, result = run_attack(alice, bob, 1200 + seed, short)
+            observed = min(budget, len(eve_trace))
+            assert result.iterations_observed == observed
+            assert result.best_overlap == eve_trace[observed - 1]
+            assert transcript.learning_steps == party_steps[min(observed, converged_at)]
 
 
 @pytest.mark.parametrize("N, dtype", [(16383, np.int16), (16384, np.int32)])

@@ -385,7 +385,7 @@ def test_pipeline_margin_beyond_the_key_is_a_config_error_exit_three(capsys):
     [
         (["--threshold", "-1"], "qber_threshold must be in [0, 0.5], got -1.0"),
         (["--threshold", "0.6"], "qber_threshold must be in [0, 0.5], got 0.6"),
-        (["--security-bits", "-5"], "security_bits=-5 must be in [0, K*N*b) = [0, 900)"),
+        (["--security-bits", "-5"], "security_bits=-5 must be in [0, K*N*(b-1)) = [0, 600)"),
     ],
     ids=["threshold-negative", "threshold-0.6", "security-bits-negative"],
 )

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import math
 import os
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from neurokey import harness, sync
 from neurokey.adversary import AttackConfig
@@ -28,8 +30,8 @@ from neurokey.harness import (
     run_scenario,
     summarize,
 )
-from neurokey.privacy import InfeasibleBudgetError
-from neurokey.sync import seed_initial_overlap
+from neurokey.privacy import DEFAULT_SECURITY_BITS, InfeasibleBudgetError
+from neurokey.sync import NonConvergenceError, seed_initial_overlap
 from neurokey.tpm import BitKey, KeyMaterialError, Tpm, TpmParams, bits_to_weights
 
 SMALL_SYNC = Scenario(
@@ -583,13 +585,19 @@ class TestPipeline:
         params = TpmParams(K=10, N=30, L=2)
         report = run_pipeline(length=2250, qber=0.03, params=params, security_bits=30, seed=2)
         assert report.identical
-        assert report.budget.reconciled_length == 900
-        expected = 900 - report.budget.eve_known_bits - 30
+        # the 900-bit key's min-entropy under the mod loader, 2 bits per weight
+        assert report.budget.reconciled_length == 600
+        # the 225 sampled bits left the key before sync, so they are not charged
+        assert report.budget.eve_known_bits == report.transcript.iterations
+        expected = 600 - report.budget.eve_known_bits - 30
         assert report.final_alice.length == expected
         stages = report.stage_disclosed_bits
         assert stages["qber_estimation"] == 225
         assert stages["sync_outputs"] == report.transcript.iterations
-        assert "final key length" in report.summary()
+        summary = report.summary().splitlines()
+        assert "disclosed: estimation 225 (not charged: the sample left the key)" in summary
+        assert "reconciled length     900 (budget on its min-entropy 600; the paper's Shannon figure 675)" in summary
+        assert f"final key length      {expected}" in summary
 
     def test_aborts_above_threshold(self):
         params = TpmParams(K=4, N=6, L=2)
@@ -606,12 +614,14 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            # K*N*b = 4*6*3 = 72 bits: the margin must leave some of them
-            ({"security_bits": -5}, "security_bits=-5 must be in [0, K*N*b) = [0, 72)"),
-            ({"security_bits": 72}, "security_bits=72 must be in [0, K*N*b) = [0, 72)"),
+            # the 4*6*3 = 72-bit key holds K*N*(b-1) = 48 bits of min-entropy:
+            # the margin must leave some of them
+            ({"security_bits": -5}, "security_bits=-5 must be in [0, K*N*(b-1)) = [0, 48)"),
+            ({"security_bits": 48}, "security_bits=48 must be in [0, K*N*(b-1)) = [0, 48)"),
+            ({"security_bits": 72}, "security_bits=72 must be in [0, K*N*(b-1)) = [0, 48)"),
             ({"protocol_mode": True, "digest_check_interval": 0}, "digest_check_interval must be >= 1"),
         ],
-        ids=["margin-negative", "margin-key-bits", "digest-interval-0"],
+        ids=["margin-negative", "margin-min-entropy", "margin-key-bits", "digest-interval-0"],
     )
     def test_bad_input_fails_before_any_key_is_drawn(self, monkeypatch, kwargs, message):
         calls = []
@@ -678,12 +688,45 @@ class TestPipeline:
         assert self.mod_loader_min_entropy(params) == 2.0
         assert report.transcript.iterations == 173
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3, step one")
     def test_final_length_fits_the_loaders_min_entropy(self, measured_case):
         params, report = measured_case
         cap = params.weight_count * self.mod_loader_min_entropy(params)
-        # 300 * 2 - 173 - 30 = 397 bits, where the pipeline prints 637
+        assert cap == params.min_entropy_bits
+        # 300 * 2 - 173 - 30 = 397 bits
         assert report.budget.final_length <= cap - report.transcript.iterations - report.budget.security_bits
+        assert report.budget.final_length == 397
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 30),
+        st.integers(1, 4),
+        st.floats(0.0, 0.1),
+        st.floats(0.01, 0.3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_final_length_fits_the_min_entropy_and_the_shannon_bound(
+        self, K, N, L, qber, sample_fraction, protocol_mode, seed
+    ):
+        params = TpmParams(K, N, L)
+        if params.min_entropy_bits <= DEFAULT_SECURITY_BITS:
+            reject()  # the margin must leave some of the min-entropy
+        # enough raw bits to fill the machine after a sample of at least one bit
+        length = max(math.ceil(params.key_bits / (1 - sample_fraction)) + 2, math.ceil(1 / sample_fraction) + 1)
+        try:
+            report = run_pipeline(
+                length, qber, params, seed=seed, sample_fraction=sample_fraction,
+                qber_threshold=0.5, protocol_mode=protocol_mode,
+            )
+        except (InfeasibleBudgetError, NonConvergenceError, QberAbortError):
+            reject()  # no key, so nothing to bound
+        final, transcript = report.budget.final_length, report.transcript
+        removed = transcript.iterations + transcript.disclosed_bits + DEFAULT_SECURITY_BITS
+        assert final <= params.min_entropy_bits - removed
+        # reconciling n bits at the channel's error rate q discloses at least n*h(q) of them
+        h = -sum(p * math.log2(p) for p in (qber, 1 - qber) if p > 0)
+        assert final <= params.key_bits * (1 - h)
 
 
 # ---------------------------------------------------------------------------

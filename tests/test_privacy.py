@@ -370,22 +370,22 @@ def long_block_outcome(length: int, qber: float, error_mode: str, seed: int) -> 
 
 PIPELINE_CASES = list(itertools.product(range(4), ("uniform", "burst"), (False, True)))
 GOLDEN_PIPELINE_OUTCOMES = {
-    (0, "uniform", False): "347:298:f0c5f3958f707839:f0c5f3958f707839",
-    (0, "uniform", True): "153:300:26d99e83bb4c598e:26d99e83bb4c598e",
-    (0, "burst", False): "624:21:98c14de8142e0069:98c14de8142e0069",
-    (0, "burst", True): "481:100:17c981bdbac063f8:17c981bdbac063f8",
-    (1, "uniform", False): "264:381:6ad3131634cc82ab:6ad3131634cc82ab",
+    (0, "uniform", False): "272:298:8364285cff3c5862:8364285cff3c5862",
+    (0, "uniform", True): "78:300:31d923bf4b82252a:31d923bf4b82252a",
+    (0, "burst", False): "549:21:cb429d864420b271:cb429d864420b271",
+    (0, "burst", True): "406:100:d0908bc40b02a926:d0908bc40b02a926",
+    (1, "uniform", False): "189:381:f618c0b8edf25d61:f618c0b8edf25d61",
     (1, "uniform", True): "InfeasibleBudgetError",
-    (1, "burst", False): "443:202:0bc6aac1b220ce54:0bc6aac1b220ce54",
-    (1, "burst", True): "153:300:d770671348e4319f:d770671348e4319f",
-    (2, "uniform", False): "550:95:534dad4d7b7794c9:534dad4d7b7794c9",
-    (2, "uniform", True): "481:100:530b21c4d8cf7508:530b21c4d8cf7508",
-    (2, "burst", False): "599:46:f0cc479502994f93:f0cc479502994f93",
-    (2, "burst", True): "481:100:3a8880bc8fd50193:3a8880bc8fd50193",
-    (3, "uniform", False): "396:249:b83842d99f2e568c:b83842d99f2e568c",
-    (3, "uniform", True): "153:300:ae9f399b31d49da2:ae9f399b31d49da2",
-    (3, "burst", False): "497:148:29f198d80879ece4:29f198d80879ece4",
-    (3, "burst", True): "317:200:ffaa9dff717eadb9:ffaa9dff717eadb9",
+    (1, "burst", False): "368:202:3aba5d55f15e5e03:3aba5d55f15e5e03",
+    (1, "burst", True): "78:300:394ee15b680f435f:394ee15b680f435f",
+    (2, "uniform", False): "475:95:684570b413e1fe46:684570b413e1fe46",
+    (2, "uniform", True): "406:100:284cc547a0c84066:284cc547a0c84066",
+    (2, "burst", False): "524:46:004bbc69ee60842a:004bbc69ee60842a",
+    (2, "burst", True): "406:100:a28d4eff1a8b8900:a28d4eff1a8b8900",
+    (3, "uniform", False): "321:249:3425f5c6132faf0d:3425f5c6132faf0d",
+    (3, "uniform", True): "78:300:d68437b0dea5406a:d68437b0dea5406a",
+    (3, "burst", False): "422:148:3f5befd5bbb2725f:3f5befd5bbb2725f",
+    (3, "burst", True): "242:200:bec685b511d198c7:bec685b511d198c7",
 }
 
 # (length, qber, error mode, seed); at (4096, 0.02, "burst", 0) Cascade leaves
