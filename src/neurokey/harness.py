@@ -712,7 +712,7 @@ class PipelineReport:
             f"disclosed: estimation {stages['qber_estimation']} (not charged: the sample left the key)",
             f"charged: sync outputs {stages['sync_outputs']} (the paper's accounting, not shown to be"
             f" sound), digests {stages['sync_digests']}",
-            f"reconciled length     {p.key_bits} (budget on its min-entropy {self.budget.reconciled_length};"
+            f"reconciled length     {p.key_bits} (budget on its min-entropy {self.budget.entropy_bits};"
             f" the paper's Shannon figure {shannon:g})",
             f"dropped key bits      {self.transcript.truncated_bits}",
             f"removed (known+margin) {self.budget.eve_known_bits}+{self.budget.security_bits}",

@@ -62,16 +62,17 @@ class FftPrecisionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AmplificationBudget:
-    """Sizes for one compression: reconciled length, attacker-known bits,
-    and the extra margin removed on top."""
+    """Sizes for one compression: the min-entropy of the reconciled key
+    before anything is disclosed (``entropy_bits``), attacker-known bits, and
+    the extra margin removed on top."""
 
-    reconciled_length: int
+    entropy_bits: int
     eve_known_bits: int
     security_bits: int
 
     @property
     def final_length(self) -> int:
-        return self.reconciled_length - self.eve_known_bits - self.security_bits
+        return self.entropy_bits - self.eve_known_bits - self.security_bits
 
     @property
     def information_bound(self) -> float:
@@ -81,7 +82,7 @@ class AmplificationBudget:
 
 
 def plan_budget(
-    reconciled_length: int,
+    entropy_bits: int,
     leakage: LeakageEstimate,
     disclosed_bits: int,
     security_bits: int = DEFAULT_SECURITY_BITS,
@@ -89,19 +90,19 @@ def plan_budget(
     """Combine leakage accounting with explicitly disclosed bits and check
     that the margin is >= 0 (else ValueError) and fits strictly inside what
     remains (else InfeasibleBudgetError)."""
-    if reconciled_length < 1:
-        raise ValueError("reconciled_length must be >= 1")
+    if entropy_bits < 1:
+        raise ValueError("entropy_bits must be >= 1")
     if disclosed_bits < 0:
         raise ValueError("disclosed_bits must be >= 0")
     if security_bits < 0:
         raise ValueError("security_bits must be >= 0")
     eve_known = int(math.ceil(leakage.bit_reduction)) + int(disclosed_bits)
-    if security_bits >= reconciled_length - eve_known:
+    if security_bits >= entropy_bits - eve_known:
         raise InfeasibleBudgetError(
-            f"security_bits={security_bits} must be < {reconciled_length} - {eve_known}"
+            f"security_bits={security_bits} must be < {entropy_bits} - {eve_known}"
         )
     return AmplificationBudget(
-        reconciled_length=int(reconciled_length),
+        entropy_bits=int(entropy_bits),
         eve_known_bits=eve_known,
         security_bits=int(security_bits),
     )

@@ -58,6 +58,17 @@ _PILOTS = 5
 _PILOT_CAP = 500_000
 _PILOT_TAG = 0x6E6B7069  # arbitrary fixed salt for pilot seeds
 
+# _pilot_budget of every shape the bundled scenarios and the CLI defaults use,
+# all at L=2, keyed (K, N), so that no process reruns their pilots.
+_PINNED_BUDGETS = {
+    (6, 8): 2384,
+    (6, 20): 1538, (6, 21): 2292, (6, 22): 3004, (6, 23): 2898, (6, 24): 2416, (6, 25): 2822,
+    (8, 20): 2652, (8, 21): 3200, (8, 22): 3264, (8, 23): 2716, (8, 24): 3284, (8, 25): 4002,
+    (10, 20): 4092, (10, 21): 3726, (10, 22): 3800, (10, 23): 4728, (10, 24): 4162, (10, 25): 3576,
+    (6, 30): 3190, (8, 30): 4336, (10, 30): 4768, (12, 30): 4850,
+    (6, 50): 2848, (8, 50): 3156, (10, 50): 4686, (12, 50): 6416,
+}
+
 
 class NonConvergenceError(RuntimeError):
     """Synchronization exhausted its iteration budget.
@@ -280,11 +291,18 @@ def _stack_dtype(params: TpmParams) -> type[np.signedinteger]:
     return np.int16 if params.L * params.N <= np.iinfo(np.int16).max else np.int32
 
 
-@functools.cache
 def resolve_iteration_budget(params: TpmParams) -> int:
     """Automatic iteration budget: ten times the mean random-start
-    synchronization length over a few fixed-seed pilot runs, run as one
-    lockstep batch (cached)."""
+    synchronization length over a few fixed-seed pilot runs. A shipped shape
+    reads it from ``_PINNED_BUDGETS``; any other runs the pilots once per
+    process."""
+    pinned = _PINNED_BUDGETS.get((params.K, params.N)) if params.L == 2 else None
+    return pinned or _pilot_budget(params)
+
+
+@functools.cache
+def _pilot_budget(params: TpmParams) -> int:
+    """The pilots behind an automatic budget, run as one lockstep batch (cached)."""
     pairs, seeds = [], []
     for pilot in range(_PILOTS):
         entropy = np.random.SeedSequence([_PILOT_TAG, params.K, params.N, params.L, pilot])

@@ -586,7 +586,7 @@ class TestPipeline:
         report = run_pipeline(length=2250, qber=0.03, params=params, security_bits=30, seed=2)
         assert report.identical
         # the 900-bit key's min-entropy under the mod loader, 2 bits per weight
-        assert report.budget.reconciled_length == 600
+        assert report.budget.entropy_bits == 600
         # the 225 sampled bits left the key before sync, so they are not charged
         assert report.budget.eve_known_bits == report.transcript.iterations
         expected = 600 - report.budget.eve_known_bits - 30

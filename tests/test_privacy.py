@@ -84,7 +84,7 @@ class TestBudget:
     @pytest.mark.parametrize(
         "length, disclosed, security, message",
         [
-            (0, 0, 0, "reconciled_length must be >= 1"),
+            (0, 0, 0, "entropy_bits must be >= 1"),
             (1000, -1, 0, "disclosed_bits must be >= 0"),
             (1000, 0, -1, "security_bits must be >= 0"),
         ],

@@ -6,7 +6,8 @@ import pytest
 
 from neurokey import sync
 from neurokey.channel import generate_key_pair
-from neurokey.harness import StartMode, machine_trial_seeds
+from neurokey.cli import build_parser
+from neurokey.harness import StartMode, load_scenario, machine_trial_seeds
 from neurokey.sync import (
     NonConvergenceError,
     SyncConfig,
@@ -225,8 +226,9 @@ class TestSynchronize:
         assert resolve_iteration_budget(params) == budget
 
 
-# Pilot budgets of every shape the bundled scenarios (fig2-fig6, table1) and
-# the benchmark workloads use, captured from five serial pilot runs.
+# Pilot budgets of every shape the bundled scenarios (fig2-fig6, table1), the
+# CLI defaults and the benchmark workloads use, all at L=2, captured from five
+# serial pilot runs: an independent copy of the table in sync.
 GOLDEN_BUDGETS = {
     (6, 8): 2384,
     (6, 20): 1538, (6, 21): 2292, (6, 22): 3004, (6, 23): 2898, (6, 24): 2416, (6, 25): 2822,
@@ -238,11 +240,50 @@ GOLDEN_BUDGETS = {
 
 
 def test_pilot_budgets_are_pinned():
-    # the uncached function, so every budget is measured afresh
-    budgets = {
-        shape: resolve_iteration_budget.__wrapped__(TpmParams(*shape, L=2)) for shape in GOLDEN_BUDGETS
-    }
+    # the uncached pilot function, so every budget is measured afresh
+    budgets = {shape: sync._pilot_budget.__wrapped__(TpmParams(*shape, L=2)) for shape in GOLDEN_BUDGETS}
     assert budgets == GOLDEN_BUDGETS
+    assert budgets == sync._PINNED_BUDGETS
+
+
+@pytest.fixture
+def no_pilots(monkeypatch):
+    """Fail any synchronization, past a pilot cache that an earlier test filled."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a synchronization ran")
+
+    monkeypatch.setattr(sync, "synchronize_batch", refuse)
+    monkeypatch.setattr(sync, "_pilot_budget", sync._pilot_budget.__wrapped__)
+
+
+def test_pinned_budgets_run_no_synchronization(no_pilots):
+    budgets = {shape: resolve_iteration_budget(TpmParams(*shape, L=2)) for shape in GOLDEN_BUDGETS}
+    assert budgets == GOLDEN_BUDGETS
+
+
+def test_every_shipped_shape_is_pinned(no_pilots):
+    shapes = set()
+    for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "table1"):
+        scenario = load_scenario(name)
+        if scenario.kind == "compare":  # the TPM rows run tpm_K x tpm_N
+            N_values = [setting.tpm_n for setting in scenario.compare_settings]
+        else:
+            N_values = scenario.N_values
+        shapes |= {(K, N, scenario.L) for K in scenario.K_values for N in N_values}
+    for command in ("sync", "pipeline"):
+        args = build_parser().parse_args([command])
+        shapes.add((args.K, args.N, args.L))
+    assert {(K, N) for K, N, L in shapes} == set(GOLDEN_BUDGETS)
+    for shape in shapes:
+        assert resolve_iteration_budget(TpmParams(*shape)) > 0
+
+
+def test_other_shapes_run_the_pilots(monkeypatch):
+    monkeypatch.setattr(sync, "_pilot_budget", lambda params: 7)
+    # a pinned (K, N) at another L, and a shape not in the table
+    assert resolve_iteration_budget(TpmParams(K=6, N=8, L=3)) == 7
+    assert resolve_iteration_budget(TpmParams(K=7, N=9, L=2)) == 7
 
 
 class TestSeedInitialOverlap:
