@@ -18,12 +18,12 @@ The race watches for two events, and both are absorbing: once the parties'
 weights are equal they stay equal, and once an Eve's weights equal Alice's her
 output is always the public one, so she makes Alice's exact update or nobody
 learns. Both are checked once before the first round, so a pair or an Eve
-that starts equal to Alice reads round 0, as in ``synchronize_batch``. The
-race then runs sync's blocks, each unchecked up to the end of the input chunk
-or the budget, and compares Bob and every Eve with Alice once per block. A
-block in which one of them came to equal Alice is restored from the copy
-saved at its start and run once more under the kernel's stop flags, which end
-it right after that round; so each event reads the round it happened on.
+that starts equal to Alice reads round 0, as in ``synchronize_batch``. Then
+the kernel's stop flags are the only test: each of sync's blocks, up to the
+end of the input chunk or the budget, runs first on a copy of the flags at a
+cadence of its length, compared once after its last round. A block whose copy
+shows fewer differing rows is restored from its saved start and re-run under
+the flags at cadence 1, so each event reads the round it happened on.
 """
 
 from __future__ import annotations
@@ -133,17 +133,12 @@ def run_attack(
     at_convergence: tuple[int, int, float] | None = None
     geometric = attack.strategy == "geometric"
     trace: list[tuple[int, float]] | None = [] if record_overlap else None
-    flat = w.reshape(len(w), -1)
     saved_w = np.empty_like(w)  # a block's start, for a re-run
 
     def best_eve_overlap() -> float:
         return float((eves == w[0]).mean(axis=(1, 2)).max())
 
-    def differing() -> np.ndarray:
-        """Which of Bob and the Eves differ from Alice: the kernel's stop flags."""
-        return (flat[1:] != flat[0]).any(axis=1)
-
-    differ = differing()
+    differ = (w[1:] != w[0]).any(axis=(1, 2))  # Bob and the Eves against Alice: the kernel's stop flags
     while True:
         if at_convergence is None and not differ[0]:
             at_convergence = (iterations, steps, best_eve_overlap())
@@ -154,11 +149,12 @@ def run_attack(
             chunk = _draw_inputs(input_stream, (params.K, params.N)).astype(w.dtype)
         end = slot + 1 if trace is not None else min(_INPUT_CHUNK, slot + budget - iterations)
         np.copyto(saved_w, w)
-        rounds = _exchange_rounds(w, chunk[slot:end], params.L, learned, geometric)
-        if np.count_nonzero(differing()) < np.count_nonzero(differ):
+        block = differ.copy()  # compared once, after the block's last round
+        rounds = _exchange_rounds(w, chunk[slot:end], params.L, learned, geometric, differ=block, cadence=end - slot)
+        if np.count_nonzero(block) < np.count_nonzero(differ):
             # an event: run the block again, stopping right after its round
             np.copyto(w, saved_w)
-            rounds = _exchange_rounds(w, chunk[slot:end], params.L, learned, geometric, differ)
+            rounds = _exchange_rounds(w, chunk[slot:end], params.L, learned, geometric, differ=differ)
         steps += int(np.count_nonzero(learned[:rounds, 0]))
         iterations += rounds
         if trace is not None:

@@ -37,7 +37,6 @@ from .privacy import (
     plan_budget,
 )
 from .sync import (
-    LeakageEstimate,
     SyncConfig,
     SyncTranscript,
     changed_weight_count,
@@ -680,7 +679,6 @@ class PipelineReport:
     raw_length: int
     qber_estimate: QberEstimate
     transcript: SyncTranscript
-    leakage: LeakageEstimate
     budget: AmplificationBudget
     final_alice: BitKey
     final_bob: BitKey
@@ -693,7 +691,7 @@ class PipelineReport:
     def stage_disclosed_bits(self) -> dict[str, int]:
         return {
             "qber_estimation": self.qber_estimate.sampled_count,
-            "sync_outputs": self.leakage.bit_reduction,
+            "sync_outputs": leakage_after(self.transcript.iterations, self.params).bit_reduction,
             "sync_digests": self.transcript.disclosed_bits,
             "security_margin": self.budget.security_bits,
         }
@@ -734,15 +732,15 @@ def run_pipeline(
     digest_check_interval: int = 100,
     error_mode: str = "uniform",
 ) -> PipelineReport:
-    """Generate - estimate - reconcile - plan - amplify, with an abort when
-    the estimated error rate crosses the threshold. A security margin
-    outside [0, K*N*(b-1)) (it must leave some of the loaded machine's
-    min-entropy, the budget's cap), a threshold outside [0, 0.5], a bad
-    SyncConfig or ``sample_size`` and fewer than K*N*b bits left after the
-    sample (KeyMaterialError) are, in that order, a ValueError before any key
-    is drawn; a margin that fits the cap but not what the run disclosed is an
-    InfeasibleBudgetError from plan_budget. The sample is not charged:
-    ``estimate_qber`` already cut it from the key.
+    """Generate - estimate - reconcile - plan - amplify, aborting when the
+    estimated error rate crosses the threshold. A security margin outside
+    [0, K*N*(b-1)) (it must leave some of the loaded machine's min-entropy,
+    the budget's cap), a threshold outside [0, 0.5], a bad SyncConfig or
+    ``sample_size``, a nonzero threshold that one sampled mismatch crosses,
+    and fewer than K*N*b bits left after the sample (KeyMaterialError) are,
+    in that order, a ValueError before any key is drawn; a margin that fits
+    the cap but not what the run disclosed is an InfeasibleBudgetError from
+    plan_budget. The sample is not charged: it left the key in estimation.
 
     In protocol mode every digest exchange costs 64 disclosed bits, so the
     interval defaults to a sparser cadence than SyncConfig's: frequent checks
@@ -753,7 +751,10 @@ def run_pipeline(
     if not 0.0 <= qber_threshold <= 0.5:
         raise ValueError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
-    KeyMaterialError.check(length - sample_size(length, sample_fraction), params)
+    sampled = sample_size(length, sample_fraction)
+    if 0 < qber_threshold < 1 / sampled:
+        raise ValueError(f"a {sampled}-bit sample cannot resolve qber_threshold={qber_threshold}: one mismatch aborts")
+    KeyMaterialError.check(length - sampled, params)
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)
@@ -774,7 +775,6 @@ def run_pipeline(
         raw_length=length,
         qber_estimate=estimate,
         transcript=transcript,
-        leakage=leakage,
         budget=budget,
         final_alice=final_a,
         final_bob=final_b,

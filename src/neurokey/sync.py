@@ -167,7 +167,8 @@ def _exchange_rounds(
     bound: int,
     learned: np.ndarray,
     geometric: bool = False,
-    differ: np.ndarray | None = None,
+    *,
+    differ: np.ndarray,
     start: int = 0,
     cadence: int = 1,
 ) -> int:
@@ -183,13 +184,13 @@ def _exchange_rounds(
     under ``geometric`` all rows, each other one first flipping the sign of
     its unit with the smallest |local field| (the first on ties).
 
-    ``differ`` flags each row after its stack's first whose weights differ
-    from that first row's: Bob and every Eve of a lone stack, shaped (1 + E,),
-    or each trial's Bob, (T, 1); a batch's lone pair keeps its (1, 1). The
-    kernel sets them after each round whose number in the session (``start``
-    rounds precede the block) is a multiple of ``cadence``, and the block
-    ends right after the first such round in which fewer flagged rows differ
-    than on entry. Returns the rounds run.
+    ``differ``, which every call passes, flags each row after its stack's
+    first whose weights differ from that first row's: Bob and every Eve of a
+    lone stack, (1 + E,), or each trial's Bob, (T, 1); a batch's lone pair
+    keeps (1, 1). The kernel sets them after each round whose number in the
+    session (``start`` rounds precede the block) is a multiple of ``cadence``
+    and ends the block right after the first such round in which fewer
+    flagged rows differ than on entry. Returns the rounds run.
 
     A unit's sign is -1 where its local field is <= 0, and a row's output is
     -1 where an odd number of its signs are. A learning row outputs the
@@ -207,12 +208,11 @@ def _exchange_rounds(
     negative = np.empty(field.shape, dtype=bool)
     odd = np.empty(w.shape[:-2], dtype=bool)
     lone = w.ndim == 3
-    check = -(start + 1) % cadence if differ is not None else len(xs)  # the next compared round
-    if differ is not None:
-        first, others = w[..., :1, :, :], w[..., 1:, :, :]
-        unequal = np.empty(others.shape, dtype=bool)
-        unequal_by_row = unequal.reshape(differ.shape + (-1,))  # fresh scratch, so a view
-        entry = count_nonzero(differ)
+    check = -(start + 1) % cadence  # the next compared round
+    first, others = w[..., :1, :, :], w[..., 1:, :, :]
+    unequal = np.empty(others.shape, dtype=bool)
+    unequal_by_row = unequal.reshape(differ.shape + (-1,))  # fresh scratch, so a view
+    entry = count_nonzero(differ)
     if lone:  # tau is one scalar, so one masked add or subtract
         greater, add, subtract = np.greater, np.add, np.subtract
         move = negative[..., None]

@@ -296,10 +296,10 @@ def test_golden_fig2_slice():
 
 
 # ---------------------------------------------------------------------------
-# an untraced race checks its absorbing events once per block of rounds and
-# re-runs a block in which one happened under the kernel's stop flags; a
-# traced race runs blocks of one round, so the two must agree in everything
-# but the trace
+# an untraced race runs each block of rounds on a copy of the kernel's stop
+# flags compared once, after its last round, and re-runs a block whose copy
+# shows an absorbing event under the flags at cadence 1; a traced race runs
+# blocks of one round, so the two must agree in everything but the trace
 
 
 def untraced_and_traced(alice, bob, seed, attack):
@@ -424,7 +424,8 @@ def check_lone_round(w, machines, x, geometric, seen):
     """The kernel on a lone stack, one round, against the oracle."""
     before = w.copy()
     learn = np.empty((1, len(w)), dtype=bool)
-    assert _exchange_rounds(w, x[None], machines[0].params.L, learn, geometric) == 1
+    differ = np.ones(len(w) - 1, dtype=bool)  # fresh, all set: one round runs either way
+    assert _exchange_rounds(w, x[None], machines[0].params.L, learn, geometric, differ=differ) == 1
     machines, learned = oracle_round(machines, x, geometric, seen)
     if learned is None:
         assert not learn.any()
@@ -439,7 +440,8 @@ def check_batch_round(stack, trials, x, seen):
     """The kernel on a parties-only trial stack, one round, against the
     oracle trial by trial; a trial whose parties disagree learns nothing."""
     learn = np.empty((1,) + stack.shape[:2], dtype=bool)
-    assert _exchange_rounds(stack, x[None], trials[0][0].params.L, learn) == 1
+    differ = np.ones((len(stack), 1), dtype=bool)  # fresh, all set: one round runs either way
+    assert _exchange_rounds(stack, x[None], trials[0][0].params.L, learn, differ=differ) == 1
     outcomes = [oracle_round(machines, x[t, 0], False, seen) for t, machines in enumerate(trials)]
     trials = [machines for machines, _ in outcomes]
     learned = [flags for _, flags in outcomes]
@@ -519,7 +521,7 @@ def test_a_race_block_stops_right_after_the_round_an_eve_equals_alice(geometric)
     w = np.stack([m.weights for m in start]).astype(np.int32)
     learned = np.zeros((len(xs), len(w)), dtype=bool)
     differ = np.ones(len(w) - 1, dtype=bool)
-    assert _exchange_rounds(w, xs, params.L, learned, geometric, differ) == 22
+    assert _exchange_rounds(w, xs, params.L, learned, geometric, differ=differ) == 22
     assert np.array_equal(w, np.stack([m.weights for m in machines]))
     assert differ.tolist() == [True, False, True]
 

@@ -386,8 +386,12 @@ def test_pipeline_margin_beyond_the_key_is_a_config_error_exit_three(capsys):
         (["--threshold", "-1"], "qber_threshold must be in [0, 0.5], got -1.0"),
         (["--threshold", "0.6"], "qber_threshold must be in [0, 0.5], got 0.6"),
         (["--security-bits", "-5"], "security_bits=-5 must be in [0, K*N*(b-1)) = [0, 600)"),
+        # floor(0.01 * 100) = 1 sampled bit, whose one mismatch would abort
+        (["--length", "100", "--qber", "0.05", "--K", "2", "--N", "10", "--L", "2", "--security-bits", "10",
+          "--sample-fraction", "0.01", "--threshold", "0.5", "--seed", "3"],
+         "a 1-bit sample cannot resolve qber_threshold=0.5: one mismatch aborts"),
     ],
-    ids=["threshold-negative", "threshold-0.6", "security-bits-negative"],
+    ids=["threshold-negative", "threshold-0.6", "security-bits-negative", "sample-below-threshold"],
 )
 def test_pipeline_bad_threshold_or_margin_fails_before_any_sync(monkeypatch, capsys, flags, message):
     calls = []

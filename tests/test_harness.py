@@ -660,6 +660,26 @@ class TestPipeline:
         assert type(excinfo.value) is error
         assert str(excinfo.value) == message
 
+    def test_a_sample_that_cannot_resolve_its_threshold_fails_before_any_key_is_drawn(self, monkeypatch):
+        # floor(0.01 * 100) = 1 sampled bit: its estimate is 0 or 1, so the
+        # run would pass or abort at 0.5 by whether that one bit is an error
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return generate_key_pair(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_key_pair", spy)
+        params = TpmParams(2, 10, 2)
+        with pytest.raises(ValueError) as excinfo:
+            run_pipeline(100, 0.05, params, security_bits=10, seed=3, sample_fraction=0.01, qber_threshold=0.5)
+        assert not calls
+        assert str(excinfo.value) == "a 1-bit sample cannot resolve qber_threshold=0.5: one mismatch aborts"
+        # a threshold of 0 aborts on any mismatch by design, and 2 bits resolve 0.5
+        run_pipeline(100, 0.0, params, security_bits=10, seed=3, sample_fraction=0.01, qber_threshold=0.0)
+        run_pipeline(200, 0.0, params, security_bits=10, seed=3, sample_fraction=0.01, qber_threshold=0.5)
+        assert len(calls) == 2
+
     def test_protocol_mode_digests_are_charged(self):
         params = TpmParams(K=10, N=20, L=2)
         report = run_pipeline(
@@ -712,8 +732,9 @@ class TestPipeline:
         params = TpmParams(K, N, L)
         if params.min_entropy_bits <= DEFAULT_SECURITY_BITS:
             reject()  # the margin must leave some of the min-entropy
-        # enough raw bits to fill the machine after a sample of at least one bit
-        length = max(math.ceil(params.key_bits / (1 - sample_fraction)) + 2, math.ceil(1 / sample_fraction) + 1)
+        # enough raw bits to fill the machine after a sample of at least two
+        # bits, the fewest in which one mismatch does not cross the 0.5 threshold
+        length = max(math.ceil(params.key_bits / (1 - sample_fraction)) + 2, math.ceil(2 / sample_fraction) + 1)
         try:
             report = run_pipeline(
                 length, qber, params, seed=seed, sample_fraction=sample_fraction,

@@ -631,15 +631,16 @@ def differ_flags(w):
     return (w[..., 1:, :, :] != w[..., :1, :, :]).any(axis=(-2, -1))
 
 
-def one_round_at_a_time(w, xs, bound, geometric, differ=None, start=0, cadence=1):
+def one_round_at_a_time(w, xs, bound, geometric, differ, start=0, cadence=1):
     """The learn masks of the rounds of ``xs``, one call each, up to the
     first round whose number after ``start`` is a multiple of ``cadence`` and
     in which a row flagged in ``differ`` comes to equal its stack's first
     row."""
     learned = np.zeros((len(xs),) + w.shape[:-2], dtype=bool)
     for i in range(len(xs)):
-        assert sync._exchange_rounds(w, xs[i : i + 1], bound, learned[i : i + 1], geometric) == 1
-        if differ is not None and (start + i + 1) % cadence == 0 and (differ > differ_flags(w)).any():
+        one = sync._exchange_rounds(w, xs[i : i + 1], bound, learned[i : i + 1], geometric, differ=differ_flags(w))
+        assert one == 1
+        if (start + i + 1) % cadence == 0 and (differ > differ_flags(w)).any():
             return learned[: i + 1]
     return learned
 
@@ -661,25 +662,27 @@ def test_a_block_of_rounds_equals_rounds_one_at_a_time(L, dtype):
             w = rng.integers(-L, L + 1, size=rows + (K, N)).astype(np.int32)
             x_shape = (n, K, N) if len(rows) == 1 else (n, rows[0], 1, K, N)
             xs = (rng.integers(0, 2, size=x_shape) * 2 - 1).astype(dtype)
-            # every stack runs once more, keeping its differ flags
-            for differ in (None, differ_flags(w)):
-                block, rounds = w.copy(), w.copy()
+            # every stack runs twice, its differ flags compared once, after
+            # the block's last round, then after every round
+            for cadence in (n, 1):
+                block, rounds, differ = w.copy(), w.copy(), differ_flags(w)
                 learned = np.ones((n,) + rows, dtype=bool)  # every round run must be written
-                expected = one_round_at_a_time(rounds, xs, L, geometric, differ)
-                assert sync._exchange_rounds(block, xs, L, learned, geometric, differ) == len(expected)
+                expected = one_round_at_a_time(rounds, xs, L, geometric, differ, cadence=cadence)
+                ran = sync._exchange_rounds(block, xs, L, learned, geometric, differ=differ, cadence=cadence)
+                assert ran == len(expected)
                 assert np.array_equal(learned[: len(expected)], expected)
                 assert np.array_equal(block, rounds)
-                assert differ is None or np.array_equal(differ, differ_flags(rounds))
+                assert np.array_equal(differ, differ_flags(rounds))
 
 
-@pytest.mark.parametrize("start, cadence", [(0, 1), (0, 3), (5, 7), (13, 10)])
+@pytest.mark.parametrize("start, cadence", [(0, 1), (0, 3), (5, 7), (13, 10), (0, 64)])
 def test_a_block_compares_its_rows_only_on_rounds_at_its_cadence(start, cadence):
     # in each stack the last row equals the first and the others are one
     # weight away from it, so most come to equal it within the block; the
     # flags are exact on entry or, as before a first digest exchange, all set
     rng = np.random.default_rng(80 + cadence)
     K, N, L, n = 3, 4, 1, 64
-    stopped = 0
+    events = 0
     for rows, geometric in BLOCK_STACKS:
         w = np.repeat(rng.integers(-L, L + 1, size=rows[:-1] + (1, K, N)), rows[-1], axis=-3).astype(np.int32)
         w[..., 1:, 0, 0] = np.where(w[..., 1:, 0, 0] == L, -L, L)
@@ -692,20 +695,21 @@ def test_a_block_compares_its_rows_only_on_rounds_at_its_cadence(start, cadence)
             block, rounds, flags = w.copy(), w.copy(), differ.copy()
             learned = np.ones((n,) + rows, dtype=bool)
             expected = one_round_at_a_time(rounds, xs, L, geometric, differ, start, cadence)
-            ran = sync._exchange_rounds(block, xs, L, learned, geometric, flags, start, cadence)
+            ran = sync._exchange_rounds(block, xs, L, learned, geometric, differ=flags, start=start, cadence=cadence)
             assert ran == len(expected)
             assert np.array_equal(learned[:ran], expected)
             assert np.array_equal(block, rounds)
-            stopped += ran < n
+            # a row came to equal its stack's first by the last compared round
+            events += np.count_nonzero(flags) < np.count_nonzero(exact)
             # the flags stand as of the last compared round, or as on entry
             compared = (start + ran) // cadence * cadence - start
             if compared > 0:
                 last = w.copy()
-                sync._exchange_rounds(last, xs[:compared], L, learned, geometric)
+                sync._exchange_rounds(last, xs[:compared], L, learned, geometric, differ=exact.copy(), cadence=compared)
                 assert np.array_equal(flags, differ_flags(last))
             else:
                 assert np.array_equal(flags, differ)
-    assert stopped
+    assert events
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
