@@ -2,7 +2,6 @@
 machines, alongside BBBSS/Cascade parity baselines, eavesdropper
 simulations, leakage accounting, and privacy amplification."""
 
-from .adversary import AttackConfig, AttackResult, run_attack
 from .channel import (
     DEFAULT_QBER_THRESHOLD,
     DEFAULT_SAMPLE_FRACTION,
@@ -40,12 +39,15 @@ from .privacy import (
     plan_budget,
 )
 from .sync import (
+    AttackConfig,
+    AttackResult,
     LeakageEstimate,
     NonConvergenceError,
     SyncConfig,
     SyncTranscript,
     leakage_after,
     reconcile,
+    run_attack,
     seed_initial_overlap,
     synchronize_from_weights,
 )

@@ -106,7 +106,10 @@ def cmd_sync(args) -> int:
     init_seed, aux_seed, sync_seed = machine_trial_seeds(args.seed, 0, params, 0)
     alice, bob = mode.machines(params, init_seed, aux_seed)
     config = SyncConfig(max_iterations=args.budget, protocol_mode=args.protocol_mode, **_digest_interval(args))
-    transcript = synchronize_from_weights(alice, bob, config, sync_seed, record_overlap=args.trace)
+    try:
+        transcript, error = synchronize_from_weights(alice, bob, config, sync_seed, record_overlap=args.trace), None
+    except NonConvergenceError as err:  # a run out of budget prints its partial transcript, then exits 2
+        transcript, error = err.transcript, err
     for iteration, overlap in transcript.overlap_trace or ():
         print(f"{iteration}\t{overlap:.6f}")
     print(
@@ -114,6 +117,8 @@ def cmd_sync(args) -> int:
         f"learning_steps={transcript.learning_steps} "
         f"digest_exchanges={transcript.digest_exchanges}"
     )
+    if error is not None:
+        raise error
     return 0
 
 

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .adversary import AttackConfig, run_attack
 from .channel import (
     DEFAULT_QBER_THRESHOLD,
     DEFAULT_SAMPLE_FRACTION,
@@ -37,11 +36,13 @@ from .privacy import (
     plan_budget,
 )
 from .sync import (
+    AttackConfig,
     SyncConfig,
     SyncTranscript,
     changed_weight_count,
     leakage_after,
     reconcile,
+    run_attack,
     seed_initial_overlap,
     synchronize_batch,
     synchronize_from_weights,  # noqa: F401  traced benchmark runs wrap this name here
@@ -319,7 +320,7 @@ _GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean", "str": "
 
 
 def _scalar_types(cls) -> dict[str, str]:
-    # field types are annotation strings, as harness and adversary postpone
+    # field types are annotation strings, as harness and sync postpone
     # the evaluation of annotations
     return {f.name: f.type.split(" ")[0] for f in fields(cls) if f.type.split(" ")[0] in _GETTERS}
 

@@ -51,7 +51,7 @@ _FFT_MIN_PRODUCT = 1 << 16
 _ROUNDING_TOLERANCE = 0.25
 
 
-class InfeasibleBudgetError(ValueError):
+class InfeasibleBudgetError(RuntimeError):
     """The security margin does not fit: margin >= key length - known bits."""
 
 
@@ -130,13 +130,10 @@ class ToeplitzSpec:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
-        arr = np.asarray(self.first_row_and_col)
+        arr = BitKey(self.first_row_and_col).bits  # a private 0/1 copy
         expected = self.rows + self.cols - 1
-        if arr.ndim != 1 or arr.size != expected:
+        if arr.size != expected:
             raise ValueError(f"first_row_and_col must hold {expected} bits, got {arr.size}")
-        arr = arr.astype(np.uint8, copy=True)
-        if arr.size and arr.max(initial=0) > 1:
-            raise ValueError("first_row_and_col entries must be 0 or 1")
         arr.flags.writeable = False  # the kept last hash derives from it
         object.__setattr__(self, "first_row_and_col", arr)
 

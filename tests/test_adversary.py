@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from neurokey import adversary, harness
+from neurokey import harness, sync
 from neurokey.adversary import AttackConfig, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
 from neurokey.sync import (
@@ -575,7 +575,7 @@ def test_race_stack_dtype_follows_the_sync_rule(monkeypatch, N, dtype):
         seen.append((w.dtype, xs.dtype))
         return _exchange_rounds(w, xs, *args, **kwargs)
 
-    monkeypatch.setattr(adversary, "_exchange_rounds", spy)
+    monkeypatch.setattr(sync, "_exchange_rounds", spy)
     alice, bob = fresh_pair(41, params)
     run_attack(alice, bob, 42, AttackConfig(iteration_budget=1))
     assert seen and set(seen) == {(np.dtype(dtype), np.dtype(dtype))}

@@ -45,6 +45,17 @@ def test_sync_non_convergence_exit_two(capsys):
     assert code == 2
 
 
+def test_sync_out_of_budget_still_prints_its_trace_and_summary(capsys):
+    code = main(["sync", "--K", "8", "--N", "20", "--L", "3", "--seed", "5", "--budget", "2", "--trace"])
+    assert code == 2
+    captured = capsys.readouterr()
+    *overlaps, summary = captured.out.splitlines()
+    assert [line.split("\t")[0] for line in overlaps] == ["1", "2"]
+    assert all(re.fullmatch(r"\d+\t[01]\.\d{6}", line) for line in overlaps)
+    assert summary.startswith("converged=False iterations=2 ")
+    assert captured.err.startswith("neurokey: non-convergence: no convergence within 2 iterations")
+
+
 @pytest.mark.parametrize(
     "flags, mode",
     [

@@ -81,6 +81,16 @@ class TestBudget:
         budget = plan_budget(1000, NO_LEAKAGE, 100, 899)
         assert budget.final_length == 1
 
+    def test_an_infeasible_budget_is_no_input_error(self):
+        # a caller's `except ValueError` for bad input must not swallow the abort
+        with pytest.raises(InfeasibleBudgetError):
+            try:
+                plan_budget(1000, NO_LEAKAGE, 100, 900)
+            except ValueError:
+                pytest.fail("InfeasibleBudgetError was caught as a ValueError")
+        with pytest.raises(ValueError):  # plan_budget's own input errors stay ValueError
+            plan_budget(1000, NO_LEAKAGE, 100, -1)
+
     @pytest.mark.parametrize(
         "length, disclosed, security, message",
         [
