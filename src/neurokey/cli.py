@@ -52,9 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sync = sub.add_parser("sync", help="one synchronization run with an overlap trace")
     _add_shape_flags(p_sync)
-    group = p_sync.add_mutually_exclusive_group()
-    group.add_argument("--overlap", type=float, help="start from this weight agreement")
-    group.add_argument("--qber", type=float, help="start from keys over a channel at this rate")
+    p_sync.add_argument("--start", default="random", help="start mode, as a scenario's start_mode (default: random)")
     p_sync.add_argument("--seed", type=int, default=0)
     p_sync.add_argument("--budget", type=int, default=None, help="iteration cap (default: pilot-based)")
     p_sync.add_argument("--digest-interval", type=int, help=cadence(SyncConfig.digest_check_interval))
@@ -96,12 +94,7 @@ def _digest_interval(args) -> dict[str, int]:
 
 def cmd_sync(args) -> int:
     # trial 0 of the one-point sync scenario with base seed --seed
-    if args.qber is not None:
-        mode = StartMode("from_qber", args.qber)
-    elif args.overlap is not None:
-        mode = StartMode("overlap", args.overlap)
-    else:
-        mode = StartMode("random")
+    mode = StartMode.parse(args.start)
     params = TpmParams(K=args.K, N=args.N, L=args.L)
     init_seed, aux_seed, sync_seed = machine_trial_seeds(args.seed, 0, params, 0)
     alice, bob = mode.machines(params, init_seed, aux_seed)

@@ -149,6 +149,9 @@ class CompareSetting:
         if not 0.0 < self.qber <= 0.5:
             raise ScenarioError(f"compare qber must be in (0, 0.5], got {self.qber}")
 
+    def __str__(self) -> str:
+        return f"{self.key_length}:{self.qber:g}:{self.tpm_n}"
+
     @property
     def tpm_start(self) -> StartMode:
         """The mutual-learning row's start: weight overlap 1 - qber."""
@@ -187,6 +190,10 @@ class Scenario:
             raise ScenarioError("K, N, L must be positive")
         if not self.start_modes:
             raise ScenarioError("at least one start mode is required")
+        for key, values in (("K", self.K_values), ("N", self.N_values), ("start_mode", self.start_modes),
+                            ("settings", self.compare_settings)):
+            if repeated := [v for i, v in enumerate(values) if v in values[:i]]:  # its point would run twice
+                raise ScenarioError(f"{key} lists {repeated[0]} twice")
         if self.kind == "attack" and self.attack is None:
             raise ScenarioError("attack scenarios need an [attack] section")
         if self.kind != "attack" and self.attack is not None:
@@ -201,13 +208,12 @@ class Scenario:
         if self.max_iterations is not None and self.kind == "attack":
             raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
         # an overlap start must change some weight at the smallest K*N it meets,
-        # as the count grows with K*N
+        # as the count grows with K*N; a compare row's machines are tpm_K x tpm_N
         eve = self.attack.eve_initial_overlap if self.attack else None
         N = min(self.N_values)
         starts = [(f"start_mode = {m}", m.value, N) for m in self.start_modes if m.kind == "overlap"]
         starts += [(f"eve_initial_overlap = {eve:g}", eve, N)] if eve is not None else []
-        for s in self.compare_settings:  # a compare row's machines are tpm_K x tpm_N
-            starts.append((f"settings entry {s.key_length}:{s.qber:g}:{s.tpm_n}", s.tpm_start.value, s.tpm_n))
+        starts += [(f"settings entry {s}", s.tpm_start.value, s.tpm_n) for s in self.compare_settings]
         for key, overlap, n in starts:
             try:
                 changed_weight_count(overlap, min(self.K_values) * n)

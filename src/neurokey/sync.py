@@ -356,9 +356,10 @@ def synchronize_from_weights(
     if not transcript.converged:
         budget = transcript.iterations
         source = "explicit max_iterations=" if config.max_iterations else "pilot budget "
+        digests = f"; {transcript.digest_exchanges} digest exchanges, one every {config.digest_check_interval} rounds"
         raise NonConvergenceError(
             f"no convergence within {budget} iterations ({source}{budget}) for {alice.params}; "
-            f"final party overlap {weight_overlap(alice, bob):.4f}",
+            f"final party overlap {weight_overlap(alice, bob):.4f}" + (digests if config.protocol_mode else ""),
             transcript,
         )
     return transcript

@@ -19,7 +19,7 @@ def test_sync_success_exit_zero(capsys):
 def sync_lines(capsys, *flags):
     code = main(
         ["sync", "--K", "3", "--N", "4", "--L", "2", "--seed", "5", "--budget", "50000",
-         "--overlap", "0.9", *flags]
+         "--start", "overlap:0.9", *flags]
     )
     assert code == 0
     *overlaps, summary = capsys.readouterr().out.splitlines()
@@ -60,8 +60,8 @@ def test_sync_out_of_budget_still_prints_its_trace_and_summary(capsys):
     "flags, mode",
     [
         ([], StartMode("random")),
-        (["--overlap", "0.9"], StartMode("overlap", 0.9)),
-        (["--qber", "0.15"], StartMode("from_qber", 0.15)),
+        (["--start", "overlap:0.9"], StartMode("overlap", 0.9)),
+        (["--start", "from_qber:0.15"], StartMode("from_qber", 0.15)),
         # no --digest-interval: the command and the scenario share SyncConfig's default
         (["--protocol-mode"], StartMode("random")),
     ],
@@ -86,6 +86,52 @@ def test_sync_replays_trial_zero_of_the_one_point_scenario(capsys, flags, mode, 
     (record,) = run_scenario(scenario)
     assert record.iterations > 0
     assert (int(printed[1]), int(printed[2])) == (record.iterations, record.learning_steps)
+
+
+@pytest.mark.parametrize("flags", [["--overlap", "0.9"], ["--qber", "0.15"]], ids=["overlap", "qber"])
+def test_sync_takes_its_start_only_from_start(capsys, flags):
+    assert main(["sync", "--K", "3", "--N", "4", *flags]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("overlap:1.5", "overlap must be in [0, 1], got 1.5"),
+        ("from_qber:0.9", "from_qber must be in [0, 0.5], got 0.9"),
+        ("random:0.5", "random start mode takes no value"),
+        ("bogus", "cannot parse start mode 'bogus'"),
+    ],
+    ids=["overlap-1.5", "from_qber-0.9", "random-0.5", "bogus"],
+)
+def test_sync_bad_start_fails_with_the_scenario_files_message(capsys, tmp_path, mode, message):
+    config = tmp_path / "start.ini"
+    config.write_text(f"[scenario]\nK = 3\nN = 4\nstart_mode = {mode}\n")
+    assert main(["scenario", str(config)]) == 3
+    from_file = capsys.readouterr().err
+    assert main(["sync", "--K", "3", "--N", "4", "--start", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == from_file == f"neurokey: config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, cadence",
+    [
+        (["--K", "6", "--N", "8", "--protocol-mode", "--digest-interval", "5000", "--seed", "1"], "one every 5000 rounds"),
+        (["--K", "8", "--N", "20", "--L", "3", "--seed", "5", "--budget", "2"], None),
+    ],
+    ids=["protocol", "simulation"],
+)
+def test_sync_non_convergence_names_the_digest_cadence_in_protocol_mode(capsys, flags, cadence):
+    # equal parties whose budget ends before the first digest round still exit 2
+    assert main(["sync", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("neurokey: non-convergence: no convergence within ")
+    if cadence:
+        assert err.endswith(f"; final party overlap 1.0000; 0 digest exchanges, {cadence}\n")
+    else:
+        assert "digest" not in err
 
 
 @pytest.mark.parametrize(
@@ -227,6 +273,15 @@ def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, tex
         assert err == f"neurokey: config error: {message}\n"
     else:
         assert "neurokey: config error: " in err
+    assert not out.exists()
+
+
+def test_scenario_repeated_value_exit_three_before_output_opens(capsys, tmp_path):
+    config = tmp_path / "twice.ini"
+    config.write_text("[scenario]\nK = 6, 6\nN = 8\ntrials = 2\n")
+    out = tmp_path / "never.csv"
+    assert main(["scenario", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "neurokey: config error: K lists 6 twice\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -158,6 +159,25 @@ settings = 500:0.05:25, 600:0.03:30
     def test_out_of_range_compare_settings_are_rejected(self, setting):
         with pytest.raises(ScenarioError):
             CompareSetting(*setting)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[scenario]\nK = 6, 8, 6\nN = 8\n", "K lists 6 twice"),
+            ("[scenario]\nK = 6\nN = 8-10, 9\n", "N lists 9 twice"),
+            ("[scenario]\nK = 6\nN = 8\nstart_mode = random, overlap:0.9, random\n", "start_mode lists random twice"),
+            ("[scenario]\nK = 6\nN = 8\nstart_mode = overlap:0.9, overlap:0.90\n", "start_mode lists overlap:0.9 twice"),
+            (
+                "[scenario]\nkind = compare\n[compare]\nsettings = 500:0.05:25, 600:0.03:30, 500:0.05:25\n",
+                "settings lists 500:0.05:25 twice",
+            ),
+        ],
+        ids=["K", "N", "start_mode", "start_mode-spelled-twice", "settings"],
+    )
+    def test_a_repeated_sweep_value_is_rejected(self, text, message):
+        # a repeat would run its point twice, and summarize would merge the two runs
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(text)
 
     def test_bundled_scenarios_load(self):
         for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "table1"):

@@ -358,6 +358,37 @@ class TestReconcile:
         assert excinfo.value.transcript.truncated_bits == 2100
 
 
+def loaded_and_synced_agreement(base_seed, max_iterations=None):
+    """Alice's weight agreement between her loaded and her synchronized
+    machine over 100 from_qber:0.03 pairs at K=10, N=30, L=2, the chance
+    agreement of the two pooled weight distributions, and whether every pair
+    converged."""
+    params = TpmParams(10, 30, 2)
+    mode = StartMode("from_qber", 0.03)
+    seeds = [machine_trial_seeds(base_seed, 0, params, trial) for trial in range(100)]
+    pairs = [mode.machines(params, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
+    loaded = np.stack([alice.weights.copy() for alice, _ in pairs])
+    config = SyncConfig(max_iterations=max_iterations)
+    transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
+    synced = np.stack([alice.weights for alice, _ in pairs])
+    values = np.arange(-params.L, params.L + 1)
+    chance = sum(np.mean(loaded == v) * np.mean(synced == v) for v in values)
+    return np.mean(loaded == synced), chance, all(t.converged for t in transcripts)
+
+
+@pytest.mark.parametrize("base_seed", [0, 1, 2])
+def test_the_synchronized_key_is_a_fresh_key(base_seed):
+    # the loaded keys only shorten the race: the machines meet on weights
+    # that agree with Alice's loaded ones no more than chance does, so
+    # reconciliation never corrects Bob's key to Alice's (that would read ~1)
+    agreement, chance, converged = loaded_and_synced_agreement(base_seed)
+    assert converged
+    assert abs(agreement - chance) < 0.02
+    # five rounds in, the machines still carry much of the loaded keys
+    early, chance, _ = loaded_and_synced_agreement(base_seed, max_iterations=5)
+    assert early - chance > 0.2
+
+
 class TestTranscriptRecord:
     def test_round_trip_and_field_order(self):
         transcript = SyncTranscript(
