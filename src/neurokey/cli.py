@@ -99,6 +99,7 @@ def cmd_sync(args) -> int:
     init_seed, aux_seed, sync_seed = machine_trial_seeds(args.seed, 0, params, 0)
     alice, bob = mode.machines(params, init_seed, aux_seed)
     config = SyncConfig(max_iterations=args.budget, protocol_mode=args.protocol_mode, **_digest_interval(args))
+    config.check_cadence(params)
     try:
         transcript, error = synchronize_from_weights(alice, bob, config, sync_seed, record_overlap=args.trace), None
     except NonConvergenceError as err:  # a run out of budget prints its partial transcript, then exits 2

@@ -719,7 +719,7 @@ class PipelineReport:
             f" sound), digests {stages['sync_digests']}",
             f"reconciled length     {p.key_bits} (budget on its min-entropy {self.budget.entropy_bits};"
             f" the paper's Shannon figure {shannon:g})",
-            f"dropped key bits      {self.transcript.truncated_bits}",
+            f"dropped key bits      {self.qber_estimate.remaining_alice.length - p.key_bits}",
             f"removed (known+margin) {self.budget.eve_known_bits}+{self.budget.security_bits}",
             f"final key length      {self.budget.final_length}",
             f"keys identical        {self.identical}",
@@ -744,10 +744,11 @@ def run_pipeline(
     [0, K*N*(b-1)) (it must leave some of the loaded machine's min-entropy,
     the budget's cap), a threshold outside [0, 0.5], a bad SyncConfig or
     ``sample_size``, a nonzero threshold that one sampled mismatch crosses,
-    and fewer than K*N*b bits left after the sample (KeyMaterialError) are,
-    in that order, a ValueError before any key is drawn; a margin that fits
-    the cap but not what the run disclosed is an InfeasibleBudgetError from
-    plan_budget. The sample is not charged: it left the key in estimation.
+    fewer than K*N*b bits left after the sample (KeyMaterialError) and, in
+    protocol mode, a digest interval beyond the budget are, in that order, a
+    ValueError before any key is drawn; a margin that fits the cap but not
+    what the run disclosed is an InfeasibleBudgetError from plan_budget. The
+    sample is not charged: it left the key in estimation.
 
     In protocol mode every digest exchange costs 64 disclosed bits, so the
     interval defaults to a sparser cadence than SyncConfig's: frequent checks
@@ -762,14 +763,13 @@ def run_pipeline(
     if 0 < qber_threshold < 1 / sampled:
         raise ValueError(f"a {sampled}-bit sample cannot resolve qber_threshold={qber_threshold}: one mismatch aborts")
     KeyMaterialError.check(length - sampled, params)
+    config.check_cadence(params)
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)
     if estimate.estimate > qber_threshold:
         raise QberAbortError(f"estimated QBER {estimate.estimate:.4f} exceeds threshold {qber_threshold:.4f}")
-    key_a, key_b, transcript = reconcile(
-        estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed
-    )
+    key_a, key_b, transcript = reconcile(estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed)
     leakage = leakage_after(transcript.iterations, params)
     budget = plan_budget(params.min_entropy_bits, leakage, transcript.disclosed_bits, security_bits)
     spec = ToeplitzSpec.from_seed(budget.final_length, key_a.length, hash_seed)

@@ -126,6 +126,13 @@ class SyncConfig:
         if self.digest_check_interval < 1:
             raise ValueError("digest_check_interval must be >= 1")
 
+    def check_cadence(self, params: TpmParams) -> None:
+        """In protocol mode, a ValueError if no digest round falls inside the resolved budget, so no run could stop."""
+        budget = self.protocol_mode and (self.max_iterations or resolve_iteration_budget(params))
+        if budget and self.digest_check_interval > budget:
+            source = "explicit max_iterations=" if self.max_iterations else "pilot budget "
+            raise ValueError(f"digest interval {self.digest_check_interval} exceeds the budget ({source}{budget})")
+
 
 @dataclass
 class SyncTranscript:
@@ -135,7 +142,6 @@ class SyncTranscript:
     learning_steps: int
     digest_exchanges: int
     converged: bool
-    truncated_bits: int = 0
     overlap_trace: list[tuple[int, float]] | None = None
 
     @property
@@ -622,16 +628,9 @@ def reconcile(
     The machines have shape ``params`` (bit keys carry none), and the inputs
     come from the PCG64 stream of ``seed``. Returns both parties' final keys
     and the one public transcript; on convergence the keys are bit-identical
-    and have length K*N*b. Key bits beyond K*N*b are dropped (the count is
-    recorded on the transcript).
+    and have length K*N*b. Only the first K*N*b bits of each key are loaded.
     """
     alice = bits_to_weights(alice_key, params)
     bob = bits_to_weights(bob_key, params)
-    dropped = alice_key.length - params.key_bits
-    try:
-        transcript = synchronize_from_weights(alice, bob, config, seed)
-    except NonConvergenceError as err:
-        err.transcript.truncated_bits = dropped
-        raise
-    transcript.truncated_bits = dropped
+    transcript = synchronize_from_weights(alice, bob, config, seed)
     return weights_to_bits(alice), weights_to_bits(bob), transcript

@@ -197,78 +197,78 @@ def race_digest(index):
 
 
 GOLDEN_RACE_DIGESTS = {
-    "passive1-random-eveNone-notrace": "8f0c70a0f465a391",
-    "passive1-random-eveNone-trace": "17f933f1a450bcb9",
-    "passive1-random-eve0.9-notrace": "5d5d216be50361c1",
-    "passive1-random-eve0.9-trace": "07a7ddb92fad33b8",
-    "passive1-random-eve1.0-notrace": "ff47684d5bf4a783",
-    "passive1-random-eve1.0-trace": "83f91ad4edebc450",
-    "passive1-overlap-eveNone-notrace": "2fc7eae06e10c0e5",
-    "passive1-overlap-eveNone-trace": "37bd8f7039427c35",
-    "passive1-overlap-eve0.9-notrace": "5f537ca20ae06277",
-    "passive1-overlap-eve0.9-trace": "d92611f1af7b8abb",
-    "passive1-overlap-eve1.0-notrace": "ff47684d5bf4a783",
-    "passive1-overlap-eve1.0-trace": "83f91ad4edebc450",
-    "passive1-from_qber-eveNone-notrace": "8e35350230c64a64",
-    "passive1-from_qber-eveNone-trace": "b74911084d962c67",
-    "passive1-from_qber-eve0.9-notrace": "94e09674481090e7",
-    "passive1-from_qber-eve0.9-trace": "1d891b6ccdb16e37",
-    "passive1-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
-    "passive1-from_qber-eve1.0-trace": "83f91ad4edebc450",
-    "geometric1-random-eveNone-notrace": "33a6a3992fc637f4",
-    "geometric1-random-eveNone-trace": "3f4588e903018963",
-    "geometric1-random-eve0.9-notrace": "524483dbe85774cb",
-    "geometric1-random-eve0.9-trace": "35690ab688d5cc47",
-    "geometric1-random-eve1.0-notrace": "ff47684d5bf4a783",
-    "geometric1-random-eve1.0-trace": "83f91ad4edebc450",
-    "geometric1-overlap-eveNone-notrace": "446cb6022cf3e920",
-    "geometric1-overlap-eveNone-trace": "f113d1af3a3e3da9",
-    "geometric1-overlap-eve0.9-notrace": "33016d485ae31ad2",
-    "geometric1-overlap-eve0.9-trace": "e300ec181d67a4a8",
-    "geometric1-overlap-eve1.0-notrace": "ff47684d5bf4a783",
-    "geometric1-overlap-eve1.0-trace": "83f91ad4edebc450",
-    "geometric1-from_qber-eveNone-notrace": "97b74d2247889fa9",
-    "geometric1-from_qber-eveNone-trace": "fc85d741924d944b",
-    "geometric1-from_qber-eve0.9-notrace": "eb0d95a90499a25e",
-    "geometric1-from_qber-eve0.9-trace": "63d935e11cb12545",
-    "geometric1-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
-    "geometric1-from_qber-eve1.0-trace": "83f91ad4edebc450",
-    "ensemble3-random-eveNone-notrace": "bcc54c9d5a14c3c2",
-    "ensemble3-random-eveNone-trace": "81ab834320a91913",
-    "ensemble3-random-eve0.9-notrace": "b94f164b7d513a11",
-    "ensemble3-random-eve0.9-trace": "57da9a90ac46ce22",
-    "ensemble3-random-eve1.0-notrace": "ff47684d5bf4a783",
-    "ensemble3-random-eve1.0-trace": "83f91ad4edebc450",
-    "ensemble3-overlap-eveNone-notrace": "884684db428cb4ce",
-    "ensemble3-overlap-eveNone-trace": "5e5f2f0d67ed9f54",
-    "ensemble3-overlap-eve0.9-notrace": "27c488bc46ae475c",
-    "ensemble3-overlap-eve0.9-trace": "b1391a7310e748f9",
-    "ensemble3-overlap-eve1.0-notrace": "ff47684d5bf4a783",
-    "ensemble3-overlap-eve1.0-trace": "83f91ad4edebc450",
-    "ensemble3-from_qber-eveNone-notrace": "50a492d81d81e313",
-    "ensemble3-from_qber-eveNone-trace": "51654178508d59e1",
-    "ensemble3-from_qber-eve0.9-notrace": "45a4257d24d67be6",
-    "ensemble3-from_qber-eve0.9-trace": "3d6bd0a1387053b4",
-    "ensemble3-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
-    "ensemble3-from_qber-eve1.0-trace": "83f91ad4edebc450",
-    "ensemble16-random-eveNone-notrace": "489ac46ee95d174a",
-    "ensemble16-random-eveNone-trace": "cb644a7b8aec93e5",
-    "ensemble16-random-eve0.9-notrace": "c2340e6f93115a6f",
-    "ensemble16-random-eve0.9-trace": "2bcde266dfb64b48",
-    "ensemble16-random-eve1.0-notrace": "ff47684d5bf4a783",
-    "ensemble16-random-eve1.0-trace": "83f91ad4edebc450",
-    "ensemble16-overlap-eveNone-notrace": "0d20e5b645174cdd",
-    "ensemble16-overlap-eveNone-trace": "6ac5b3b26e59b3ba",
-    "ensemble16-overlap-eve0.9-notrace": "7dcb1d696fd3a528",
-    "ensemble16-overlap-eve0.9-trace": "8a067f304cb8507a",
-    "ensemble16-overlap-eve1.0-notrace": "ff47684d5bf4a783",
-    "ensemble16-overlap-eve1.0-trace": "83f91ad4edebc450",
-    "ensemble16-from_qber-eveNone-notrace": "b35da7db636aa029",
-    "ensemble16-from_qber-eveNone-trace": "8d06fb206d7b56b2",
-    "ensemble16-from_qber-eve0.9-notrace": "6f82b10124b69049",
-    "ensemble16-from_qber-eve0.9-trace": "f237576e22f26051",
-    "ensemble16-from_qber-eve1.0-notrace": "ff47684d5bf4a783",
-    "ensemble16-from_qber-eve1.0-trace": "83f91ad4edebc450",
+    "passive1-random-eveNone-notrace": "c9b98d1caf7a3bad",
+    "passive1-random-eveNone-trace": "38a43e9506d427ad",
+    "passive1-random-eve0.9-notrace": "dcbb408c79a52bf8",
+    "passive1-random-eve0.9-trace": "52a5fa3b688ce742",
+    "passive1-random-eve1.0-notrace": "467064cdbd104498",
+    "passive1-random-eve1.0-trace": "0d88801892eef02a",
+    "passive1-overlap-eveNone-notrace": "6d4f15aea0ea066d",
+    "passive1-overlap-eveNone-trace": "0ad26abf9fa5aa2f",
+    "passive1-overlap-eve0.9-notrace": "999b6cf99e99136c",
+    "passive1-overlap-eve0.9-trace": "f365df9c04d124fb",
+    "passive1-overlap-eve1.0-notrace": "467064cdbd104498",
+    "passive1-overlap-eve1.0-trace": "0d88801892eef02a",
+    "passive1-from_qber-eveNone-notrace": "460b44edc388e23a",
+    "passive1-from_qber-eveNone-trace": "06f22d696ba71339",
+    "passive1-from_qber-eve0.9-notrace": "af0ff6c5ab1f52fe",
+    "passive1-from_qber-eve0.9-trace": "021123e299ef10d3",
+    "passive1-from_qber-eve1.0-notrace": "467064cdbd104498",
+    "passive1-from_qber-eve1.0-trace": "0d88801892eef02a",
+    "geometric1-random-eveNone-notrace": "dab64504eba8d84c",
+    "geometric1-random-eveNone-trace": "28c2d2c27c39812c",
+    "geometric1-random-eve0.9-notrace": "fdc56744ad9df38e",
+    "geometric1-random-eve0.9-trace": "e4801ab7a7f75b1d",
+    "geometric1-random-eve1.0-notrace": "467064cdbd104498",
+    "geometric1-random-eve1.0-trace": "0d88801892eef02a",
+    "geometric1-overlap-eveNone-notrace": "8cc7c72275060acb",
+    "geometric1-overlap-eveNone-trace": "3519dd2b60d63af5",
+    "geometric1-overlap-eve0.9-notrace": "add9fbfc81655af9",
+    "geometric1-overlap-eve0.9-trace": "ca1922b32e25a51c",
+    "geometric1-overlap-eve1.0-notrace": "467064cdbd104498",
+    "geometric1-overlap-eve1.0-trace": "0d88801892eef02a",
+    "geometric1-from_qber-eveNone-notrace": "4a31d40649bfef6d",
+    "geometric1-from_qber-eveNone-trace": "30fdc71e89a35fdf",
+    "geometric1-from_qber-eve0.9-notrace": "690e62d223dd145b",
+    "geometric1-from_qber-eve0.9-trace": "23c7e5c83f3bc922",
+    "geometric1-from_qber-eve1.0-notrace": "467064cdbd104498",
+    "geometric1-from_qber-eve1.0-trace": "0d88801892eef02a",
+    "ensemble3-random-eveNone-notrace": "c6531f26124c0180",
+    "ensemble3-random-eveNone-trace": "d8ea62aa485ed6e2",
+    "ensemble3-random-eve0.9-notrace": "72f28298689a5278",
+    "ensemble3-random-eve0.9-trace": "b93f93efa3cf8064",
+    "ensemble3-random-eve1.0-notrace": "467064cdbd104498",
+    "ensemble3-random-eve1.0-trace": "0d88801892eef02a",
+    "ensemble3-overlap-eveNone-notrace": "8bdb67bb573165e1",
+    "ensemble3-overlap-eveNone-trace": "db1a1f364bdfdd1e",
+    "ensemble3-overlap-eve0.9-notrace": "e8dc2c8c73981993",
+    "ensemble3-overlap-eve0.9-trace": "9d4ea665f5b3f9fb",
+    "ensemble3-overlap-eve1.0-notrace": "467064cdbd104498",
+    "ensemble3-overlap-eve1.0-trace": "0d88801892eef02a",
+    "ensemble3-from_qber-eveNone-notrace": "d4498a194fe7e912",
+    "ensemble3-from_qber-eveNone-trace": "94917a496f57826e",
+    "ensemble3-from_qber-eve0.9-notrace": "2e31ba56ff3be35e",
+    "ensemble3-from_qber-eve0.9-trace": "3e75c48a0de35902",
+    "ensemble3-from_qber-eve1.0-notrace": "467064cdbd104498",
+    "ensemble3-from_qber-eve1.0-trace": "0d88801892eef02a",
+    "ensemble16-random-eveNone-notrace": "4fee788f9dbb44d6",
+    "ensemble16-random-eveNone-trace": "798a05ee0244853f",
+    "ensemble16-random-eve0.9-notrace": "521670f25cf7a46c",
+    "ensemble16-random-eve0.9-trace": "0698e6f7501aa7e3",
+    "ensemble16-random-eve1.0-notrace": "467064cdbd104498",
+    "ensemble16-random-eve1.0-trace": "0d88801892eef02a",
+    "ensemble16-overlap-eveNone-notrace": "c2d2c8f4a2f521e0",
+    "ensemble16-overlap-eveNone-trace": "c27aab41ffb3e1d5",
+    "ensemble16-overlap-eve0.9-notrace": "783192cd0c13e905",
+    "ensemble16-overlap-eve0.9-trace": "2b383e81e0437468",
+    "ensemble16-overlap-eve1.0-notrace": "467064cdbd104498",
+    "ensemble16-overlap-eve1.0-trace": "0d88801892eef02a",
+    "ensemble16-from_qber-eveNone-notrace": "25c684a1381a7482",
+    "ensemble16-from_qber-eveNone-trace": "abf9701d7d3a352a",
+    "ensemble16-from_qber-eve0.9-notrace": "ac0b481b2ebf2849",
+    "ensemble16-from_qber-eve0.9-trace": "95b76037b20bad53",
+    "ensemble16-from_qber-eve1.0-notrace": "467064cdbd104498",
+    "ensemble16-from_qber-eve1.0-trace": "0d88801892eef02a",
 }
 
 # sha256 of the CSV of the bundled fig2 scenario cut to its first 20 trials

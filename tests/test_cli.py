@@ -118,20 +118,43 @@ def test_sync_bad_start_fails_with_the_scenario_files_message(capsys, tmp_path, 
 @pytest.mark.parametrize(
     "flags, cadence",
     [
-        (["--K", "6", "--N", "8", "--protocol-mode", "--digest-interval", "5000", "--seed", "1"], "one every 5000 rounds"),
+        (["--K", "6", "--N", "8", "--seed", "1", "--protocol-mode", "--digest-interval", "100", "--budget", "199"],
+         "1 digest exchanges, one every 100 rounds"),
         (["--K", "8", "--N", "20", "--L", "3", "--seed", "5", "--budget", "2"], None),
     ],
     ids=["protocol", "simulation"],
 )
 def test_sync_non_convergence_names_the_digest_cadence_in_protocol_mode(capsys, flags, cadence):
-    # equal parties whose budget ends before the first digest round still exit 2
+    # the parties meet at round 180, after the last digest round of the budget, and still exit 2
     assert main(["sync", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("neurokey: non-convergence: no convergence within ")
     if cadence:
-        assert err.endswith(f"; final party overlap 1.0000; 0 digest exchanges, {cadence}\n")
+        assert err.endswith(f"; final party overlap 1.0000; {cadence}\n")
     else:
         assert "digest" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sync", "--K", "6", "--N", "8", "--protocol-mode", "--digest-interval", "200", "--budget", "100"],
+         "digest interval 200 exceeds the budget (explicit max_iterations=100)"),
+        (["sync", "--K", "6", "--N", "8", "--protocol-mode", "--digest-interval", "5000", "--seed", "1"],
+         "digest interval 5000 exceeds the budget (pilot budget 2384)"),
+        (["sync", "--K", "6", "--N", "8", "--protocol-mode", "--budget", "5"],
+         "digest interval 10 exceeds the budget (explicit max_iterations=5)"),
+        (["pipeline", "--protocol-mode", "--digest-interval", "100000"],
+         "digest interval 100000 exceeds the budget (pilot budget 4768)"),
+    ],
+    ids=["sync-explicit", "sync-pilot", "sync-default-interval", "pipeline-pilot"],
+)
+def test_a_digest_interval_beyond_the_budget_is_a_config_error_exit_three(capsys, argv, message):
+    # no digest round falls inside the budget, so no run could stop: it fails before round 0
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"neurokey: config error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -700,6 +700,27 @@ class TestPipeline:
         run_pipeline(200, 0.0, params, security_bits=10, seed=3, sample_fraction=0.01, qber_threshold=0.5)
         assert len(calls) == 2
 
+    def test_a_digest_interval_beyond_the_budget_fails_before_any_key_is_drawn(self, monkeypatch):
+        calls = []
+        for module, name in ((harness, "generate_key_pair"), (sync, "synchronize_batch")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
+        with pytest.raises(ValueError) as excinfo:
+            run_pipeline(2250, 0.03, TpmParams(10, 30, 2), protocol_mode=True, digest_check_interval=4769)
+        assert not calls
+        assert str(excinfo.value) == "digest interval 4769 exceeds the budget (pilot budget 4768)"
+
+    @pytest.mark.parametrize(
+        "length, threshold, dropped",
+        # the 4*6*3 = 72-bit machine loads the first 72 of the bits the sample
+        # leaves: 300 - 30 and 80 - 8 (a 0 threshold, as 8 bits cannot resolve 0.11)
+        [(300, 0.11, 198), (80, 0.0, 0)],
+    )
+    def test_summary_counts_the_dropped_key_bits(self, length, threshold, dropped):
+        params = TpmParams(K=4, N=6, L=2)
+        report = run_pipeline(length, 0.0, params, security_bits=10, seed=1, qber_threshold=threshold)
+        assert report.qber_estimate.remaining_alice.length - params.key_bits == dropped
+        assert f"dropped key bits      {dropped}" in report.summary().splitlines()
+
     def test_protocol_mode_digests_are_charged(self):
         params = TpmParams(K=10, N=20, L=2)
         report = run_pipeline(

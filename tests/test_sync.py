@@ -22,6 +22,7 @@ from neurokey.tpm import (
     BitKey,
     Tpm,
     TpmParams,
+    bits_to_weights,
     evaluate,
     hebbian_step,
     weight_overlap,
@@ -324,6 +325,31 @@ class TestSeedInitialOverlap:
         assert int((base.weights != nearest.weights).sum()) == 1
 
 
+class TestCheckCadence:
+    # a digest round at or before the budget's last round may stop a run; a later one cannot
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (SyncConfig(max_iterations=100, digest_check_interval=100, protocol_mode=True), None),
+            (SyncConfig(max_iterations=100, digest_check_interval=101, protocol_mode=False), None),
+            (SyncConfig(digest_check_interval=2384, protocol_mode=True), None),
+            (SyncConfig(max_iterations=100, digest_check_interval=101, protocol_mode=True),
+             "digest interval 101 exceeds the budget (explicit max_iterations=100)"),
+            (SyncConfig(digest_check_interval=2385, protocol_mode=True),
+             "digest interval 2385 exceeds the budget (pilot budget 2384)"),
+        ],
+        ids=["equal", "simulation", "pilot-equal", "explicit-beyond", "pilot-beyond"],
+    )
+    def test_a_digest_interval_beyond_the_resolved_budget_is_a_value_error(self, config, message):
+        params = TpmParams(K=6, N=8, L=2)
+        if message is None:
+            config.check_cadence(params)
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                config.check_cadence(params)
+            assert str(excinfo.value) == message
+
+
 class TestReconcile:
     def test_corrects_noisy_keys_bit_identically(self):
         params = TpmParams(K=6, N=10, L=2)
@@ -335,12 +361,16 @@ class TestReconcile:
         assert key_a.length == params.key_bits
         assert transcript.converged
 
-    def test_records_truncated_bits(self):
+    def test_loads_only_the_first_key_bits(self):
         params = TpmParams(K=2, N=3, L=2)  # needs 18 bits
         rng = np.random.default_rng(33)
-        key = BitKey(rng.integers(0, 2, size=25, dtype=np.uint8))
-        *_, transcript = reconcile(key, key, params, SyncConfig(max_iterations=100), 34)
-        assert transcript.truncated_bits == 7
+        key = rng.integers(0, 2, size=25, dtype=np.uint8)
+        other = key.copy()
+        other[params.key_bits:] ^= 1  # differs only in the 7 bits beyond K*N*b
+        key_a, key_b, transcript = reconcile(BitKey(key), BitKey(other), params, SyncConfig(max_iterations=100), 34)
+        assert transcript.iterations == 0
+        assert key_a == key_b
+        assert key_a.length == params.key_bits
 
     def test_identical_keys_need_zero_learning(self):
         params = TpmParams(K=3, N=4, L=2)
@@ -349,13 +379,18 @@ class TestReconcile:
         assert transcript.iterations == 0
         assert key_a == key_b
 
-    def test_non_convergence_records_truncated_bits(self):
+    def test_non_convergence_carries_the_sessions_partial_transcript(self):
         params = TpmParams(K=10, N=30, L=2)  # keeps 900 of the 3000 bits
         pair = generate_key_pair(3000, 0.03, seed=37)
+        config = SyncConfig(max_iterations=1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            reconcile(pair.alice, pair.bob, params, SyncConfig(max_iterations=1), 38)
-        assert not excinfo.value.transcript.converged
-        assert excinfo.value.transcript.truncated_bits == 2100
+            reconcile(pair.alice, pair.bob, params, config, 38)
+        transcript = excinfo.value.transcript
+        assert transcript.iterations == 1
+        assert transcript.converged is False
+        # the session's own record, with nothing written onto it afterwards
+        loaded = (bits_to_weights(pair.alice, params), bits_to_weights(pair.bob, params))
+        assert transcript == synchronize_batch([loaded], config, [38])[0]
 
 
 def loaded_and_synced_agreement(base_seed, max_iterations=None):
@@ -397,7 +432,6 @@ class TestTranscriptRecord:
             digest_exchanges=1,
             converged=True,
             overlap_trace=[(1, 0.5), (2, 1.0)],
-            truncated_bits=3,
         )
         line = transcript.to_record()
         assert line.index('"iterations"') < line.index('"learning_steps"') < line.index('"converged"')
@@ -406,9 +440,10 @@ class TestTranscriptRecord:
             "learning_steps": 8,
             "digest_exchanges": 1,
             "converged": True,
-            "truncated_bits": 3,
             "overlap_trace": [[1, 0.5], [2, 1.0]],
         }
+        # the session's five fields, in order
+        assert list(json.loads(line)) == ["iterations", "learning_steps", "digest_exchanges", "converged", "overlap_trace"]
         assert "\n" not in line
 
 
