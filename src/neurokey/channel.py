@@ -69,7 +69,6 @@ class QberEstimate:
     estimate: float
     remaining_alice: BitKey
     remaining_bob: BitKey
-    sampled_positions: np.ndarray
 
 
 def _kth_open(placed: list[int], k: int) -> int:
@@ -164,5 +163,4 @@ def estimate_qber(pair: NoisyKeyPair, sample_fraction: float, seed: int) -> Qber
         estimate=mismatches / size,
         remaining_alice=pair.alice.without(positions),
         remaining_bob=pair.bob.without(positions),
-        sampled_positions=positions,
     )

@@ -432,6 +432,7 @@ def _run_machine_trials(
         cells = [{"attacker_best_overlap": result.best_overlap} for result in results]
     else:
         config = SyncConfig(max_iterations=scenario.max_iterations, protocol_mode=scenario.protocol_mode)
+        config.check_cadence(params)
         transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
         cells = [{}] * len(pairs)
     wall_time = (time.perf_counter() - started) / len(pairs)
@@ -694,32 +695,23 @@ class PipelineReport:
     def identical(self) -> bool:
         return self.final_alice == self.final_bob
 
-    @property
-    def stage_disclosed_bits(self) -> dict[str, int]:
-        return {
-            "qber_estimation": self.qber_estimate.sampled_count,
-            "sync_outputs": leakage_after(self.transcript.iterations, self.params).bit_reduction,
-            "sync_digests": self.transcript.disclosed_bits,
-            "security_margin": self.budget.security_bits,
-        }
-
     def summary(self) -> str:
-        stages, p = self.stage_disclosed_bits, self.params
+        p, estimate, digests = self.params, self.qber_estimate, self.transcript.disclosed_bits
         # Shannon entropy of the loaded weights: `doubled` values take 2 of the 2^b chunks
         b, doubled = p.bits_per_weight, 2**p.bits_per_weight - p.alphabet_size
         shannon = p.weight_count * (b - 2 * doubled / 2**b)
         lines = [
             f"raw key length        {self.raw_length}",
-            f"estimated QBER        {self.qber_estimate.estimate:.4f}"
-            f" ({self.qber_estimate.mismatches}/{self.qber_estimate.sampled_count})",
+            f"estimated QBER        {estimate.estimate:.4f}"
+            f" ({estimate.mismatches}/{estimate.sampled_count})",
             f"sync iterations       {self.transcript.iterations}"
             f" (learning steps {self.transcript.learning_steps})",
-            f"disclosed: estimation {stages['qber_estimation']} (not charged: the sample left the key)",
-            f"charged: sync outputs {stages['sync_outputs']} (the paper's accounting, not shown to be"
-            f" sound), digests {stages['sync_digests']}",
+            f"disclosed: estimation {estimate.sampled_count} (not charged: the sample left the key)",
+            f"charged: sync outputs {self.budget.eve_known_bits - digests} (the paper's accounting, not"
+            f" shown to be sound), digests {digests}",
             f"reconciled length     {p.key_bits} (budget on its min-entropy {self.budget.entropy_bits};"
             f" the paper's Shannon figure {shannon:g})",
-            f"dropped key bits      {self.qber_estimate.remaining_alice.length - p.key_bits}",
+            f"dropped key bits      {estimate.remaining_alice.length - p.key_bits}",
             f"removed (known+margin) {self.budget.eve_known_bits}+{self.budget.security_bits}",
             f"final key length      {self.budget.final_length}",
             f"keys identical        {self.identical}",

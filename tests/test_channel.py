@@ -141,10 +141,8 @@ class TestEstimateQber:
         pair = generate_key_pair(500, 0.08, seed=11)
         est = estimate_qber(pair, 0.2, seed=12)
         assert est.sampled_count == 100
-        in_sample = int(
-            (pair.alice.bits[est.sampled_positions] != pair.bob.bits[est.sampled_positions]).sum()
-        )
-        assert est.mismatches == in_sample
+        left = int((est.remaining_alice.bits != est.remaining_bob.bits).sum())
+        assert est.mismatches == len(pair.true_error_positions) - left
         assert est.estimate == est.mismatches / est.sampled_count
 
     def test_remaining_keys_exclude_disclosed_positions(self):

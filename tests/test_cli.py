@@ -146,15 +146,21 @@ def test_sync_non_convergence_names_the_digest_cadence_in_protocol_mode(capsys, 
          "digest interval 10 exceeds the budget (explicit max_iterations=5)"),
         (["pipeline", "--protocol-mode", "--digest-interval", "100000"],
          "digest interval 100000 exceeds the budget (pilot budget 4768)"),
+        # a scenario's cadence is SyncConfig's 10
+        (["scenario", "{short}", "--protocol-mode", "--out", "{out}"],
+         "digest interval 10 exceeds the budget (explicit max_iterations=5)"),
     ],
-    ids=["sync-explicit", "sync-pilot", "sync-default-interval", "pipeline-pilot"],
+    ids=["sync-explicit", "sync-pilot", "sync-default-interval", "pipeline-pilot", "scenario-explicit"],
 )
-def test_a_digest_interval_beyond_the_budget_is_a_config_error_exit_three(capsys, argv, message):
+def test_a_digest_interval_beyond_the_budget_is_a_config_error_exit_three(capsys, tmp_path, argv, message):
     # no digest round falls inside the budget, so no run could stop: it fails before round 0
-    assert main(argv) == 3
+    short, out = tmp_path / "short.ini", tmp_path / "never.csv"
+    short.write_text("[scenario]\nkind = sync\nK = 6\nN = 8\ntrials = 2\nmax_iterations = 5\n")
+    assert main([arg.format(short=short, out=out) for arg in argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"neurokey: config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -509,6 +515,40 @@ def test_pipeline_summary_reports_dropped_key_bits(capsys):
     # 2250 raw bits less 225 sampled leave 2025, and the K=10, N=30 machine holds 900
     assert main(["pipeline"]) == 0
     assert "dropped key bits      1125" in capsys.readouterr().out.splitlines()
+
+
+PIPELINE_SUMMARIES = {
+    "seed-1": (["--seed", "1"], """\
+raw key length        2250
+estimated QBER        0.0178 (4/225)
+sync iterations       381 (learning steps 207)
+disclosed: estimation 225 (not charged: the sample left the key)
+charged: sync outputs 381 (the paper's accounting, not shown to be sound), digests 0
+reconciled length     900 (budget on its min-entropy 600; the paper's Shannon figure 675)
+dropped key bits      1125
+removed (known+margin) 381+30
+final key length      189
+keys identical        True
+"""),
+    "protocol-mode": (["--protocol-mode"], """\
+raw key length        2250
+estimated QBER        0.0267 (6/225)
+sync iterations       300 (learning steps 162)
+disclosed: estimation 225 (not charged: the sample left the key)
+charged: sync outputs 300 (the paper's accounting, not shown to be sound), digests 192
+reconciled length     900 (budget on its min-entropy 600; the paper's Shannon figure 675)
+dropped key bits      1125
+removed (known+margin) 492+30
+final key length      78
+keys identical        True
+"""),
+}
+
+
+@pytest.mark.parametrize("flags, expected", PIPELINE_SUMMARIES.values(), ids=PIPELINE_SUMMARIES)
+def test_pipeline_prints_the_whole_summary(capsys, flags, expected):
+    assert main(["pipeline", *flags]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_help_exit_zero(capsys):

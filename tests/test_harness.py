@@ -432,6 +432,13 @@ class TestRunScenario:
         assert not thread.is_alive(), "the scenario hung after its worker died"
         assert len(errors) == 1 and isinstance(errors[0], BrokenProcessPool)
 
+    def test_protocol_mode_budget_below_the_digest_cadence_fails_before_any_round(self, monkeypatch):
+        monkeypatch.setattr(harness, "synchronize_batch", lambda *args: pytest.fail("a round ran"))
+        scenario = dataclasses.replace(SMALL_SYNC, protocol_mode=True, max_iterations=5)
+        message = "digest interval 10 exceeds the budget (explicit max_iterations=5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            list(run_scenario(scenario))
+
     def test_attack_scenario_records_overlap(self):
         scenario = Scenario(
             name="atk",
@@ -611,11 +618,12 @@ class TestPipeline:
         assert report.budget.eve_known_bits == report.transcript.iterations
         expected = 600 - report.budget.eve_known_bits - 30
         assert report.final_alice.length == expected
-        stages = report.stage_disclosed_bits
-        assert stages["qber_estimation"] == 225
-        assert stages["sync_outputs"] == report.transcript.iterations
         summary = report.summary().splitlines()
         assert "disclosed: estimation 225 (not charged: the sample left the key)" in summary
+        assert (
+            f"charged: sync outputs {report.transcript.iterations} (the paper's accounting,"
+            " not shown to be sound), digests 0"
+        ) in summary
         assert "reconciled length     900 (budget on its min-entropy 600; the paper's Shannon figure 675)" in summary
         assert f"final key length      {expected}" in summary
 
@@ -726,8 +734,13 @@ class TestPipeline:
         report = run_pipeline(
             length=1500, qber=0.02, params=params, security_bits=10, seed=5, protocol_mode=True
         )
+        digests = 64 * report.transcript.digest_exchanges
         assert report.transcript.digest_exchanges >= 1
-        assert report.stage_disclosed_bits["sync_digests"] == 64 * report.transcript.digest_exchanges
+        assert report.budget.eve_known_bits == report.transcript.iterations + digests
+        assert (
+            f"charged: sync outputs {report.transcript.iterations} (the paper's accounting,"
+            f" not shown to be sound), digests {digests}"
+        ) in report.summary().splitlines()
 
     @pytest.fixture(scope="class")
     def measured_case(self):
