@@ -1,68 +1,18 @@
 """Key reconciliation for QKD-style keys via mutual learning of tree parity
 machines, alongside BBBSS/Cascade parity baselines, eavesdropper
-simulations, leakage accounting, and privacy amplification."""
+simulations, leakage accounting, and privacy amplification.
 
-from .channel import (
-    DEFAULT_QBER_THRESHOLD,
-    DEFAULT_SAMPLE_FRACTION,
-    NoisyKeyPair,
-    QberEstimate,
-    estimate_qber,
-    generate_key_pair,
-)
-from .harness import (
-    PipelineReport,
-    PointSummary,
-    QberAbortError,
-    Scenario,
-    ScenarioError,
-    StartMode,
-    TrialRecord,
-    compare_algorithms,
-    load_scenario,
-    run_pipeline,
-    run_scenario,
-    summarize,
-)
-from .parity import (
-    ParityConfig,
-    ParityOutcome,
-    block_size_for,
-    run_parity_reconciliation,
-)
-from .privacy import (
-    AmplificationBudget,
-    FftPrecisionError,
-    InfeasibleBudgetError,
-    ToeplitzSpec,
-    amplify,
-    plan_budget,
-)
-from .sync import (
-    AttackConfig,
-    AttackResult,
-    LeakageEstimate,
-    NonConvergenceError,
-    SyncConfig,
-    SyncTranscript,
-    leakage_after,
-    reconcile,
-    run_attack,
-    seed_initial_overlap,
-    synchronize_from_weights,
-)
-from .tpm import (
-    BitKey,
-    KeyMaterialError,
-    Tpm,
-    TpmEvaluation,
-    TpmParams,
-    bits_to_weights,
-    evaluate,
-    hebbian_step,
-    random_input,
-    weight_overlap,
-    weights_to_bits,
-)
+The package exports each module's ``__all__``; a public name is declared
+once, in the module that defines it."""
+
+from . import channel, harness, parity, privacy, sync, tpm
+from .channel import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .parity import *  # noqa: F403
+from .privacy import *  # noqa: F403
+from .sync import *  # noqa: F403
+from .tpm import *  # noqa: F403
+
+__all__ = channel.__all__ + harness.__all__ + parity.__all__ + privacy.__all__ + sync.__all__ + tpm.__all__
 
 __version__ = "0.1.0"

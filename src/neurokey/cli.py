@@ -3,13 +3,15 @@
 Subcommands: sync (single run with overlap trace), scenario (sweep from a
 config file: trial CSV on --out or stdout, per-point summary on stderr),
 pipeline (end-to-end run). Exit codes: 0 success, 2 non-convergence or
-protocol abort (QBER over threshold, budget exhausted), 3 configuration error.
+protocol abort (QBER over threshold, budget exhausted), 3 configuration error,
+1 stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -163,7 +165,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help exits 0; our error() exits 3
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # output left in the buffer meets a closed stdout here, not at exit
+    except BrokenPipeError:  # the reader left early; the signal module's docs give this recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise again
+        return 1
     except NonConvergenceError as exc:
         print(f"neurokey: non-convergence: {exc}", file=sys.stderr)
         return 2

@@ -122,15 +122,12 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
 
     checks = 0
     flips: list[int] = []
-    cleared = 0  # flips[:cleared] are already cleared in errors
     # per pass whose blocks a flip still updates: (block size, sorted ranks of
     # the remaining errors, their positions, position -> rank, errors per block)
     passes: list[tuple[int, list[int], list[int], dict[int, int], list[int]]] = []
 
     for p in range(config.passes if n else 0):  # an empty key needs no pass
         size = min(n, base_size << p)
-        errors[flips[cleared:]] = False
-        cleared = len(flips)
         if p == 0:
             ranks = positions = np.flatnonzero(errors)
         else:
@@ -166,6 +163,7 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
             checks += spent
             position = positions_q[found]
             flips.append(position)
+            errors[position] = False
             for state in passes:
                 size2, ranks2, positions2, rank_of2, counts2 = state
                 rank = rank_of2.pop(position)
@@ -177,7 +175,6 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
                     heapq.heappush(pending, (min(size2, n - index2 * size2), tie, state, index2))
                     tie += 1
 
-    errors[flips[cleared:]] = False
     return ParityOutcome(
         corrected_alice=pair.alice,
         corrected_bob=BitKey(alice ^ errors),

@@ -1,20 +1,27 @@
 """Smoke test of running an experiment as a program: `python -m neurokey.cli
 scenario NAME` runs a bundled scenario serially at a tiny size, writes its CSV
-and prints the per-point summary on stderr."""
+and prints the per-point summary on stderr. A reader that closes stdout early
+ends the program with exit code 1 and no traceback."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_scenario_program(name, *args):
-    env = dict(os.environ)
+def program_env(**overrides):
+    env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_scenario_program(name, *args):
     command = [sys.executable, "-m", "neurokey.cli", "scenario", name, "--workers", "1", *args]
-    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run(command, env=program_env(), capture_output=True, text=True, timeout=300)
 
 
 def test_run_table1(tmp_path):
@@ -36,3 +43,21 @@ def test_run_attack_study(tmp_path):
     assert done.returncode == 0, done.stderr
     assert len(out.read_text().splitlines()) == 2 + 2
     assert "eve_synced" in done.stderr.splitlines()[0].split()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "args",
+    [["scenario", "fig4", "--trials", "1"], ["sync", "--K", "6", "--N", "8", "--trace"], ["pipeline", "--seed", "1"]],
+    ids=lambda args: args[0],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(args, unbuffered):
+    # a buffered stdout meets the closed pipe at the last flush, an unbuffered one at the first write
+    command = [sys.executable, "-m", "neurokey.cli", *args]
+    env = program_env(PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as program:
+        program.stdout.close()
+        stderr = program.stderr.read()
+        assert program.wait(timeout=300) == 1, stderr
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
