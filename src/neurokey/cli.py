@@ -159,14 +159,12 @@ def cmd_pipeline(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse --help exits 0; our error() exits 3
-        return int(exc.code or 0)
     try:
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
+        except SystemExit as exc:  # argparse --help exits 0, our error() exits 3; both meet the flush below
+            return int(exc.code or 0)
         finally:
             sys.stdout.flush()  # output left in the buffer meets a closed stdout here, not at exit
     except BrokenPipeError:  # the reader left early; the signal module's docs give this recipe
