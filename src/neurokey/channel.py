@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tpm import BitKey
+from .tpm import BitKey, ScenarioError
 
 __all__ = [
     "DEFAULT_QBER_THRESHOLD",
@@ -121,11 +121,11 @@ def generate_key_pair(
     function of the arguments.
     """
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise ScenarioError("length must be >= 1")
     if not 0.0 <= qber <= 0.5:
-        raise ValueError(f"qber must be in [0, 0.5], got {qber}")
+        raise ScenarioError(f"qber must be in [0, 0.5], got {qber}")
     if error_mode not in ERROR_MODES:
-        raise ValueError(f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}")
+        raise ScenarioError(f"error_mode must be one of {ERROR_MODES}, got {error_mode!r}")
     rng = np.random.default_rng(seed)
     alice_bits = rng.integers(0, 2, size=length, dtype=np.uint8)
     if error_mode == "uniform":
@@ -141,12 +141,12 @@ def sample_size(length: int, sample_fraction: float) -> int:
     """Bits of a ``length``-bit raw key disclosed to estimate its error rate:
     floor(sample_fraction * length), at least 1, with the fraction in (0, 1)."""
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise ScenarioError("length must be >= 1")
     if not 0.0 < sample_fraction < 1.0:
-        raise ValueError(f"sample_fraction must be in (0, 1), got {sample_fraction}")
+        raise ScenarioError(f"sample_fraction must be in (0, 1), got {sample_fraction}")
     size = int(math.floor(sample_fraction * length + 1e-9))
     if size < 1:
-        raise ValueError("sample would be empty; use a larger fraction or key")
+        raise ScenarioError("sample would be empty; use a larger fraction or key")
     return size
 
 

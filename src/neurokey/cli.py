@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .harness import (
     QberAbortError,
-    ScenarioError,
     StartMode,
     format_summary,
     load_scenario,
@@ -30,7 +29,7 @@ from .harness import (
 )
 from .privacy import DEFAULT_SECURITY_BITS, InfeasibleBudgetError
 from .sync import NonConvergenceError, SyncConfig, synchronize_from_weights
-from .tpm import TpmParams
+from .tpm import ScenarioError, TpmParams
 from .channel import DEFAULT_QBER_THRESHOLD, DEFAULT_SAMPLE_FRACTION
 
 
@@ -176,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QberAbortError, InfeasibleBudgetError) as exc:
         print(f"neurokey: abort: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ScenarioError and every other validation error
+    except ScenarioError as exc:  # bad input; any other exception is a bug and keeps its traceback
         print(f"neurokey: config error: {exc}", file=sys.stderr)
         return 3
 

@@ -47,14 +47,13 @@ from .sync import (
     synchronize_batch,
     synchronize_from_weights,  # noqa: F401  traced benchmark runs wrap this name here
 )
-from .tpm import BitKey, KeyMaterialError, Tpm, TpmParams, bits_to_weights
+from .tpm import BitKey, KeyMaterialError, ScenarioError, Tpm, TpmParams, bits_to_weights
 
 __all__ = [
     "PipelineReport",
     "PointSummary",
     "QberAbortError",
     "Scenario",
-    "ScenarioError",
     "StartMode",
     "TrialRecord",
     "compare_algorithms",
@@ -71,10 +70,6 @@ __all__ = [
 CSV_SCHEMA = "neurokey-trials v1"
 
 SCENARIO_KINDS = ("sync", "attack", "compare")
-
-
-class ScenarioError(ValueError):
-    """Malformed configuration: a scenario file or value, or a command-line input."""
 
 
 class QberAbortError(RuntimeError):
@@ -182,12 +177,10 @@ class Scenario:
             raise ScenarioError("trials must be >= 1")
         if self.base_seed < 0:
             raise ScenarioError(f"seed must be a non-negative integer, got {self.base_seed}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ScenarioError("max_iterations must be >= 1")
+        config = SyncConfig(max_iterations=self.max_iterations, protocol_mode=self.protocol_mode)
         if not self.K_values or not self.N_values:
             raise ScenarioError("K and N sweeps must be non-empty")
-        if min(self.K_values) < 1 or min(self.N_values) < 1 or self.L < 1:
-            raise ScenarioError("K, N, L must be positive")
+        params = TpmParams(min(self.K_values), min(self.N_values), self.L)
         if not self.start_modes:
             raise ScenarioError("at least one start mode is required")
         for key, values in (("K", self.K_values), ("N", self.N_values), ("start_mode", self.start_modes),
@@ -207,6 +200,8 @@ class Scenario:
             raise ScenarioError(f"protocol_mode applies only to sync scenarios, not {self.kind}")
         if self.max_iterations is not None and self.kind == "attack":
             raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
+        if self.max_iterations is not None:  # a pilot budget, at least 1000 rounds, always holds a digest round
+            config.check_cadence(params)
         # an overlap start must change some weight at the smallest K*N it meets,
         # as the count grows with K*N; a compare row's machines are tpm_K x tpm_N
         eve = self.attack.eve_initial_overlap if self.attack else None
@@ -217,7 +212,7 @@ class Scenario:
         for key, overlap, n in starts:
             try:
                 changed_weight_count(overlap, min(self.K_values) * n)
-            except ValueError as err:
+            except ScenarioError as err:
                 raise ScenarioError(f"{key}: {err}") from err
 
 
@@ -363,11 +358,7 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
     values = {"name": fallback_name, **_read_section(parser, "scenario", types)}
     K_text, N_text, modes = (values.pop(key, None) for key in ("K", "N", "start_mode"))
     if "attack" in parser:
-        attack = _read_section(parser, "attack", _scalar_types(AttackConfig))
-        try:
-            values["attack"] = AttackConfig(**attack)
-        except ValueError as err:
-            raise ScenarioError(f"bad [attack] section: {err}") from err
+        values["attack"] = AttackConfig(**_read_section(parser, "attack", _scalar_types(AttackConfig)))
 
     kind = values.get("kind", Scenario.kind)
     if kind == "compare":
@@ -432,7 +423,6 @@ def _run_machine_trials(
         cells = [{"attacker_best_overlap": result.best_overlap} for result in results]
     else:
         config = SyncConfig(max_iterations=scenario.max_iterations, protocol_mode=scenario.protocol_mode)
-        config.check_cadence(params)
         transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
         cells = [{}] * len(pairs)
     wall_time = (time.perf_counter() - started) / len(pairs)
@@ -738,7 +728,7 @@ def run_pipeline(
     ``sample_size``, a nonzero threshold that one sampled mismatch crosses,
     fewer than K*N*b bits left after the sample (KeyMaterialError) and, in
     protocol mode, a digest interval beyond the budget are, in that order, a
-    ValueError before any key is drawn; a margin that fits the cap but not
+    ScenarioError before any key is drawn; a margin that fits the cap but not
     what the run disclosed is an InfeasibleBudgetError from plan_budget. The
     sample is not charged: it left the key in estimation.
 
@@ -747,13 +737,13 @@ def run_pipeline(
     can easily eat the whole budget of a small machine.
     """
     if not 0 <= security_bits < params.min_entropy_bits:
-        raise ValueError(f"security_bits={security_bits} must be in [0, K*N*(b-1)) = [0, {params.min_entropy_bits})")
+        raise ScenarioError(f"security_bits={security_bits} must be in [0, K*N*(b-1)) = [0, {params.min_entropy_bits})")
     if not 0.0 <= qber_threshold <= 0.5:
-        raise ValueError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
+        raise ScenarioError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
     sampled = sample_size(length, sample_fraction)
     if 0 < qber_threshold < 1 / sampled:
-        raise ValueError(f"a {sampled}-bit sample cannot resolve qber_threshold={qber_threshold}: one mismatch aborts")
+        raise ScenarioError(f"a {sampled}-bit sample cannot resolve qber_threshold={qber_threshold}: one mismatch aborts")
     KeyMaterialError.check(length - sampled, params)
     config.check_cadence(params)
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)

@@ -51,7 +51,7 @@ import numpy as np
 # the clip ufunc, one call for minimum and maximum, without np.clip's costly wrapper
 from numpy._core.umath import clip as clamp
 
-from .tpm import BitKey, Tpm, TpmParams, bits_to_weights, weight_overlap, weights_to_bits
+from .tpm import BitKey, ScenarioError, Tpm, TpmParams, bits_to_weights, weight_overlap, weights_to_bits
 
 __all__ = [
     "AttackConfig",
@@ -122,16 +122,16 @@ class SyncConfig:
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ScenarioError("max_iterations must be >= 1")
         if self.digest_check_interval < 1:
-            raise ValueError("digest_check_interval must be >= 1")
+            raise ScenarioError("digest_check_interval must be >= 1")
 
     def check_cadence(self, params: TpmParams) -> None:
-        """In protocol mode, a ValueError if no digest round falls inside the resolved budget, so no run could stop."""
+        """In protocol mode, a ScenarioError if no digest round falls inside the resolved budget, so no run could stop."""
         budget = self.protocol_mode and (self.max_iterations or resolve_iteration_budget(params))
         if budget and self.digest_check_interval > budget:
             source = "explicit max_iterations=" if self.max_iterations else "pilot budget "
-            raise ValueError(f"digest interval {self.digest_check_interval} exceeds the budget ({source}{budget})")
+            raise ScenarioError(f"digest interval {self.digest_check_interval} exceeds the budget ({source}{budget})")
 
 
 @dataclass
@@ -482,15 +482,15 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+            raise ScenarioError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+            raise ScenarioError("ensemble_size must be >= 1")
         if self.strategy != "ensemble" and self.ensemble_size != 1:
-            raise ValueError("ensemble_size must be 1 unless strategy is 'ensemble'")
+            raise ScenarioError("ensemble_size must be 1 unless strategy is 'ensemble'")
         if self.iteration_budget < 1:
-            raise ValueError("iteration_budget must be >= 1")
+            raise ScenarioError("iteration_budget must be >= 1")
         if self.eve_initial_overlap is not None and not 0.0 <= self.eve_initial_overlap <= 1.0:
-            raise ValueError("eve_initial_overlap must be in [0, 1]")
+            raise ScenarioError("eve_initial_overlap must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -592,11 +592,11 @@ def run_attack(
 
 def changed_weight_count(overlap: float, weight_count: int) -> int:
     """How many of ``weight_count`` = K*N weights a start at this overlap
-    replaces, floor((1-overlap)*K*N); none below overlap 1 is a ValueError."""
+    replaces, floor((1-overlap)*K*N); none below overlap 1 is a ScenarioError."""
     # epsilon guards against float noise in (1 - overlap) just below an integer
     count = int(np.floor((1.0 - overlap) * weight_count + 1e-9))
     if count == 0 and overlap < 1.0:
-        raise ValueError(f"overlap {overlap} changes no weight of K*N = {weight_count}; use 1 for a copy")
+        raise ScenarioError(f"overlap {overlap} changes no weight of K*N = {weight_count}; use 1 for a copy")
     return count
 
 

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "BitKey",
     "KeyMaterialError",
+    "ScenarioError",
     "Tpm",
     "TpmEvaluation",
     "TpmParams",
@@ -29,7 +30,12 @@ __all__ = [
 ]
 
 
-class KeyMaterialError(ValueError):
+class ScenarioError(ValueError):
+    """Bad input: a value that a command-line flag or a scenario file sets,
+    raised where the value is checked. The CLI reports it as a config error."""
+
+
+class KeyMaterialError(ScenarioError):
     """Bit key is too short to fill the requested machine."""
 
     @classmethod
@@ -53,7 +59,7 @@ class TpmParams:
             value = getattr(self, name)
             as_int = int(value)
             if as_int != value or as_int < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise ScenarioError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, as_int)
 
     @property

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from neurokey import harness, sync
+from neurokey import cli, harness, sync
 from neurokey.cli import main
 from neurokey.harness import Scenario, ScenarioError, StartMode, load_scenario, run_scenario
 from neurokey.sync import SyncConfig, synchronize_batch
@@ -184,9 +184,61 @@ def test_digest_interval_help_shows_the_callee_default(capsys, monkeypatch, comm
     assert f"digest cadence (default: {default})" in " ".join(capsys.readouterr().out.split())
 
 
-def test_bad_flag_value_exit_three():
-    code = main(["sync", "--K", "0", "--N", "4", "--L", "2"])
-    assert code == 3
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sync", "--K", "0", "--N", "4", "--L", "2"], "K must be a positive integer, got 0"),
+        (["sync", "--budget", "0"], "max_iterations must be >= 1"),
+        (["sync", "--protocol-mode", "--digest-interval", "0"], "digest_check_interval must be >= 1"),
+        (["sync", "--L", "0"], "L must be a positive integer, got 0"),
+        (["pipeline", "--length", "0"], "length must be >= 1"),
+        (["pipeline", "--qber", "0.7"], "qber must be in [0, 0.5], got 0.7"),
+        (["pipeline", "--K", "0"], "K must be a positive integer, got 0"),
+        (["pipeline", "--sample-fraction", "1.5"], "sample_fraction must be in (0, 1), got 1.5"),
+        (["scenario", "fig4", "--trials", "0"], "trials must be >= 1"),
+    ],
+    ids=["sync-K-0", "sync-budget-0", "sync-digest-interval-0", "sync-L-0", "pipeline-length-0",
+         "pipeline-qber-0.7", "pipeline-K-0", "pipeline-sample-fraction-1.5", "scenario-trials-0"],
+)
+def test_bad_flag_value_exit_three(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"neurokey: config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (cli, "synchronize_from_weights", ["sync", "--K", "3", "--N", "4"]),
+        (harness, "synchronize_batch", ["scenario", "{tiny}"]),
+        (harness, "reconcile", ["pipeline", "--length", "400", "--K", "4", "--N", "6", "--security-bits", "10"]),
+    ],
+    ids=["sync", "scenario", "pipeline"],
+)
+def test_a_library_value_error_is_a_bug_not_a_config_error(monkeypatch, capsys, tmp_path, module, name, argv):
+    # only bad input is a config error; any other exception leaves main with its traceback
+    bug = ValueError("operands could not be broadcast together")
+
+    def broken(*args, **kwargs):
+        raise bug
+
+    monkeypatch.setattr(module, name, broken)
+    tiny = tmp_path / "tiny.ini"
+    tiny.write_text("[scenario]\nK = 3\nN = 4\ntrials = 1\n")
+    with pytest.raises(ValueError) as excinfo:
+        main([arg.format(tiny=tiny) for arg in argv])
+    assert excinfo.value is bug
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_a_scenario_budget_below_the_digest_cadence_starts_no_pool(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda *args, **kwargs: pytest.fail("a pool started"))
+    short = tmp_path / "short.ini"
+    short.write_text("[scenario]\nkind = sync\nK = 6\nN = 8\ntrials = 2\nmax_iterations = 5\n")
+    assert main(["scenario", str(short), "--protocol-mode", "--workers", "2"]) == 3
+    message = "digest interval 10 exceeds the budget (explicit max_iterations=5)"
+    assert capsys.readouterr().err == f"neurokey: config error: {message}\n"
 
 
 def test_unknown_argument_exit_three():

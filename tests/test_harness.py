@@ -280,6 +280,12 @@ settings = 500:0.05:25, 600:0.03:30
                 "[scenario]\nkind = compare\n[compare]\nsettings = 500:0.05\n",
                 "compare setting must be length:qber:tpm_N, got '500:0.05'",
             ),
+            (
+                "[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\nstrategy = foo\n",
+                "strategy must be one of ('passive', 'geometric', 'ensemble'), got 'foo'",
+            ),
+            ("[scenario]\nK = 0\nN = 4\n", "K must be a positive integer, got 0"),
+            ("[scenario]\nK = 3\nN = 4\nmax_iterations = 0\n", "max_iterations must be >= 1"),
         ],
         ids=[
             "unknown-scenario",
@@ -300,6 +306,9 @@ settings = 500:0.05:25, 600:0.03:30
             "K-bad-value",
             "K-empty",
             "compare-setting-two-fields",
+            "attack-strategy",
+            "K-zero",
+            "max_iterations-zero",
         ],
     )
     def test_unknown_keys_and_bad_values_name_key_and_section(self, text, message):
@@ -434,9 +443,9 @@ class TestRunScenario:
 
     def test_protocol_mode_budget_below_the_digest_cadence_fails_before_any_round(self, monkeypatch):
         monkeypatch.setattr(harness, "synchronize_batch", lambda *args: pytest.fail("a round ran"))
-        scenario = dataclasses.replace(SMALL_SYNC, protocol_mode=True, max_iterations=5)
         message = "digest interval 10 exceeds the budget (explicit max_iterations=5)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario = dataclasses.replace(SMALL_SYNC, protocol_mode=True, max_iterations=5)
             list(run_scenario(scenario))
 
     def test_attack_scenario_records_overlap(self):
@@ -673,8 +682,8 @@ class TestPipeline:
         [
             # 500 - floor(0.1 * 500) = 450 bits are left for a 10*30*3 = 900-bit machine
             ({}, KeyMaterialError, "need 900 bits for K=10, N=30, L=2; got 450"),
-            ({"sample_fraction": 0.0}, ValueError, "sample_fraction must be in (0, 1), got 0.0"),
-            ({"sample_fraction": 0.001}, ValueError, "sample would be empty; use a larger fraction or key"),
+            ({"sample_fraction": 0.0}, ScenarioError, "sample_fraction must be in (0, 1), got 0.0"),
+            ({"sample_fraction": 0.001}, ScenarioError, "sample would be empty; use a larger fraction or key"),
         ],
         ids=["key-short", "fraction-0", "sample-empty"],
     )
