@@ -144,6 +144,20 @@ class CompareSetting:
         if not 0.0 < self.qber <= 0.5:
             raise ScenarioError(f"compare qber must be in (0, 0.5], got {self.qber}")
 
+    @classmethod
+    def parse(cls, text: str) -> "CompareSetting":
+        pieces = text.split(":")
+        if len(pieces) != 3:
+            raise ScenarioError(f"compare setting must be length:qber:tpm_N, got {text!r}")
+        try:
+            numbers = int(pieces[0]), float(pieces[1]), int(pieces[2])
+        except ValueError as err:
+            raise ScenarioError(f"bad compare setting {text!r}") from err
+        try:
+            return cls(*numbers)
+        except ScenarioError as err:
+            raise ScenarioError(f"settings entry {text}: {err}") from err
+
     def __str__(self) -> str:
         return f"{self.key_length}:{self.qber:g}:{self.tpm_n}"
 
@@ -171,6 +185,8 @@ class Scenario:
     compare_settings: tuple[CompareSetting, ...] = ()
 
     def __post_init__(self) -> None:
+        if "/" in self.name:  # rows are named <name>/<algorithm>/<length>b
+            raise ScenarioError(f"scenario name must not contain '/', got {self.name!r}")
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.trials < 1:
@@ -193,6 +209,8 @@ class Scenario:
             raise ScenarioError(f"an [attack] section applies only to attack scenarios, not {self.kind}")
         if self.kind == "compare" and not self.compare_settings:
             raise ScenarioError("compare scenarios need a settings list")
+        if self.kind == "compare" and len(self.K_values) != 1:  # the TPM rows run tpm_K = K_values[0]
+            raise ScenarioError(f"compare scenarios take one K, tpm_K, got {self.K_values}")
         if self.kind != "compare" and self.compare_settings:
             raise ScenarioError(f"compare settings apply only to compare scenarios, not {self.kind}")
         # run_attack and the compare TPM row never read these settings
@@ -269,14 +287,16 @@ def machine_trial_seeds(base_seed: int, mode_index: int, params: TpmParams, tria
 # scenario parsing
 
 
+def _entries(text: str) -> list[str]:
+    """The comma-separated entries of ``text``, stripped; empty ones are skipped."""
+    return [part for part in map(str.strip, text.split(",")) if part]
+
+
 def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
     """Accepts "6, 8, 10" and inclusive ranges like "20-25"."""
     values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part and not part.lstrip().startswith("-"):
+    for part in _entries(text):
+        if "-" in part and not part.startswith("-"):
             lo_text, _, hi_text = part.partition("-")
             try:
                 lo, hi = int(lo_text), int(hi_text)
@@ -293,26 +313,6 @@ def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
     if not values:
         raise ScenarioError(f"{label} list is empty")
     return tuple(values)
-
-
-def _parse_compare_settings(text: str) -> tuple[CompareSetting, ...]:
-    settings = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ScenarioError(f"compare setting must be length:qber:tpm_N, got {part!r}")
-        try:
-            numbers = int(pieces[0]), float(pieces[1]), int(pieces[2])
-        except ValueError as err:
-            raise ScenarioError(f"bad compare setting {part!r}") from err
-        try:
-            settings.append(CompareSetting(*numbers))
-        except ScenarioError as err:
-            raise ScenarioError(f"settings entry {part}: {err}") from err
-    return tuple(settings)
 
 
 # the configparser getter per annotated field type; a field of another type
@@ -368,7 +368,7 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
         if unused := [key for key in ("K", "N", "start_mode") if key in parser["scenario"]]:
             raise ScenarioError(f"key {unused[0]} in [scenario] does not apply to compare scenarios")
         compare = _read_section(parser, "compare", {"tpm_K": "int", "settings": "str"})
-        values["compare_settings"] = _parse_compare_settings(compare.get("settings", ""))
+        values["compare_settings"] = tuple(map(CompareSetting.parse, _entries(compare.get("settings", ""))))
         if "tpm_K" in compare:
             values["K_values"] = (compare["tpm_K"],)
     elif "compare" in parser:
@@ -377,7 +377,7 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
         values["K_values"] = _parse_int_list(K_text or "", "K")
         values["N_values"] = _parse_int_list(N_text or "", "N")
         if modes is not None:
-            values["start_modes"] = tuple(StartMode.parse(m) for m in modes.split(",") if m.strip())
+            values["start_modes"] = tuple(map(StartMode.parse, _entries(modes)))
     return Scenario(**values)
 
 

@@ -33,11 +33,6 @@ __all__ = [
     "plan_budget",
 ]
 
-# Divisor for the residual-information bound 2^-margin / BOUND_LOG_DIVISOR.
-# The natural-log reading is used; switch to math.log2(...)-style by editing
-# this single constant.
-BOUND_LOG_DIVISOR = math.log(2)
-
 DEFAULT_SECURITY_BITS = 30
 
 # Products with rows * cols below this use the direct convolution. FFT set-up
@@ -78,7 +73,7 @@ class AmplificationBudget:
     def information_bound(self) -> float:
         """Upper bound, in bits, on the attacker's expected residual
         information about the compressed key."""
-        return 2.0**-self.security_bits / BOUND_LOG_DIVISOR
+        return 2.0**-self.security_bits / math.log(2)
 
 
 def plan_budget(

@@ -183,16 +183,6 @@ def leakage_after(iterations: int, params: TpmParams) -> LeakageEstimate:
     )
 
 
-@functools.cache
-def _kernel_constants(dtype: np.dtype, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-d (0, -bound, bound) in the stack dtype, built once and shared by
-    every kernel call, so read-only."""
-    constants = tuple(np.array(value, dtype=dtype) for value in (0, -bound, bound))
-    for constant in constants:
-        constant.flags.writeable = False
-    return constants
-
-
 def _exchange_rounds(
     w: np.ndarray,
     xs: np.ndarray,
@@ -235,7 +225,7 @@ def _exchange_rounds(
     # round's ufuncs write into them
     vecdot, less_equal, equal, logical_and = np.vecdot, np.less_equal, np.equal, np.logical_and
     xor_reduce, count_nonzero = np.logical_xor.reduce, np.count_nonzero
-    zero, lower, upper = _kernel_constants(w.dtype, bound)
+    zero, lower, upper = (np.array(v, dtype=w.dtype) for v in (0, -bound, bound))
     field = np.empty(w.shape[:-1], dtype=w.dtype)
     negative = np.empty(field.shape, dtype=bool)
     odd = np.empty(w.shape[:-2], dtype=bool)

@@ -333,6 +333,8 @@ BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\n
         (BAD_SYNC.format(-5), ""),
         (BAD_SYNC.format(0), ""),
         (BAD_ATTACK.format("passive", 4), ""),
+        (BAD_COMPARE.format(2, "500:x:25"), "bad compare setting '500:x:25'"),
+        ("[scenario]\nname = runs/x\nK = 3\nN = 4\n", "scenario name must not contain '/', got 'runs/x'"),
     ],
     ids=[
         "qber-0.7",
@@ -342,6 +344,8 @@ BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\n
         "max_iterations-negative",
         "max_iterations-0",
         "ensemble_size-passive",
+        "setting-not-a-number",
+        "name-with-slash",
     ],
 )
 def test_scenario_bad_value_exit_three_before_output_opens(capsys, tmp_path, text, message):

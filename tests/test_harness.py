@@ -117,6 +117,13 @@ settings = 500:0.05:25, 600:0.03:30
             CompareSetting(600, 0.03, 30),
         )
 
+    def test_empty_compare_settings_entries_are_skipped(self):
+        text = "[scenario]\nkind = compare\n[compare]\nsettings = 500:0.05:25,,600:0.03:30,\n"
+        assert parse_scenario(text).compare_settings == (
+            CompareSetting(500, 0.05, 25),
+            CompareSetting(600, 0.03, 30),
+        )
+
     @pytest.mark.parametrize(
         "kind, override",
         [
@@ -127,6 +134,7 @@ settings = 500:0.05:25, 600:0.03:30
             ("attack", {"compare_settings": (CompareSetting(500, 0.05, 25),)}),
             ("compare", {"kind": "sync"}),
             ("compare", {"attack": AttackConfig()}),
+            ("compare", {"K_values": (10, 12)}),
         ],
     )
     def test_settings_a_kind_ignores_are_rejected(self, kind, override):
@@ -146,6 +154,7 @@ settings = 500:0.05:25, 600:0.03:30
             ("sync", {"K_values": ()}),
             ("sync", {"start_modes": ()}),
             ("compare", {"compare_settings": ()}),
+            ("sync", {"name": "runs/k6/n8"}),
         ],
     )
     def test_out_of_range_values_are_rejected(self, kind, override):
@@ -280,6 +289,7 @@ settings = 500:0.05:25, 600:0.03:30
                 "[scenario]\nkind = compare\n[compare]\nsettings = 500:0.05\n",
                 "compare setting must be length:qber:tpm_N, got '500:0.05'",
             ),
+            ("[scenario]\nkind = compare\n[compare]\nsettings = 500:x:25\n", "bad compare setting '500:x:25'"),
             (
                 "[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\nstrategy = foo\n",
                 "strategy must be one of ('passive', 'geometric', 'ensemble'), got 'foo'",
@@ -306,6 +316,7 @@ settings = 500:0.05:25, 600:0.03:30
             "K-bad-value",
             "K-empty",
             "compare-setting-two-fields",
+            "compare-setting-not-a-number",
             "attack-strategy",
             "K-zero",
             "max_iterations-zero",

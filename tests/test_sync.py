@@ -783,9 +783,7 @@ def test_a_block_compares_its_rows_only_on_rounds_at_its_cadence(start, cadence)
 def test_the_clamp_equals_minimum_then_maximum(L, dtype):
     # a stepped stack holds every value within one step of [-L, L]; each
     # appears in a lone and in a trial-shaped stack, clamped in place
-    zero, lower, upper = sync._kernel_constants(np.dtype(dtype), L)
-    assert (zero, lower, upper) == (0, -L, L)
-    assert all(c.dtype == dtype and c.ndim == 0 for c in (zero, lower, upper))
+    lower, upper = np.array(-L, dtype=dtype), np.array(L, dtype=dtype)
     values = np.arange(-L - 1, L + 2)
     rng = np.random.default_rng(70 + L)
     for shape in ((3, 4, 6), (7, 4, 6), (5, 2, 4, 6)):
@@ -795,15 +793,6 @@ def test_the_clamp_equals_minimum_then_maximum(L, dtype):
         out = sync.clamp(w, lower, upper, out=w)
         assert out is w
         assert w.dtype == dtype and np.array_equal(w, expected)
-
-
-def test_kernel_constants_are_shared_and_read_only():
-    constants = sync._kernel_constants(np.dtype(np.int16), 2)
-    assert sync._kernel_constants(np.dtype(np.int16), 2) is constants
-    for constant in constants:
-        assert not constant.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            constant[...] = 9
 
 
 def test_a_block_stops_right_after_the_round_a_pair_coincides():
