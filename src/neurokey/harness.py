@@ -674,7 +674,6 @@ class PipelineReport:
     """Everything one end-to-end run discloses and produces."""
 
     params: TpmParams
-    raw_length: int
     qber_estimate: QberEstimate
     transcript: SyncTranscript
     budget: AmplificationBudget
@@ -691,7 +690,7 @@ class PipelineReport:
         b, doubled = p.bits_per_weight, 2**p.bits_per_weight - p.alphabet_size
         shannon = p.weight_count * (b - 2 * doubled / 2**b)
         lines = [
-            f"raw key length        {self.raw_length}",
+            f"raw key length        {estimate.sampled_count + estimate.remaining_alice.length}",
             f"estimated QBER        {estimate.estimate:.4f}"
             f" ({estimate.mismatches}/{estimate.sampled_count})",
             f"sync iterations       {self.transcript.iterations}"
@@ -752,19 +751,16 @@ def run_pipeline(
     if estimate.estimate > qber_threshold:
         raise QberAbortError(f"estimated QBER {estimate.estimate:.4f} exceeds threshold {qber_threshold:.4f}")
     key_a, key_b, transcript = reconcile(estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed)
+    if key_a != key_b:
+        raise RuntimeError("pipeline reconciled differing keys")
     leakage = leakage_after(transcript.iterations, params)
     budget = plan_budget(params.min_entropy_bits, leakage, transcript.disclosed_bits, security_bits)
-    spec = ToeplitzSpec.from_seed(budget.final_length, key_a.length, hash_seed)
-    final_a = amplify(key_a, spec)
-    final_b = amplify(key_b, spec)
-    if final_a != final_b:
-        raise RuntimeError("pipeline produced differing final keys")
+    final = amplify(key_a, ToeplitzSpec.from_seed(budget.final_length, key_a.length, hash_seed))
     return PipelineReport(
         params=params,
-        raw_length=length,
         qber_estimate=estimate,
         transcript=transcript,
         budget=budget,
-        final_alice=final_a,
-        final_bob=final_b,
+        final_alice=final,
+        final_bob=final,
     )

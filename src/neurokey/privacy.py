@@ -210,7 +210,7 @@ def amplify(key: BitKey, spec: ToeplitzSpec) -> BitKey:
     5-smooth length >= rows + cols - 1. Both paths give the same integers,
     hence the same bits. The FFT path keeps a copy of its key and hash on
     the spec, and returns that hash with no transform when the next key's
-    bits are equal, as the second party's reconciled key is.
+    bits are equal: a caller hashing both parties' equal keys pays once.
 
     Raises FftPrecisionError, and returns nothing, if the FFT result cannot
     be rounded safely; this has not been observed at any tested size.

@@ -790,6 +790,35 @@ class TestPipeline:
         assert report.budget.final_length <= cap - report.transcript.iterations - report.budget.security_bits
         assert report.budget.final_length == 397
 
+    @pytest.fixture
+    def amplify_calls(self, monkeypatch):
+        calls, amplify = [], harness.amplify
+
+        def spy(key, spec):
+            calls.append(key)
+            return amplify(key, spec)
+
+        monkeypatch.setattr(harness, "amplify", spy)
+        return calls
+
+    def test_the_reconciled_key_is_hashed_once(self, amplify_calls):
+        report = run_pipeline(3000, 0.03, TpmParams(10, 30, 2), sample_fraction=0.02, seed=1)
+        assert len(amplify_calls) == 1
+        assert report.final_alice == report.final_bob
+        assert report.final_alice.length == 397
+
+    def test_differing_reconciled_keys_fail_before_any_hash(self, monkeypatch, amplify_calls):
+        reconcile = harness.reconcile
+
+        def flip_bob(*args):
+            key_a, key_b, transcript = reconcile(*args)
+            return key_a, key_b ^ BitKey(np.eye(1, key_b.length, dtype=np.uint8)[0]), transcript
+
+        monkeypatch.setattr(harness, "reconcile", flip_bob)
+        with pytest.raises(RuntimeError, match="^pipeline reconciled differing keys$"):
+            run_pipeline(300, 0.0, TpmParams(K=4, N=6, L=2), security_bits=10, seed=1)
+        assert not amplify_calls
+
     @settings(max_examples=60)
     @given(
         st.integers(1, 10),

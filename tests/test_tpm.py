@@ -168,6 +168,11 @@ class TestHebbianStep:
             twin = hebbian_step(twin, x, b_eval, a_eval.tau)
             assert tpm == twin
 
+    def test_a_machine_is_not_equal_to_a_number(self):
+        tpm = Tpm(TpmParams(1, 1, 1), [[1]])
+        assert tpm.__eq__(1) is NotImplemented
+        assert (tpm == 1) is False
+
 
 class TestCodec:
     @pytest.mark.parametrize(
@@ -259,3 +264,12 @@ class TestBitKey:
     def test_without(self):
         key = BitKey.from_string("10110")
         assert key.without(np.array([0, 3])).to01() == "010"
+
+    def test_repr_shows_the_first_16_bits(self):
+        assert repr(BitKey.from_string("0" * 20)) == "BitKey(0000000000000000..., length=20)"
+        assert repr(BitKey.from_string("0110")) == "BitKey(0110, length=4)"
+
+    def test_a_string_is_not_a_key(self):
+        key = BitKey.from_string("01")
+        assert key.__eq__("01") is NotImplemented
+        assert (key == "01") is False
