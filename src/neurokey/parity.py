@@ -20,11 +20,10 @@ level. Passes stop early once a full pass finds no mismatch at all.
 
 The simulation works on the error positions only, since a block's parities
 mismatch exactly when it holds an odd number of errors; its cost grows with
-the number of errors, not with the key length. Each pass keeps the sorted
-ranks (places in that pass's order) of the remaining errors and a count per
-block: a block is odd when its count is, a binary-search level bisects the
-sorted ranks at the midpoint, and a flip removes the error from its block in
-every pass still tracked.
+the number of errors, not with the key length. Each pass keeps, per block,
+the sorted ranks (places in that pass's order) of its remaining errors: a
+block is odd when its list's length is, a search bisects the block's own
+list, and a flip removes the error from its block in every pass tracked.
 """
 
 from __future__ import annotations
@@ -91,15 +90,14 @@ def block_size_for(qber: float) -> int:
     return max(1, int(math.floor(0.73 / qber + 0.5)))
 
 
-def _locate(ranks: list[int], i_lo: int, i_hi: int, lo: int, hi: int) -> tuple[int, int]:
-    """Binary-search the odd block [lo, hi) of one pass down to one error.
+def _locate(ranks: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Binary-search the odd block [lo, hi) of one pass, whose errors have the
+    sorted ranks ``ranks``, down to one error: (its rank, parity checks spent).
 
-    ranks[i_lo:i_hi] are the sorted ranks of the block's errors. Returns (the
-    index in ranks of the error found, parity checks spent). Each level
-    compares the first half (size ceil(n/2)) only; its parity is that of the
-    number of errors ranked in [lo, mid), read off by bisecting the ranks.
+    Each level compares the first half (size ceil(n/2)) only; its parity is
+    that of the number of errors ranked in [lo, mid), read off by bisecting.
     """
-    checks = 0
+    checks, i_lo, i_hi = 0, 0, len(ranks)
     while hi - lo > 1:
         mid = lo + (hi - lo + 1) // 2
         checks += 1
@@ -108,7 +106,7 @@ def _locate(ranks: list[int], i_lo: int, i_hi: int, lo: int, hi: int) -> tuple[i
             hi, i_hi = mid, i_mid
         else:
             lo, i_lo = mid, i_mid
-    return i_lo, checks
+    return ranks[i_lo], checks
 
 
 def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> ParityOutcome:
@@ -117,14 +115,12 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
     errors = alice != pair.bob.bits
     n = pair.length
     rng = np.random.default_rng(config.seed)
-    cascade = config.algorithm == "cascade"
     base_size = block_size_for(config.qber_hint)
 
     checks = 0
     flips: list[int] = []
-    # per pass whose blocks a flip still updates: (block size, sorted ranks of
-    # the remaining errors, their positions, position -> rank, errors per block)
-    passes: list[tuple[int, list[int], list[int], dict[int, int], list[int]]] = []
+    # tracked passes: (block size, blocks' sorted error ranks, position -> rank, rank -> position)
+    passes: list[tuple[int, list[list[int]], dict[int, int], dict[int, int]]] = []
 
     for p in range(config.passes if n else 0):  # an empty key needs no pass
         size = min(n, base_size << p)
@@ -134,44 +130,44 @@ def run_parity_reconciliation(pair: NoisyKeyPair, config: ParityConfig) -> Parit
             order = rng.permutation(n)
             ranks = np.flatnonzero(errors[order])
             positions = order[ranks]
-        counts = np.bincount(ranks // size, minlength=-(-n // size))
-        checks += counts.size
-        odd = np.flatnonzero(counts & 1)
-        if not odd.size:  # a clean pass ends the run
+        rank_list = ranks.tolist()
+        blocks: list[list[int]] = [[] for _ in range(-(-n // size))]
+        for rank in rank_list:
+            blocks[rank // size].append(rank)
+        checks += len(blocks)
+        odd = [index for index, block in enumerate(blocks) if len(block) & 1]
+        if not odd:  # a clean pass ends the run
             break
 
-        rank_list = ranks.tolist()
         position_list = positions.tolist()
-        current = (size, rank_list, position_list, dict(zip(position_list, rank_list)), counts.tolist())
-        if not cascade:  # BBBSS never searches an earlier pass's block again
+        current = (size, blocks, dict(zip(position_list, rank_list)), dict(zip(rank_list, position_list)))
+        if config.algorithm == "bbbss":  # BBBSS never searches an earlier pass's block again
             passes.clear()
         passes.append(current)
 
-        # heap keyed by block size: searches run cheapest-first; the tie
-        # counter keeps the order deterministic
-        pending = [(min(size, n - index * size), tie, current, index) for tie, index in enumerate(odd.tolist())]
+        # heap keyed by block length, as a pass's last block can be shorter:
+        # searches run cheapest-first; the tie counter keeps the order fixed
+        pending = [(min(size, n - index * size), tie, current, index) for tie, index in enumerate(odd)]
         heapq.heapify(pending)
         tie = len(pending)
         while pending:
-            length, _, (size_q, ranks_q, positions_q, _, counts_q), index = heapq.heappop(pending)
-            count = counts_q[index]
-            if not count & 1:
+            length, _, (size_q, blocks_q, _, position_at_q), index = heapq.heappop(pending)
+            block = blocks_q[index]
+            if not len(block) & 1:
                 continue
             lo = index * size_q
-            i_lo = bisect_left(ranks_q, lo)
-            found, spent = _locate(ranks_q, i_lo, i_lo + count, lo, lo + length)
+            rank, spent = _locate(block, lo, lo + length)
             checks += spent
-            position = positions_q[found]
+            position = position_at_q[rank]
             flips.append(position)
             errors[position] = False
             for state in passes:
-                size2, ranks2, positions2, rank_of2, counts2 = state
+                size2, blocks2, rank_of2, _ = state
                 rank = rank_of2.pop(position)
-                j = bisect_left(ranks2, rank)
-                del ranks2[j], positions2[j]
                 index2 = rank // size2
-                counts2[index2] -= 1
-                if counts2[index2] & 1:
+                block2 = blocks2[index2]
+                block2.remove(rank)
+                if len(block2) & 1:
                     heapq.heappush(pending, (min(size2, n - index2 * size2), tie, state, index2))
                     tie += 1
 

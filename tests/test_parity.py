@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neurokey import parity
-from neurokey.channel import NoisyKeyPair, generate_key_pair
+from neurokey.channel import NoisyKeyPair, estimate_qber, generate_key_pair
 from neurokey.parity import (
     ParityConfig,
     ParityOutcome,
@@ -351,6 +351,36 @@ def test_sparse_engine_matches_the_dense_reference(data):
     else:
         pair = pair_with_errors(0, [])
     assert_same_outcome(run_parity_reconciliation(pair, config), reference_reconciliation(pair, config))
+
+
+@pytest.fixture(scope="module")
+def sampled_long_pairs():
+    # 16384 bits at 3%, less a 10% estimation sample: the 14746 bits that the
+    # benchmark's long-block path hands to Cascade
+    pairs = {}
+    for mode in ("uniform", "burst"):
+        estimate = estimate_qber(generate_key_pair(16384, 0.03, seed=7, error_mode=mode), 0.1, seed=8)
+        alice, bob = estimate.remaining_alice, estimate.remaining_bob
+        errors = frozenset(np.flatnonzero(alice.bits != bob.bits).tolist())
+        pairs[mode] = NoisyKeyPair(alice, bob, errors, 0.03)
+    return pairs
+
+
+@pytest.mark.parametrize("mode", ["uniform", "burst"])
+@pytest.mark.parametrize("algorithm", parity.ALGORITHMS)
+@pytest.mark.parametrize("hint,block", [(0.03, 24), (0.02, 37), (0.0049, 149)])
+def test_sparse_engine_matches_the_dense_reference_on_sampled_long_keys(
+    sampled_long_pairs, mode, algorithm, hint, block
+):
+    # hints from an estimate, not the true rate: a low one makes long blocks
+    # that each hold several errors
+    pair = sampled_long_pairs[mode]
+    assert pair.length == 14746
+    config = ParityConfig(qber_hint=hint, passes=4, seed=3, algorithm=algorithm)
+    assert block_size_for(hint) == block
+    outcome = run_parity_reconciliation(pair, config)
+    assert_same_outcome(outcome, reference_reconciliation(pair, config))
+    assert outcome.flipped_positions
 
 
 # 1000 bits in blocks of 24 leave a last block of 16 bits. MANY_ODD puts one
