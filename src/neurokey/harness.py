@@ -13,7 +13,7 @@ import csv
 import io
 import os
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -31,12 +31,15 @@ from .parity import ParityConfig, run_parity_reconciliation
 from .privacy import (
     DEFAULT_SECURITY_BITS,
     AmplificationBudget,
+    InfeasibleBudgetError,
     ToeplitzSpec,
     amplify,
     plan_budget,
 )
 from .sync import (
+    DIGEST_BITS,
     AttackConfig,
+    NonConvergenceError,
     SyncConfig,
     SyncTranscript,
     changed_weight_count,
@@ -722,35 +725,44 @@ def run_pipeline(
 ) -> PipelineReport:
     """Generate - estimate - reconcile - plan - amplify, aborting when the
     estimated error rate crosses the threshold. A security margin outside
-    [0, K*N*(b-1)) (it must leave some of the loaded machine's min-entropy,
-    the budget's cap), a threshold outside [0, 0.5], a bad SyncConfig or
-    ``sample_size``, a nonzero threshold that one sampled mismatch crosses,
-    fewer than K*N*b bits left after the sample (KeyMaterialError) and, in
-    protocol mode, a digest interval beyond the budget are, in that order, a
-    ScenarioError before any key is drawn; a margin that fits the cap but not
-    what the run disclosed is an InfeasibleBudgetError from plan_budget. The
-    sample is not charged: it left the key in estimation.
-
-    In protocol mode every digest exchange costs 64 disclosed bits, so the
-    interval defaults to a sparser cadence than SyncConfig's: frequent checks
-    can easily eat the whole budget of a small machine.
+    [0, K*N*(b-1)) (it must leave some of the loaded machine's min-entropy),
+    a threshold outside [0, 0.5], a bad SyncConfig or ``sample_size``, a
+    nonzero threshold that one sampled mismatch crosses and fewer than K*N*b
+    bits left after the sample (KeyMaterialError) are, in that order, a
+    ScenarioError before any key is drawn. No pilots run: the sync stops at
+    the last round the min-entropy pays for, one bit per round and 64 per
+    digest (hence the sparse default cadence). A session not synced by then
+    is plan_budget's InfeasibleBudgetError for the first round past that cap,
+    chained from the sync's NonConvergenceError, and so is a protocol-mode
+    cap of 0, before any key is drawn. The sample is not charged.
     """
     if not 0 <= security_bits < params.min_entropy_bits:
         raise ScenarioError(f"security_bits={security_bits} must be in [0, K*N*(b-1)) = [0, {params.min_entropy_bits})")
     if not 0.0 <= qber_threshold <= 0.5:
         raise ScenarioError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
+    interval, digest_bits = (digest_check_interval, DIGEST_BITS) if protocol_mode else (1, 0)
+    cap = interval * ((params.min_entropy_bits - security_bits - 1) // (interval + digest_bits))
+    config = replace(config, max_iterations=max(cap, 1))  # a session past a 0 cap still aborts below
+    past_cap = leakage_after(cap + interval, params), digest_bits * (cap // interval + 1)  # the first round past the cap
     sampled = sample_size(length, sample_fraction)
     if 0 < qber_threshold < 1 / sampled:
         raise ScenarioError(f"a {sampled}-bit sample cannot resolve qber_threshold={qber_threshold}: one mismatch aborts")
     KeyMaterialError.check(length - sampled, params)
-    config.check_cadence(params)
+    if cap == 0 and protocol_mode:
+        plan_budget(params.min_entropy_bits, *past_cap, security_bits)
     pair_seed, sample_seed, sync_seed, hash_seed = _child_seeds(seed, (0,), 4)
     pair = generate_key_pair(length, qber, seed=pair_seed, error_mode=error_mode)
     estimate = estimate_qber(pair, sample_fraction, seed=sample_seed)
     if estimate.estimate > qber_threshold:
         raise QberAbortError(f"estimated QBER {estimate.estimate:.4f} exceeds threshold {qber_threshold:.4f}")
-    key_a, key_b, transcript = reconcile(estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed)
+    try:
+        key_a, key_b, transcript = reconcile(estimate.remaining_alice, estimate.remaining_bob, params, config, sync_seed)
+    except NonConvergenceError as stalled:
+        try:
+            plan_budget(params.min_entropy_bits, *past_cap, security_bits)
+        except InfeasibleBudgetError as abort:
+            raise abort from stalled
     if key_a != key_b:
         raise RuntimeError("pipeline reconciled differing keys")
     leakage = leakage_after(transcript.iterations, params)

@@ -144,13 +144,11 @@ def test_sync_non_convergence_names_the_digest_cadence_in_protocol_mode(capsys, 
          "digest interval 5000 exceeds the budget (pilot budget 2384)"),
         (["sync", "--K", "6", "--N", "8", "--protocol-mode", "--budget", "5"],
          "digest interval 10 exceeds the budget (explicit max_iterations=5)"),
-        (["pipeline", "--protocol-mode", "--digest-interval", "100000"],
-         "digest interval 100000 exceeds the budget (pilot budget 4768)"),
         # a scenario's cadence is SyncConfig's 10
         (["scenario", "{short}", "--protocol-mode", "--out", "{out}"],
          "digest interval 10 exceeds the budget (explicit max_iterations=5)"),
     ],
-    ids=["sync-explicit", "sync-pilot", "sync-default-interval", "pipeline-pilot", "scenario-explicit"],
+    ids=["sync-explicit", "sync-pilot", "sync-default-interval", "scenario-explicit"],
 )
 def test_a_digest_interval_beyond_the_budget_is_a_config_error_exit_three(capsys, tmp_path, argv, message):
     # no digest round falls inside the budget, so no run could stop: it fails before round 0
@@ -565,6 +563,15 @@ def test_pipeline_exhausted_budget_is_an_abort_exit_two(capsys):
     # seeds 0 and 2 leave a key with these flags; seed 1 discloses too much
     assert main(["pipeline", "--protocol-mode", "--seed", "1"]) == 2
     assert capsys.readouterr().err.startswith("neurokey: abort: security_bits=30")
+
+
+def test_a_pipeline_digest_interval_no_budget_pays_for_is_an_abort_exit_two(capsys):
+    # the pipeline syncs at most to the last round its 570 bits pay for, and the
+    # first digest round at an interval of 100000 already discloses 100000 + 64
+    assert main(["pipeline", "--protocol-mode", "--digest-interval", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "neurokey: abort: security_bits=30 must be < 600 - 100064\n"
 
 
 def test_pipeline_summary_reports_dropped_key_bits(capsys):

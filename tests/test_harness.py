@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import math
@@ -728,14 +729,85 @@ class TestPipeline:
         run_pipeline(200, 0.0, params, security_bits=10, seed=3, sample_fraction=0.01, qber_threshold=0.5)
         assert len(calls) == 2
 
-    def test_a_digest_interval_beyond_the_budget_fails_before_any_key_is_drawn(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "params, kwargs, message",
+        [
+            # the first digest round already discloses 4769 + 64 bits of the 600
+            (TpmParams(10, 30, 2), {"digest_check_interval": 4769}, "security_bits=30 must be < 600 - 4833"),
+            # K=3, N=4, L=2 loads 24 bits of min-entropy, fewer than one 64-bit digest
+            (TpmParams(3, 4, 2), {"security_bits": 0}, "security_bits=0 must be < 24 - 164"),
+        ],
+        ids=["interval-4769", "min-entropy-24"],
+    )
+    def test_a_digest_interval_beyond_the_budget_fails_before_any_key_is_drawn(
+        self, monkeypatch, params, kwargs, message
+    ):
         calls = []
         for module, name in ((harness, "generate_key_pair"), (sync, "synchronize_batch")):
             monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
-        with pytest.raises(ValueError) as excinfo:
-            run_pipeline(2250, 0.03, TpmParams(10, 30, 2), protocol_mode=True, digest_check_interval=4769)
+        with pytest.raises(InfeasibleBudgetError) as excinfo:
+            run_pipeline(2250, 0.03, params, protocol_mode=True, **kwargs)
         assert not calls
-        assert str(excinfo.value) == "digest interval 4769 exceeds the budget (pilot budget 4768)"
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "protocol_mode, cap, digests, message",
+        # 600 - 30 = 570 bits pay for 569 rounds, or for 3 digest rounds at 100 + 64 bits each
+        [(True, 300, 3, "security_bits=30 must be < 600 - 656"), (False, 569, 0, "security_bits=30 must be < 600 - 570")],
+        ids=["protocol", "simulation"],
+    )
+    def test_a_session_not_synced_by_its_budgets_last_round_aborts_there(
+        self, monkeypatch, protocol_mode, cap, digests, message
+    ):
+        configs = []
+        reconcile = harness.reconcile
+
+        def spy(alice, bob, params, config, seed):
+            configs.append(config)
+            return reconcile(alice, bob, params, config, seed)
+
+        monkeypatch.setattr(harness, "reconcile", spy)
+        # neither run has synced by its cap (uncapped, the protocol-mode one syncs at round 400)
+        qber, seed = (0.03, 1) if protocol_mode else (0.05, 8)
+        with pytest.raises(InfeasibleBudgetError) as excinfo:
+            run_pipeline(2250, qber, TpmParams(10, 30, 2), seed=seed, protocol_mode=protocol_mode)
+        assert [config.max_iterations for config in configs] == [cap]
+        assert str(excinfo.value) == message
+        stalled = excinfo.value.__cause__
+        assert isinstance(stalled, NonConvergenceError)
+        assert (stalled.transcript.iterations, stalled.transcript.digest_exchanges) == (cap, digests)
+        assert not stalled.transcript.converged
+
+    @pytest.mark.parametrize("protocol_mode", [True, False], ids=["protocol", "simulation"])
+    def test_the_pipeline_runs_no_pilots(self, monkeypatch, protocol_mode):
+        # 7x33 is not a pinned shape, so any automatic budget would run the pilots
+        params = TpmParams(7, 33, 2)
+        assert (params.K, params.N) not in sync._PINNED_BUDGETS
+        calls = []
+        monkeypatch.setattr(sync, "resolve_iteration_budget", lambda params: calls.append(params) or 10**6)
+        report = run_pipeline(1000, 0.02, params, seed=0, protocol_mode=protocol_mode)
+        assert report.transcript.converged
+        assert calls == []
+
+    def test_every_key_the_pipeline_yields_is_unchanged_by_its_sync_cap(self):
+        # sha256 over 360 runs' packed final keys, or their exception class names, recorded
+        # before the sync was capped at the budget's last payable round: 146 keys and 34
+        # InfeasibleBudgetError in protocol mode, 179 keys and 1 in simulation mode
+        digest, outcomes = hashlib.sha256(), collections.Counter()
+        for protocol_mode in (True, False):
+            for qber, mode in ((0.02, "uniform"), (0.03, "burst"), (0.05, "uniform")):
+                for seed in range(60):
+                    try:
+                        report = run_pipeline(
+                            2250, qber, TpmParams(10, 30, 2), seed=seed, protocol_mode=protocol_mode, error_mode=mode
+                        )
+                        digest.update(np.packbits(report.final_alice.bits).tobytes())
+                        outcomes[protocol_mode, "key"] += 1
+                    except InfeasibleBudgetError as error:
+                        digest.update(type(error).__name__.encode())
+                        outcomes[protocol_mode, "abort"] += 1
+        assert outcomes == {(True, "key"): 146, (True, "abort"): 34, (False, "key"): 179, (False, "abort"): 1}
+        assert digest.hexdigest() == "d5887dbdef0bc57eca8fa13815d709f316181dced9359c8e74ed1002abbbcb0f"
 
     @pytest.mark.parametrize(
         "length, threshold, dropped",
