@@ -9,35 +9,50 @@ from neurokey.harness import Scenario, ScenarioError, StartMode, load_scenario, 
 from neurokey.sync import SyncConfig, synchronize_batch
 
 
-def test_sync_success_exit_zero(capsys):
-    code = main(["sync", "--K", "3", "--N", "4", "--L", "2", "--seed", "5", "--budget", "50000"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "converged=True" in out
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--K", "3", "--N", "4", "--L", "2", "--seed", "5", "--budget", "50000"],
+        # the default 10x25 reads the pinned budget table; 7x9 is not in it, so it runs the pilots
+        [],
+        ["--K", "7", "--N", "9"],
+        ["--K", "6", "--N", "8", "--start", "from_qber:0.05"],
+    ],
+    ids=["3x4", "pinned-10x25", "pilot-7x9", "from_qber-6x8"],
+)
+def test_sync_success_exit_zero(capsys, flags):
+    assert main(["sync", *flags]) == 0
+    assert capsys.readouterr().out.startswith("converged=True ")
 
 
-def sync_lines(capsys, *flags):
-    code = main(
-        ["sync", "--K", "3", "--N", "4", "--L", "2", "--seed", "5", "--budget", "50000",
-         "--start", "overlap:0.9", *flags]
-    )
-    assert code == 0
+TRACED_SYNCS = {
+    "3x4-overlap": ["--K", "3", "--N", "4", "--L", "2", "--seed", "5", "--budget", "50000", "--start", "overlap:0.9"],
+    **{
+        f"{K}x{N}-{mode}-seed{seed}": ["--K", K, "--N", N, "--seed", str(seed), *flags]
+        for K, N in (("6", "8"), ("10", "25"))
+        for mode, flags in (("simulation", []), ("protocol", ["--protocol-mode", "--digest-interval", "7"]))
+        for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("flags", TRACED_SYNCS.values(), ids=TRACED_SYNCS)
+def test_sync_trace_prints_overlaps_before_the_untraced_summary(capsys, flags):
+    assert main(["sync", *flags]) == 0
+    untraced = capsys.readouterr().out
+    assert main(["sync", *flags, "--trace"]) == 0
     *overlaps, summary = capsys.readouterr().out.splitlines()
-    iterations = int(re.search(r" iterations=(\d+) ", summary)[1])
-    assert summary.startswith("converged=True ") and iterations > 0
-    return overlaps, iterations
-
-
-def test_sync_trace_prints_overlaps(capsys):
-    overlaps, iterations = sync_lines(capsys, "--trace")
+    # the trace adds lines and changes no round: its summary is the whole untraced output
+    assert untraced == summary + "\n"
+    fields = dict(field.split("=") for field in summary.split())
+    iterations = int(fields["iterations"])
+    assert fields["converged"] == "True" and iterations > 0
     # one iteration<TAB>overlap line per round, in order, before the summary
     assert [line.split("\t")[0] for line in overlaps] == [str(i) for i in range(1, iterations + 1)]
     assert all(re.fullmatch(r"\d+\t[01]\.\d{6}", line) for line in overlaps)
-
-
-def test_sync_without_trace_prints_only_the_summary(capsys):
-    overlaps, _ = sync_lines(capsys)
-    assert overlaps == []
+    if "--protocol-mode" in flags:  # the run stops on a digest round, one every 7
+        exchanges = int(fields["digest_exchanges"])
+        assert exchanges > 0 and iterations == 7 * exchanges
 
 
 def test_sync_non_convergence_exit_two(capsys):
@@ -282,6 +297,7 @@ def test_scenario_without_out_writes_the_csv_to_stdout(capsys):
     captured = capsys.readouterr()
     records = list(run_scenario(dataclasses.replace(load_scenario("fig4"), trials=1)))
     assert captured.out == harness.records_to_csv(records)
+    assert captured.out.startswith("# neurokey-trials v1\n")
     # the summary goes to stderr; its last column is the run's wall time
     expected = harness.format_summary(harness.summarize(records)).splitlines()
     printed = captured.err.splitlines()
@@ -535,12 +551,14 @@ def test_pipeline_margin_beyond_the_key_is_a_config_error_exit_three(capsys):
         (["--threshold", "-1"], "qber_threshold must be in [0, 0.5], got -1.0"),
         (["--threshold", "0.6"], "qber_threshold must be in [0, 0.5], got 0.6"),
         (["--security-bits", "-5"], "security_bits=-5 must be in [0, K*N*(b-1)) = [0, 600)"),
+        (["--security-bits", "600"], "security_bits=600 must be in [0, K*N*(b-1)) = [0, 600)"),
         # floor(0.01 * 100) = 1 sampled bit, whose one mismatch would abort
         (["--length", "100", "--qber", "0.05", "--K", "2", "--N", "10", "--L", "2", "--security-bits", "10",
           "--sample-fraction", "0.01", "--threshold", "0.5", "--seed", "3"],
          "a 1-bit sample cannot resolve qber_threshold=0.5: one mismatch aborts"),
     ],
-    ids=["threshold-negative", "threshold-0.6", "security-bits-negative", "sample-below-threshold"],
+    ids=["threshold-negative", "threshold-0.6", "security-bits-negative", "security-bits-600",
+         "sample-below-threshold"],
 )
 def test_pipeline_bad_threshold_or_margin_fails_before_any_sync(monkeypatch, capsys, flags, message):
     calls = []
@@ -562,7 +580,9 @@ def test_pipeline_bad_threshold_or_margin_fails_before_any_sync(monkeypatch, cap
 def test_pipeline_exhausted_budget_is_an_abort_exit_two(capsys):
     # seeds 0 and 2 leave a key with these flags; seed 1 discloses too much
     assert main(["pipeline", "--protocol-mode", "--seed", "1"]) == 2
-    assert capsys.readouterr().err.startswith("neurokey: abort: security_bits=30")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("neurokey: abort: security_bits=30")
 
 
 def test_a_pipeline_digest_interval_no_budget_pays_for_is_an_abort_exit_two(capsys):
@@ -577,7 +597,9 @@ def test_a_pipeline_digest_interval_no_budget_pays_for_is_an_abort_exit_two(caps
 def test_pipeline_summary_reports_dropped_key_bits(capsys):
     # 2250 raw bits less 225 sampled leave 2025, and the K=10, N=30 machine holds 900
     assert main(["pipeline"]) == 0
-    assert "dropped key bits      1125" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert "dropped key bits      1125" in lines
+    assert "keys identical        True" in lines
 
 
 PIPELINE_SUMMARIES = {
@@ -603,6 +625,20 @@ reconciled length     900 (budget on its min-entropy 600; the paper's Shannon fi
 dropped key bits      1125
 removed (known+margin) 492+30
 final key length      78
+keys identical        True
+"""),
+    # K=10, N=30, L=2 loads 600 bits of min-entropy; 173 rounds and the 30-bit margin leave 397
+    "capped": (["--length", "3000", "--qber", "0.03", "--K", "10", "--N", "30", "--sample-fraction", "0.02",
+                "--seed", "1"], """\
+raw key length        3000
+estimated QBER        0.0167 (1/60)
+sync iterations       173 (learning steps 104)
+disclosed: estimation 60 (not charged: the sample left the key)
+charged: sync outputs 173 (the paper's accounting, not shown to be sound), digests 0
+reconciled length     900 (budget on its min-entropy 600; the paper's Shannon figure 675)
+dropped key bits      2040
+removed (known+margin) 173+30
+final key length      397
 keys identical        True
 """),
 }

@@ -49,6 +49,11 @@ SMALL_SYNC = Scenario(
 )
 
 
+# a key-loaded sync start and an attack race, 4 trials at K=6, N=8
+QBER_START = "[scenario]\nkind = sync\nK = 6\nN = 8\nstart_mode = from_qber:0.05\ntrials = 4\n"
+RACE = "[scenario]\nkind = attack\nK = 6\nN = 8\ntrials = 4\n[attack]\nstrategy = {}\nensemble_size = {}\n"
+
+
 _run_task = harness._run_task
 
 
@@ -396,10 +401,29 @@ class TestRunScenario:
             assert record.iterations >= 0
             assert record.wall_time > 0
 
-    def test_csv_deterministic_and_worker_invariant(self):
-        first = records_to_csv(run_scenario(SMALL_SYNC))
-        second = records_to_csv(run_scenario(SMALL_SYNC))
-        parallel = records_to_csv(run_scenario(SMALL_SYNC, workers=2))
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two workers")
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            SMALL_SYNC,
+            dataclasses.replace(load_scenario("table1"), trials=4),
+            dataclasses.replace(load_scenario("fig2"), trials=4),
+            dataclasses.replace(load_scenario("fig4"), trials=4),
+            dataclasses.replace(load_scenario("fig3"), trials=4, protocol_mode=True),
+            parse_scenario(QBER_START),
+            parse_scenario(QBER_START + "protocol_mode = true\n"),
+            parse_scenario(RACE.format("geometric", 1)),
+            parse_scenario(RACE.format("ensemble", 4)),
+            # a passive Eve at overlap 0.9 reaches Alice in trial 2, so her block is re-run under the stop flags
+            parse_scenario(RACE.format("passive", 1) + "eve_initial_overlap = 0.9\n"),
+        ],
+        ids=["small", "table1", "fig2", "fig4", "fig3-protocol", "from_qber", "from_qber-protocol", "geometric",
+             "ensemble4", "passive-overlap-0.9"],
+    )
+    def test_csv_deterministic_and_worker_invariant(self, scenario):
+        first = records_to_csv(run_scenario(scenario))
+        second = records_to_csv(run_scenario(scenario))
+        parallel = records_to_csv(run_scenario(scenario, workers=2))
         assert first == second == parallel
         header = first.splitlines()
         assert header[0].startswith("#")
@@ -476,6 +500,14 @@ class TestRunScenario:
         assert len(records) == 2
         for record in records:
             assert 0.0 <= record.attacker_best_overlap <= 1.0
+
+    def test_attack_scenario_from_equal_parties_converges_at_round_zero(self):
+        scenario = parse_scenario(
+            "[scenario]\nkind = attack\nK = 6\nN = 8\nstart_mode = overlap:1\ntrials = 2\n"
+            "[attack]\niteration_budget = 200\n"
+        )
+        records = list(run_scenario(scenario))
+        assert [(r.iterations, r.learning_steps, r.converged) for r in records] == [(0, 0, True)] * 2
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -915,7 +947,7 @@ class TestPipeline:
                 length, qber, params, seed=seed, sample_fraction=sample_fraction,
                 qber_threshold=0.5, protocol_mode=protocol_mode,
             )
-        except (InfeasibleBudgetError, NonConvergenceError, QberAbortError):
+        except (InfeasibleBudgetError, QberAbortError):
             reject()  # no key, so nothing to bound
         final, transcript = report.budget.final_length, report.transcript
         removed = transcript.iterations + transcript.disclosed_bits + DEFAULT_SECURITY_BITS

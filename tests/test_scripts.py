@@ -67,8 +67,8 @@ def run_into_a_closed_reader(args, unbuffered):
 def test_a_closed_stdout_exits_one_without_a_traceback(args, unbuffered):
     code, stderr = run_into_a_closed_reader(args, unbuffered)
     assert code == 1, stderr
-    assert "Traceback" not in stderr
-    assert "BrokenPipeError" not in stderr
+    for noise in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert noise not in stderr
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
