@@ -10,13 +10,13 @@ protocol abort (QBER over threshold, budget exhausted), 3 configuration error,
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    DEFAULT_PIPELINE_DIGEST_INTERVAL,
     QberAbortError,
     StartMode,
     format_summary,
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sync.add_argument("--start", default="random", help="start mode, as a scenario's start_mode (default: random)")
     p_sync.add_argument("--seed", type=int, default=0)
     p_sync.add_argument("--budget", type=int, default=None, help="iteration cap (default: pilot-based)")
-    p_sync.add_argument("--digest-interval", type=int, help=cadence(SyncConfig.digest_check_interval))
+    p_sync.add_argument("--digest-interval", type=int, help=cadence(SyncConfig(protocol_mode=True).digest_check_interval))
     p_sync.add_argument("--protocol-mode", action="store_true")
     p_sync.add_argument("--trace", action="store_true", help="print per-iteration overlap")
     p_sync.set_defaults(func=cmd_sync)
@@ -79,18 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--sample-fraction", type=float, default=DEFAULT_SAMPLE_FRACTION)
     p_pipe.add_argument("--threshold", type=float, default=DEFAULT_QBER_THRESHOLD)
     p_pipe.add_argument("--protocol-mode", action="store_true")
-    pipe_interval = inspect.signature(run_pipeline).parameters["digest_check_interval"].default
-    p_pipe.add_argument("--digest-interval", type=int, help=cadence(pipe_interval))
+    p_pipe.add_argument("--digest-interval", type=int, help=cadence(DEFAULT_PIPELINE_DIGEST_INTERVAL))
     p_pipe.set_defaults(func=cmd_pipeline)
 
     return parser
-
-
-def _digest_interval(args) -> dict[str, int]:
-    # passed on only when given, so the callee's default is the one default
-    if args.digest_interval is not None and not args.protocol_mode:
-        raise ScenarioError("--digest-interval applies only with --protocol-mode")
-    return {} if args.digest_interval is None else {"digest_check_interval": args.digest_interval}
 
 
 def cmd_sync(args) -> int:
@@ -99,7 +91,7 @@ def cmd_sync(args) -> int:
     params = TpmParams(K=args.K, N=args.N, L=args.L)
     init_seed, aux_seed, sync_seed = machine_trial_seeds(args.seed, 0, params, 0)
     alice, bob = mode.machines(params, init_seed, aux_seed)
-    config = SyncConfig(max_iterations=args.budget, protocol_mode=args.protocol_mode, **_digest_interval(args))
+    config = SyncConfig(max_iterations=args.budget, digest_check_interval=args.digest_interval, protocol_mode=args.protocol_mode)
     config.check_cadence(params)
     try:
         transcript, error = synchronize_from_weights(alice, bob, config, sync_seed, record_overlap=args.trace), None
@@ -151,7 +143,7 @@ def cmd_pipeline(args) -> int:
         sample_fraction=args.sample_fraction,
         qber_threshold=args.threshold,
         protocol_mode=args.protocol_mode,
-        **_digest_interval(args),
+        digest_check_interval=args.digest_interval,
     )
     print(report.summary())
     return 0

@@ -14,7 +14,6 @@ import io
 import os
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
-from importlib import resources
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -73,6 +72,7 @@ __all__ = [
 CSV_SCHEMA = "neurokey-trials v1"
 
 SCENARIO_KINDS = ("sync", "attack", "compare")
+DEFAULT_PIPELINE_DIGEST_INTERVAL = 100  # run_pipeline's cadence: sparse, as each digest spends 64 bits of its budget
 
 
 class QberAbortError(RuntimeError):
@@ -216,7 +216,7 @@ class Scenario:
             raise ScenarioError(f"compare scenarios take one K, tpm_K, got {self.K_values}")
         if self.kind != "compare" and self.compare_settings:
             raise ScenarioError(f"compare settings apply only to compare scenarios, not {self.kind}")
-        # run_attack and the compare TPM row never read these settings
+        # run_attack reads neither setting; the compare TPM row reads max_iterations, and protocol_mode is sync's by rule
         if self.protocol_mode and self.kind != "sync":
             raise ScenarioError(f"protocol_mode applies only to sync scenarios, not {self.kind}")
         if self.max_iterations is not None and self.kind == "attack":
@@ -235,6 +235,9 @@ class Scenario:
                 changed_weight_count(overlap, min(self.K_values) * n)
             except ScenarioError as err:
                 raise ScenarioError(f"{key}: {err}") from err
+        for key, value in (("N_values", self.N_values), ("start_modes", self.start_modes)):
+            if self.kind == "compare" and value != getattr(Scenario, key):  # TPM rows run tpm_N at overlap 1 - qber
+                raise ScenarioError(f"{key} does not apply to compare scenarios, got {', '.join(map(str, value))}")
 
 
 @dataclass(kw_only=True)
@@ -386,18 +389,16 @@ def parse_scenario(text: str, fallback_name: str = "scenario") -> Scenario:
 
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario from a file path or a bundled name (fig2..fig6, table1)."""
-    if os.path.isfile(path_or_name):
-        try:
-            with open(path_or_name, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            raise ScenarioError(f"cannot read scenario file {path_or_name!r}: {err}") from err
-        fallback = os.path.splitext(os.path.basename(path_or_name))[0]
-        return parse_scenario(text, fallback)
-    bundle = resources.files("neurokey") / "scenarios" / f"{path_or_name}.ini"
-    if bundle.is_file():
-        return parse_scenario(bundle.read_text(encoding="utf-8"), path_or_name)
-    raise ScenarioError(f"no scenario file or bundled scenario named {path_or_name!r}")
+    bundled = os.path.join(os.path.dirname(__file__), "scenarios", f"{path_or_name}.ini")
+    path = path_or_name if os.path.isfile(path_or_name) else bundled
+    if not os.path.isfile(path):
+        raise ScenarioError(f"no scenario file or bundled scenario named {path_or_name!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScenarioError(f"cannot read scenario file {path!r}: {err}") from err
+    return parse_scenario(text, os.path.splitext(os.path.basename(path))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +721,7 @@ def run_pipeline(
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
     qber_threshold: float = DEFAULT_QBER_THRESHOLD,
     protocol_mode: bool = False,
-    digest_check_interval: int = 100,
+    digest_check_interval: int | None = None,
     error_mode: str = "uniform",
 ) -> PipelineReport:
     """Generate - estimate - reconcile - plan - amplify, aborting when the
@@ -740,8 +741,10 @@ def run_pipeline(
         raise ScenarioError(f"security_bits={security_bits} must be in [0, K*N*(b-1)) = [0, {params.min_entropy_bits})")
     if not 0.0 <= qber_threshold <= 0.5:
         raise ScenarioError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
+    if digest_check_interval is None and protocol_mode:
+        digest_check_interval = DEFAULT_PIPELINE_DIGEST_INTERVAL
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
-    interval, digest_bits = (digest_check_interval, DIGEST_BITS) if protocol_mode else (1, 0)
+    interval, digest_bits = config.digest_check_interval or 1, DIGEST_BITS if protocol_mode else 0
     cap = interval * ((params.min_entropy_bits - security_bits - 1) // (interval + digest_bits))
     config = replace(config, max_iterations=max(cap, 1))  # a session past a 0 cap still aborts below
     past_cap = leakage_after(cap + interval, params), digest_bits * (cap // interval + 1)  # the first round past the cap

@@ -114,17 +114,22 @@ class SyncConfig:
 
     ``max_iterations=None`` resolves to ten times the pilot-measured mean of
     random-start runs for the same shape (see resolve_iteration_budget).
+    ``digest_check_interval`` (None: 10) applies only in protocol mode.
     """
 
     max_iterations: int | None = None
-    digest_check_interval: int = 10
+    digest_check_interval: int | None = None
     protocol_mode: bool = False
 
     def __post_init__(self) -> None:
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ScenarioError("max_iterations must be >= 1")
-        if self.digest_check_interval < 1:
+        if self.digest_check_interval is None and self.protocol_mode:
+            object.__setattr__(self, "digest_check_interval", 10)
+        elif self.digest_check_interval is not None and self.digest_check_interval < 1:
             raise ScenarioError("digest_check_interval must be >= 1")
+        elif self.digest_check_interval is not None and not self.protocol_mode:
+            raise ScenarioError("digest_check_interval applies only in protocol mode")
 
     def check_cadence(self, params: TpmParams) -> None:
         """In protocol mode, a ScenarioError if no digest round falls inside the resolved budget, so no run could stop."""
@@ -404,7 +409,7 @@ def synchronize_batch(
     inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=dtype)
     learned = np.empty((_INPUT_CHUNK, len(pairs), 2), dtype=bool)  # which rows learned, per round of a block
     learning_steps = np.zeros(len(pairs), dtype=np.int64)
-    interval = config.digest_check_interval if config.protocol_mode else 1
+    interval = config.digest_check_interval or 1
     # whether each trial's Bob differs from its Alice, as of the last comparison (protocol mode: none yet)
     differ = (w[:, 1:] != w[:, :1]).any(axis=(2, 3)) | config.protocol_mode
     trial_of_row = np.arange(len(pairs))

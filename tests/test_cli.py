@@ -178,21 +178,28 @@ def test_a_digest_interval_beyond_the_budget_is_a_config_error_exit_three(capsys
 
 @pytest.mark.parametrize(
     "argv",
-    [["sync", "--K", "6", "--N", "8", "--digest-interval", "7"], ["pipeline", "--digest-interval", "5"]],
-    ids=["sync", "pipeline"],
+    [
+        ["sync", "--K", "6", "--N", "8", "--digest-interval", "7"],
+        ["pipeline", "--digest-interval", "5"],
+        ["sync", "--K", "6", "--N", "8", "--digest-interval", "1"],
+    ],
+    ids=["sync", "pipeline", "sync-interval-1"],
 )
 def test_digest_interval_without_protocol_mode_is_a_config_error(capsys, argv):
+    # SyncConfig refuses the interval, so every caller meets the same message
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "config error: --digest-interval applies only with --protocol-mode" in captured.err
+    assert captured.err == "neurokey: config error: digest_check_interval applies only in protocol mode\n"
 
 
 @pytest.mark.parametrize("command, default", [("sync", 13), ("pipeline", 17)])
 def test_digest_interval_help_shows_the_callee_default(capsys, monkeypatch, command, default):
     # the help text reads each default where it is set, so a changed default shows
-    monkeypatch.setattr(SyncConfig, "digest_check_interval", 13)
-    monkeypatch.setattr("neurokey.cli.run_pipeline", lambda digest_check_interval=17: None)
+    monkeypatch.setattr(
+        "neurokey.cli.SyncConfig", lambda protocol_mode: SyncConfig(digest_check_interval=13, protocol_mode=protocol_mode)
+    )
+    monkeypatch.setattr("neurokey.cli.DEFAULT_PIPELINE_DIGEST_INTERVAL", 17)
     assert main([command, "--help"]) == 0
     assert f"digest cadence (default: {default})" in " ".join(capsys.readouterr().out.split())
 

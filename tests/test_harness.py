@@ -149,6 +149,23 @@ settings = 500:0.05:25, 600:0.03:30
             dataclasses.replace(base, **override)
 
     @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"N_values": (9,)}, "N_values does not apply to compare scenarios, got 9"),
+            (
+                {"start_modes": (StartMode("overlap", 0.9),)},
+                "start_modes does not apply to compare scenarios, got overlap:0.9",
+            ),
+        ],
+        ids=["N", "start_mode"],
+    )
+    def test_compare_sweep_settings_built_in_code_are_rejected(self, override, message):
+        # the mutual-learning rows take tpm_N and a 1 - qber overlap start from each setting
+        with pytest.raises(ScenarioError) as excinfo:
+            dataclasses.replace(load_scenario("table1"), **override)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
         "kind, override",
         [
             ("sync", {"max_iterations": -5}),
@@ -701,8 +718,10 @@ class TestPipeline:
             ({"security_bits": 48}, "security_bits=48 must be in [0, K*N*(b-1)) = [0, 48)"),
             ({"security_bits": 72}, "security_bits=72 must be in [0, K*N*(b-1)) = [0, 48)"),
             ({"protocol_mode": True, "digest_check_interval": 0}, "digest_check_interval must be >= 1"),
+            ({"digest_check_interval": 7}, "digest_check_interval applies only in protocol mode"),
         ],
-        ids=["margin-negative", "margin-min-entropy", "margin-key-bits", "digest-interval-0"],
+        ids=["margin-negative", "margin-min-entropy", "margin-key-bits", "digest-interval-0",
+             "digest-interval-in-simulation"],
     )
     def test_bad_input_fails_before_any_key_is_drawn(self, monkeypatch, kwargs, message):
         calls = []

@@ -155,12 +155,20 @@ class TestSynchronize:
         [
             ({"max_iterations": 0}, "max_iterations must be >= 1"),
             ({"digest_check_interval": 0}, "digest_check_interval must be >= 1"),
+            ({"digest_check_interval": 0, "protocol_mode": True}, "digest_check_interval must be >= 1"),
+            # simulation mode compares every round, so an interval would be a silent no-op
+            ({"digest_check_interval": 7}, "digest_check_interval applies only in protocol mode"),
         ],
     )
     def test_out_of_range_config_values_are_rejected(self, override, message):
         with pytest.raises(ValueError) as info:
             SyncConfig(**override)
         assert str(info.value) == message
+
+    def test_the_digest_interval_defaults_to_ten_in_protocol_mode_only(self):
+        assert SyncConfig().digest_check_interval is None
+        assert SyncConfig(protocol_mode=True).digest_check_interval == 10
+        assert SyncConfig(protocol_mode=True, digest_check_interval=3).digest_check_interval == 3
 
     def test_batch_rejects_pairs_of_differing_shapes(self):
         # the second pair agrees within itself but not with the first pair
@@ -331,7 +339,7 @@ class TestCheckCadence:
         "config, message",
         [
             (SyncConfig(max_iterations=100, digest_check_interval=100, protocol_mode=True), None),
-            (SyncConfig(max_iterations=100, digest_check_interval=101, protocol_mode=False), None),
+            (SyncConfig(max_iterations=100, protocol_mode=False), None),
             (SyncConfig(digest_check_interval=2384, protocol_mode=True), None),
             (SyncConfig(max_iterations=100, digest_check_interval=101, protocol_mode=True),
              "digest interval 101 exceeds the budget (explicit max_iterations=100)"),
@@ -542,7 +550,7 @@ def batch_trials(start, count, protocol, interval):
 
 @pytest.mark.parametrize("record", [False, True], ids=["notrace", "trace"])
 @pytest.mark.parametrize(
-    "protocol, interval", [(False, 10), (True, 1), (True, 10), (True, 100)],
+    "protocol, interval", [(False, None), (True, 1), (True, 10), (True, 100)],
     ids=["simulation", "protocol1", "protocol10", "protocol100"],
 )
 @pytest.mark.parametrize("count", [1, 2, 3, 7])
@@ -581,7 +589,7 @@ def test_batch_matches_the_batch_of_one(monkeypatch, start, count, protocol, int
 
 def test_batch_retires_trials_mid_batch_and_at_the_budget():
     # random starts: two of seven converge, five reach the budget
-    mode, seeds, config = batch_trials("random", 7, False, 10)
+    mode, seeds, config = batch_trials("random", 7, False, None)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
     transcripts = synchronize_batch(pairs, config, [sync_seed for *_, sync_seed in seeds])
     converged = [t.iterations for t in transcripts if t.converged]
@@ -593,7 +601,7 @@ def test_batch_retires_trials_mid_batch_and_at_the_budget():
 
 
 def test_batch_needs_one_seed_per_pair():
-    mode, seeds, config = batch_trials("random", 2, False, 10)
+    mode, seeds, config = batch_trials("random", 2, False, None)
     pairs = [mode.machines(BATCH_PARAMS, init_seed, aux_seed) for init_seed, aux_seed, _ in seeds]
     sync_seeds = [sync_seed for *_, sync_seed in seeds]
     for bad_seeds in (sync_seeds[:1], sync_seeds * 2):
@@ -613,7 +621,7 @@ TRACE_BUDGETS = (1, 15, 16, 17, 63, 64, 65, 120)
 
 
 @pytest.mark.parametrize(
-    "protocol, interval", [(False, 10), (True, 1), (True, 7), (True, 10), (True, 100)],
+    "protocol, interval", [(False, None), (True, 1), (True, 7), (True, 10), (True, 100)],
     ids=["simulation", "protocol1", "protocol7", "protocol10", "protocol100"],
 )
 @pytest.mark.parametrize("start", ["random", "overlap:0.95", "from_qber:0.05"])
