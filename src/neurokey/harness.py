@@ -196,10 +196,10 @@ class Scenario:
             raise ScenarioError("trials must be >= 1")
         if self.base_seed < 0:
             raise ScenarioError(f"seed must be a non-negative integer, got {self.base_seed}")
-        config = SyncConfig(max_iterations=self.max_iterations, protocol_mode=self.protocol_mode)
+        SyncConfig(max_iterations=self.max_iterations)  # max_iterations >= 1
         if not self.K_values or not self.N_values:
             raise ScenarioError("K and N sweeps must be non-empty")
-        params = TpmParams(min(self.K_values), min(self.N_values), self.L)
+        TpmParams(min(self.K_values), min(self.N_values), self.L)  # positive integers
         if not self.start_modes:
             raise ScenarioError("at least one start mode is required")
         for key, values in (("K", self.K_values), ("N", self.N_values), ("start_mode", self.start_modes),
@@ -221,8 +221,7 @@ class Scenario:
             raise ScenarioError(f"protocol_mode applies only to sync scenarios, not {self.kind}")
         if self.max_iterations is not None and self.kind == "attack":
             raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
-        if self.max_iterations is not None:  # a pilot budget, at least 1000 rounds, always holds a digest round
-            config.check_cadence(params)
+        SyncConfig(max_iterations=self.max_iterations, protocol_mode=self.protocol_mode)  # a budget with a digest round
         # an overlap start must change some weight at the smallest K*N it meets,
         # as the count grows with K*N; a compare row's machines are tpm_K x tpm_N
         eve = self.attack.eve_initial_overlap if self.attack else None
@@ -746,7 +745,7 @@ def run_pipeline(
     config = SyncConfig(protocol_mode=protocol_mode, digest_check_interval=digest_check_interval)
     interval, digest_bits = config.digest_check_interval or 1, DIGEST_BITS if protocol_mode else 0
     cap = interval * ((params.min_entropy_bits - security_bits - 1) // (interval + digest_bits))
-    config = replace(config, max_iterations=max(cap, 1))  # a session past a 0 cap still aborts below
+    config = replace(config, max_iterations=max(cap, interval))  # a session past a 0 cap still aborts below
     past_cap = leakage_after(cap + interval, params), digest_bits * (cap // interval + 1)  # the first round past the cap
     sampled = sample_size(length, sample_fraction)
     if 0 < qber_threshold < 1 / sampled:

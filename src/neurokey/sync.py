@@ -114,7 +114,9 @@ class SyncConfig:
 
     ``max_iterations=None`` resolves to ten times the pilot-measured mean of
     random-start runs for the same shape (see resolve_iteration_budget).
-    ``digest_check_interval`` (None: 10) applies only in protocol mode.
+    ``digest_check_interval`` (None: 10) applies only in protocol mode, where
+    a session stops only on a digest round: a budget shorter than the interval
+    is a ScenarioError, here if explicit and in synchronize_batch if pilot.
     """
 
     max_iterations: int | None = None
@@ -130,13 +132,9 @@ class SyncConfig:
             raise ScenarioError("digest_check_interval must be >= 1")
         elif self.digest_check_interval is not None and not self.protocol_mode:
             raise ScenarioError("digest_check_interval applies only in protocol mode")
-
-    def check_cadence(self, params: TpmParams) -> None:
-        """In protocol mode, a ScenarioError if no digest round falls inside the resolved budget, so no run could stop."""
-        budget = self.protocol_mode and (self.max_iterations or resolve_iteration_budget(params))
-        if budget and self.digest_check_interval > budget:
-            source = "explicit max_iterations=" if self.max_iterations else "pilot budget "
-            raise ScenarioError(f"digest interval {self.digest_check_interval} exceeds the budget ({source}{budget})")
+        interval, budget = self.digest_check_interval, self.max_iterations
+        if self.protocol_mode and budget is not None and interval > budget:
+            raise ScenarioError(f"digest interval {interval} exceeds the budget (explicit max_iterations={budget})")
 
 
 @dataclass
@@ -402,6 +400,9 @@ def synchronize_batch(
     if other is not None:
         raise ValueError(f"machine shapes differ: {params} vs {other}")
     budget = config.max_iterations or resolve_iteration_budget(params)
+    interval = config.digest_check_interval or 1
+    if interval > budget:  # only a pilot budget gets here; SyncConfig rejects an explicit one
+        raise ScenarioError(f"digest interval {interval} exceeds the budget (pilot budget {budget})")
 
     streams = [np.random.PCG64(seed) for seed in seeds]
     dtype = _stack_dtype(params)
@@ -409,7 +410,6 @@ def synchronize_batch(
     inputs = np.empty((_INPUT_CHUNK, len(pairs), 1, params.K, params.N), dtype=dtype)
     learned = np.empty((_INPUT_CHUNK, len(pairs), 2), dtype=bool)  # which rows learned, per round of a block
     learning_steps = np.zeros(len(pairs), dtype=np.int64)
-    interval = config.digest_check_interval or 1
     # whether each trial's Bob differs from its Alice, as of the last comparison (protocol mode: none yet)
     differ = (w[:, 1:] != w[:, :1]).any(axis=(2, 3)) | config.protocol_mode
     trial_of_row = np.arange(len(pairs))

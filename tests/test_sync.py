@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -334,28 +335,55 @@ class TestSeedInitialOverlap:
 
 
 class TestCheckCadence:
-    # a digest round at or before the budget's last round may stop a run; a later one cannot
+    # a digest round at or before the budget's last round may stop a run; a later one cannot, so
+    # SyncConfig rejects an explicit budget without one, and synchronize_batch a pilot budget
     @pytest.mark.parametrize(
-        "config, message",
+        "settings, message",
         [
-            (SyncConfig(max_iterations=100, digest_check_interval=100, protocol_mode=True), None),
-            (SyncConfig(max_iterations=100, protocol_mode=False), None),
-            (SyncConfig(digest_check_interval=2384, protocol_mode=True), None),
-            (SyncConfig(max_iterations=100, digest_check_interval=101, protocol_mode=True),
+            (dict(max_iterations=100, digest_check_interval=100, protocol_mode=True), None),
+            (dict(max_iterations=100, protocol_mode=False), None),
+            (dict(digest_check_interval=2384, protocol_mode=True), None),
+            (dict(max_iterations=100, digest_check_interval=101, protocol_mode=True),
              "digest interval 101 exceeds the budget (explicit max_iterations=100)"),
-            (SyncConfig(digest_check_interval=2385, protocol_mode=True),
+            (dict(digest_check_interval=2385, protocol_mode=True),
              "digest interval 2385 exceeds the budget (pilot budget 2384)"),
         ],
         ids=["equal", "simulation", "pilot-equal", "explicit-beyond", "pilot-beyond"],
     )
-    def test_a_digest_interval_beyond_the_resolved_budget_is_a_value_error(self, config, message):
+    def test_a_digest_interval_beyond_the_resolved_budget_is_a_value_error(self, settings, message):
         params = TpmParams(K=6, N=8, L=2)
+
+        def build_and_run_a_pilot_budget():
+            config = SyncConfig(**settings)
+            if config.max_iterations is None:
+                synchronize_batch([fresh_pair(params, 5)], config, [6])
+
         if message is None:
-            config.check_cadence(params)
+            build_and_run_a_pilot_budget()
         else:
             with pytest.raises(ValueError) as excinfo:
-                config.check_cadence(params)
+                build_and_run_a_pilot_budget()
             assert str(excinfo.value) == message
+
+    def test_the_default_interval_beyond_an_explicit_budget_fails_on_construction(self):
+        message = "digest interval 10 exceeds the budget (explicit max_iterations=5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyncConfig(max_iterations=5, protocol_mode=True)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda alice, bob, config: synchronize_batch([(alice, bob)], config, [8]),
+            lambda alice, bob, config: synchronize_from_weights(alice, bob, config, 8),
+        ],
+        ids=["synchronize_batch", "synchronize_from_weights"],
+    )
+    def test_a_pilot_budget_without_a_digest_round_fails_before_any_input_is_drawn(self, monkeypatch, run):
+        monkeypatch.setattr(sync, "_draw_inputs", lambda *args: pytest.fail("an input was drawn"))
+        config = SyncConfig(digest_check_interval=5000, protocol_mode=True)
+        message = "digest interval 5000 exceeds the budget (pilot budget 2384)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(*fresh_pair(TpmParams(K=6, N=8, L=2), 7), config)
 
 
 class TestReconcile:
@@ -457,7 +485,8 @@ class TestTranscriptRecord:
 
 # Protocol-mode transcripts, captured with the FNV-1a digest that preceded
 # blake2b: (K, N, seed, interval, max_iterations) ->
-# (iterations, learning_steps, digest_exchanges, converged).
+# (iterations, learning_steps, digest_exchanges, converged), or the config
+# error of a budget that holds no digest round.
 PROTOCOL_SHAPES = ((3, 5), (4, 6), (6, 8))
 PROTOCOL_CASES = [
     (K, N, seed, interval, budget)
@@ -487,46 +516,49 @@ GOLDEN_PROTOCOL_TRANSCRIPTS = {
     (3, 5, 1, 1, 20000): (77, 47, 77, True),
     (3, 5, 1, 10, 35): (35, 18, 3, False),
     (3, 5, 1, 10, 20000): (80, 50, 8, True),
-    (3, 5, 1, 100, 35): (35, 18, 0, False),
+    (3, 5, 1, 100, 35): "digest interval 100 exceeds the budget (explicit max_iterations=35)",
     (3, 5, 1, 100, 20000): (100, 70, 1, True),
     (3, 5, 2, 1, 35): (35, 21, 35, False),
     (3, 5, 2, 1, 20000): (47, 29, 47, True),
     (3, 5, 2, 10, 35): (35, 21, 3, False),
     (3, 5, 2, 10, 20000): (50, 32, 5, True),
-    (3, 5, 2, 100, 35): (35, 21, 0, False),
+    (3, 5, 2, 100, 35): "digest interval 100 exceeds the budget (explicit max_iterations=35)",
     (3, 5, 2, 100, 20000): (100, 82, 1, True),
     (4, 6, 1, 1, 35): (35, 17, 35, False),
     (4, 6, 1, 1, 20000): (173, 100, 173, True),
     (4, 6, 1, 10, 35): (35, 17, 3, False),
     (4, 6, 1, 10, 20000): (180, 107, 18, True),
-    (4, 6, 1, 100, 35): (35, 17, 0, False),
+    (4, 6, 1, 100, 35): "digest interval 100 exceeds the budget (explicit max_iterations=35)",
     (4, 6, 1, 100, 20000): (200, 127, 2, True),
     (4, 6, 2, 1, 35): (35, 17, 35, False),
     (4, 6, 2, 1, 20000): (113, 66, 113, True),
     (4, 6, 2, 10, 35): (35, 17, 3, False),
     (4, 6, 2, 10, 20000): (120, 73, 12, True),
-    (4, 6, 2, 100, 35): (35, 17, 0, False),
+    (4, 6, 2, 100, 35): "digest interval 100 exceeds the budget (explicit max_iterations=35)",
     (4, 6, 2, 100, 20000): (200, 153, 2, True),
     (6, 8, 1, 1, 35): (35, 17, 35, False),
     (6, 8, 1, 1, 20000): (108, 67, 108, True),
     (6, 8, 1, 10, 35): (35, 17, 3, False),
     (6, 8, 1, 10, 20000): (110, 69, 11, True),
-    (6, 8, 1, 100, 35): (35, 17, 0, False),
+    (6, 8, 1, 100, 35): "digest interval 100 exceeds the budget (explicit max_iterations=35)",
     (6, 8, 1, 100, 20000): (200, 159, 2, True),
     (6, 8, 2, 1, 35): (35, 20, 35, False),
     (6, 8, 2, 1, 20000): (212, 131, 212, True),
     (6, 8, 2, 10, 35): (35, 20, 3, False),
     (6, 8, 2, 10, 20000): (220, 139, 22, True),
-    (6, 8, 2, 100, 35): (35, 20, 0, False),
+    (6, 8, 2, 100, 35): "digest interval 100 exceeds the budget (explicit max_iterations=35)",
     (6, 8, 2, 100, 20000): (300, 219, 3, True),
 }
 
 
 @pytest.mark.parametrize("case", PROTOCOL_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_protocol_transcripts_are_pinned(case):
-    transcript = protocol_transcript(*case)
-    expected = SyncTranscript(*GOLDEN_PROTOCOL_TRANSCRIPTS[case])
-    assert transcript.to_record() == expected.to_record()
+    expected = GOLDEN_PROTOCOL_TRANSCRIPTS[case]
+    if isinstance(expected, str):  # no digest round inside the budget, so no run could stop
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            protocol_transcript(*case)
+        return
+    assert protocol_transcript(*case).to_record() == SyncTranscript(*expected).to_record()
 
 
 # Lockstep batches against the batch of one. At K=4, N=6 and a 120-round
@@ -630,6 +662,11 @@ def test_untraced_batch_equals_the_traced_batch(start, protocol, interval):
     for count, trials in TRACE_TRIALS.items():
         seeds = [machine_trial_seeds(90, 0, BATCH_PARAMS, trial) for trial in trials]
         for budget in TRACE_BUDGETS:
+            if protocol and interval > budget:  # no digest round inside the budget, so no run could stop
+                message = f"digest interval {interval} exceeds the budget (explicit max_iterations={budget})"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    SyncConfig(max_iterations=budget, protocol_mode=protocol, digest_check_interval=interval)
+                continue
             config = SyncConfig(max_iterations=budget, protocol_mode=protocol, digest_check_interval=interval)
             runs = []
             for record in (False, True):
