@@ -164,11 +164,6 @@ class CompareSetting:
     def __str__(self) -> str:
         return f"{self.key_length}:{self.qber:g}:{self.tpm_n}"
 
-    @property
-    def tpm_start(self) -> StartMode:
-        """The mutual-learning row's start: weight overlap 1 - qber."""
-        return StartMode("overlap", 1.0 - self.qber)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -194,12 +189,12 @@ class Scenario:
             raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ScenarioError("trials must be >= 1")
-        if self.base_seed < 0:
+        if self.base_seed < 0 or self.base_seed % 1:
             raise ScenarioError(f"seed must be a non-negative integer, got {self.base_seed}")
         SyncConfig(max_iterations=self.max_iterations)  # max_iterations >= 1
         if not self.K_values or not self.N_values:
             raise ScenarioError("K and N sweeps must be non-empty")
-        TpmParams(min(self.K_values), min(self.N_values), self.L)  # positive integers
+        points = self.points()  # every shape: positive integers
         if not self.start_modes:
             raise ScenarioError("at least one start mode is required")
         for key, values in (("K", self.K_values), ("N", self.N_values), ("start_mode", self.start_modes),
@@ -222,21 +217,30 @@ class Scenario:
         if self.max_iterations is not None and self.kind == "attack":
             raise ScenarioError("attack scenarios take their budget from [attack] iteration_budget")
         SyncConfig(max_iterations=self.max_iterations, protocol_mode=self.protocol_mode)  # a budget with a digest round
-        # an overlap start must change some weight at the smallest K*N it meets,
-        # as the count grows with K*N; a compare row's machines are tpm_K x tpm_N
+        # an overlap start, the parties' or Eve's, must change some weight of the machines it starts
         eve = self.attack.eve_initial_overlap if self.attack else None
-        N = min(self.N_values)
-        starts = [(f"start_mode = {m}", m.value, N) for m in self.start_modes if m.kind == "overlap"]
-        starts += [(f"eve_initial_overlap = {eve:g}", eve, N)] if eve is not None else []
-        starts += [(f"settings entry {s}", s.tpm_start.value, s.tpm_n) for s in self.compare_settings]
-        for key, overlap, n in starts:
-            try:
-                changed_weight_count(overlap, min(self.K_values) * n)
-            except ScenarioError as err:
-                raise ScenarioError(f"{key}: {err}") from err
+        eve_starts = [(f"eve_initial_overlap = {eve:g}", eve)] if eve is not None else []
+        for index, params, mode in points:
+            party = f"settings entry {self.compare_settings[index]}" if self.kind == "compare" else f"start_mode = {mode}"
+            for key, overlap in ([(party, mode.value)] if mode.kind == "overlap" else []) + eve_starts:
+                try:
+                    changed_weight_count(overlap, params.weight_count)
+                except ScenarioError as err:
+                    raise ScenarioError(f"{key}: {err}") from err
         for key, value in (("N_values", self.N_values), ("start_modes", self.start_modes)):
             if self.kind == "compare" and value != getattr(Scenario, key):  # TPM rows run tpm_N at overlap 1 - qber
                 raise ScenarioError(f"{key} does not apply to compare scenarios, got {', '.join(map(str, value))}")
+
+    def points(self) -> list[tuple[int, TpmParams, StartMode]]:
+        """Each sweep point in run order, as (index, machine shape, start mode):
+        start mode ``index`` at every K and N, or the mutual-learning row of
+        compare setting ``index``, tpm_K x tpm_N machines at weight overlap
+        1 - qber."""
+        if self.kind == "compare":
+            return [(index, TpmParams(self.K_values[0], s.tpm_n, self.L), StartMode("overlap", 1.0 - s.qber))
+                    for index, s in enumerate(self.compare_settings)]
+        shapes = [TpmParams(K, N, self.L) for K in self.K_values for N in self.N_values]
+        return [(index, params, mode) for index, mode in enumerate(self.start_modes) for params in shapes]
 
 
 @dataclass(kw_only=True)
@@ -277,7 +281,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time"
 
 
 def _child_seeds(base_seed: int, coordinates: tuple[int, ...], count: int) -> list[int]:
-    if base_seed < 0:
+    if base_seed < 0 or base_seed % 1:
         raise ScenarioError(f"seed must be a non-negative integer, got {base_seed}")
     state = np.random.SeedSequence([int(base_seed), *map(int, coordinates)])
     return [int(v) for v in state.generate_state(count, dtype=np.uint64)]
@@ -448,12 +452,13 @@ def _run_machine_trials(
     ]
 
 
-def _run_compare_trials(scenario: Scenario, setting_index: int, trials: range) -> list[TrialRecord]:
+def _run_compare_trials(
+    scenario: Scenario, setting_index: int, params: TpmParams, start: StartMode, trials: range
+) -> list[TrialRecord]:
     """Per trial, the BBBSS and Cascade rows on one noisy key pair, then the
-    mutual-learning row; the mutual-learning rows of all trials run as one
-    lockstep batch."""
+    mutual-learning row on ``params`` machines from ``start``; the
+    mutual-learning rows of all trials run as one lockstep batch."""
     setting = scenario.compare_settings[setting_index]
-    params = TpmParams(K=scenario.K_values[0], N=setting.tpm_n, L=scenario.L)
     parity_rows: list[list[TrialRecord]] = []
     machine_seeds: list[list[int]] = []
     for trial in trials:
@@ -484,7 +489,7 @@ def _run_compare_trials(scenario: Scenario, setting_index: int, trials: range) -
         scenario,
         f"{scenario.name}/tpm/{setting.key_length}b",
         params,
-        setting.tpm_start,
+        start,
         trials,
         machine_seeds,
     )
@@ -492,30 +497,19 @@ def _run_compare_trials(scenario: Scenario, setting_index: int, trials: range) -
 
 
 def _scenario_tasks(scenario: Scenario, workers: int) -> list[tuple]:
-    """One task (scenario, index, K, N, trials) per sweep point, or per
-    contiguous slice of its trials when ``workers`` processes share it."""
-    if scenario.kind == "compare":
-        points = [(index, 0, 0) for index in range(len(scenario.compare_settings))]
-    else:
-        points = [
-            (index, K, N)
-            for index in range(len(scenario.start_modes))
-            for K in scenario.K_values
-            for N in scenario.N_values
-        ]
+    """One task (scenario, index, params, start, trials) per sweep point, or
+    per contiguous slice of its trials when ``workers`` processes share it."""
     count = scenario.trials
     slices = [range(count * i // workers, count * (i + 1) // workers) for i in range(workers)]
-    return [(scenario, *point, trials) for point in points for trials in slices if trials]
+    return [(scenario, *point, trials) for point in scenario.points() for trials in slices if trials]
 
 
 def _run_task(task: tuple) -> list[TrialRecord]:
-    scenario, index, K, N, trials = task
+    scenario, index, params, start, trials = task
     if scenario.kind == "compare":
-        return _run_compare_trials(scenario, index, trials)
-    params = TpmParams(K=K, N=N, L=scenario.L)
+        return _run_compare_trials(scenario, index, params, start, trials)
     seeds = [machine_trial_seeds(scenario.base_seed, index, params, trial) for trial in trials]
-    mode = scenario.start_modes[index]
-    return _run_machine_trials(scenario, scenario.name, params, mode, trials, seeds)
+    return _run_machine_trials(scenario, scenario.name, params, start, trials, seeds)
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> Iterator[TrialRecord]:

@@ -178,6 +178,8 @@ settings = 500:0.05:25, 600:0.03:30
             ("sync", {"start_modes": ()}),
             ("compare", {"compare_settings": ()}),
             ("sync", {"name": "runs/k6/n8"}),
+            ("sync", {"K_values": (6, 8.5)}),
+            ("sync", {"N_values": (20, 22.5)}),
         ],
     )
     def test_out_of_range_values_are_rejected(self, kind, override):
@@ -367,9 +369,22 @@ settings = 500:0.05:25, 600:0.03:30
         text = "[DEFAULT]\ntrials = 7\n[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\n"
         assert parse_scenario(text).trials == 7
 
-    def test_negative_base_seed_is_rejected_before_any_run(self):
-        with pytest.raises(ScenarioError, match="seed must be a non-negative integer, got -1"):
-            dataclasses.replace(load_scenario("fig4"), base_seed=-1)
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_negative_base_seed_is_rejected_before_any_run(self, seed):
+        with pytest.raises(ScenarioError) as excinfo:
+            dataclasses.replace(load_scenario("fig4"), base_seed=seed)
+        assert str(excinfo.value) == f"seed must be a non-negative integer, got {seed}"
+
+    def test_points_state_each_sweep_point_in_run_order(self):
+        assert load_scenario("table1").points() == [
+            (0, TpmParams(10, 25, 2), StartMode("overlap", 0.95)),
+            (1, TpmParams(10, 30, 2), StartMode("overlap", 0.97)),
+        ]
+        assert load_scenario("fig5").points() == [
+            (index, TpmParams(K, 30, 2), mode)
+            for index, mode in enumerate((StartMode("random"), StartMode("overlap", 0.97)))
+            for K in (6, 8, 10, 12)
+        ]
 
 
 class TestTrialSeeds:
@@ -719,9 +734,10 @@ class TestPipeline:
             ({"security_bits": 72}, "security_bits=72 must be in [0, K*N*(b-1)) = [0, 48)"),
             ({"protocol_mode": True, "digest_check_interval": 0}, "digest_check_interval must be >= 1"),
             ({"digest_check_interval": 7}, "digest_check_interval applies only in protocol mode"),
+            ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
         ],
         ids=["margin-negative", "margin-min-entropy", "margin-key-bits", "digest-interval-0",
-             "digest-interval-in-simulation"],
+             "digest-interval-in-simulation", "seed-fractional"],
     )
     def test_bad_input_fails_before_any_key_is_drawn(self, monkeypatch, kwargs, message):
         calls = []
@@ -733,7 +749,7 @@ class TestPipeline:
         monkeypatch.setattr(harness, "generate_key_pair", spy)
         params = TpmParams(K=4, N=6, L=2)
         with pytest.raises(ValueError) as excinfo:
-            run_pipeline(400, 0.02, params, seed=3, **kwargs)
+            run_pipeline(400, 0.02, params, **{"seed": 3, **kwargs})
         assert not calls
         assert str(excinfo.value) == message
         # the spy sees the key draw of a run with a valid margin
