@@ -120,8 +120,7 @@ def generate_key_pair(
     expected number of flips into runs of mean length 4. The result is a pure
     function of the arguments.
     """
-    if length < 1:
-        raise ScenarioError("length must be >= 1")
+    length = ScenarioError.integer("length", length)
     if not 0.0 <= qber <= 0.5:
         raise ScenarioError(f"qber must be in [0, 0.5], got {qber}")
     if error_mode not in ERROR_MODES:
@@ -140,8 +139,7 @@ def generate_key_pair(
 def sample_size(length: int, sample_fraction: float) -> int:
     """Bits of a ``length``-bit raw key disclosed to estimate its error rate:
     floor(sample_fraction * length), at least 1, with the fraction in (0, 1)."""
-    if length < 1:
-        raise ScenarioError("length must be >= 1")
+    length = ScenarioError.integer("length", length)
     if not 0.0 < sample_fraction < 1.0:
         raise ScenarioError(f"sample_fraction must be in (0, 1), got {sample_fraction}")
     size = int(math.floor(sample_fraction * length + 1e-9))

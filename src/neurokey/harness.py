@@ -142,8 +142,8 @@ class CompareSetting:
     tpm_n: int
 
     def __post_init__(self) -> None:
-        if self.key_length < 1 or self.tpm_n < 1:
-            raise ScenarioError("compare key length and tpm_N must be positive")
+        object.__setattr__(self, "key_length", ScenarioError.integer("length", self.key_length))
+        object.__setattr__(self, "tpm_n", ScenarioError.integer("tpm_N", self.tpm_n))
         if not 0.0 < self.qber <= 0.5:
             raise ScenarioError(f"compare qber must be in (0, 0.5], got {self.qber}")
 
@@ -187,11 +187,9 @@ class Scenario:
             raise ScenarioError(f"scenario name must not contain '/', got {self.name!r}")
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
-        if self.trials < 1:
-            raise ScenarioError("trials must be >= 1")
-        if self.base_seed < 0 or self.base_seed % 1:
-            raise ScenarioError(f"seed must be a non-negative integer, got {self.base_seed}")
-        SyncConfig(max_iterations=self.max_iterations)  # max_iterations >= 1
+        object.__setattr__(self, "trials", ScenarioError.integer("trials", self.trials))
+        object.__setattr__(self, "base_seed", ScenarioError.integer("seed", self.base_seed, low=0))
+        SyncConfig(max_iterations=self.max_iterations)  # max_iterations: a positive integer
         if not self.K_values or not self.N_values:
             raise ScenarioError("K and N sweeps must be non-empty")
         points = self.points()  # every shape: positive integers
@@ -281,9 +279,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_time"
 
 
 def _child_seeds(base_seed: int, coordinates: tuple[int, ...], count: int) -> list[int]:
-    if base_seed < 0 or base_seed % 1:
-        raise ScenarioError(f"seed must be a non-negative integer, got {base_seed}")
-    state = np.random.SeedSequence([int(base_seed), *map(int, coordinates)])
+    state = np.random.SeedSequence([ScenarioError.integer("seed", base_seed, low=0), *map(int, coordinates)])
     return [int(v) for v in state.generate_state(count, dtype=np.uint64)]
 
 
@@ -521,7 +517,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> Iterator[TrialRecord]:
     The worker count is checked here, before the first record is requested
     and before any pool exists: it must lie in [1, os.cpu_count()]."""
     cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
+    workers = ScenarioError.integer("workers", workers)
+    if workers > cpus:
         raise ScenarioError(f"workers must be in [1, {cpus}], got {workers}")
     return _stream_records(_scenario_tasks(scenario, workers), workers)
 
@@ -732,6 +729,7 @@ def run_pipeline(
     """
     if not 0 <= security_bits < params.min_entropy_bits:
         raise ScenarioError(f"security_bits={security_bits} must be in [0, K*N*(b-1)) = [0, {params.min_entropy_bits})")
+    security_bits = ScenarioError.integer("security_bits", security_bits, low=0)
     if not 0.0 <= qber_threshold <= 0.5:
         raise ScenarioError(f"qber_threshold must be in [0, 0.5], got {qber_threshold}")
     if digest_check_interval is None and protocol_mode:

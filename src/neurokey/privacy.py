@@ -82,15 +82,15 @@ def plan_budget(
     disclosed_bits: int,
     security_bits: int = DEFAULT_SECURITY_BITS,
 ) -> AmplificationBudget:
-    """Combine leakage accounting with explicitly disclosed bits and check
-    that the margin is >= 0 (else ValueError) and fits strictly inside what
-    remains (else InfeasibleBudgetError)."""
-    if entropy_bits < 1:
-        raise ValueError("entropy_bits must be >= 1")
-    if disclosed_bits < 0:
-        raise ValueError("disclosed_bits must be >= 0")
-    if security_bits < 0:
-        raise ValueError("security_bits must be >= 0")
+    """Combine leakage accounting with explicitly disclosed bits. Inputs are
+    integers, the entropy >= 1 and the rest >= 0 (else ValueError); the margin
+    fits strictly inside what remains (else InfeasibleBudgetError)."""
+    for name, value, low in (("entropy_bits", entropy_bits, 1), ("disclosed_bits", disclosed_bits, 0),
+                             ("security_bits", security_bits, 0)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}")
+        if value % 1:  # the int() below would floor it, undercounting Eve's bits or the margin
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     eve_known = int(math.ceil(leakage.bit_reduction)) + int(disclosed_bits)
     if security_bits >= entropy_bits - eve_known:
         raise InfeasibleBudgetError(

@@ -124,12 +124,11 @@ class SyncConfig:
     protocol_mode: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ScenarioError("max_iterations must be >= 1")
+        for name in ("max_iterations", "digest_check_interval"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, ScenarioError.integer(name, value))
         if self.digest_check_interval is None and self.protocol_mode:
             object.__setattr__(self, "digest_check_interval", 10)
-        elif self.digest_check_interval is not None and self.digest_check_interval < 1:
-            raise ScenarioError("digest_check_interval must be >= 1")
         elif self.digest_check_interval is not None and not self.protocol_mode:
             raise ScenarioError("digest_check_interval applies only in protocol mode")
         interval, budget = self.digest_check_interval, self.max_iterations
@@ -478,12 +477,10 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ScenarioError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.ensemble_size < 1:
-            raise ScenarioError("ensemble_size must be >= 1")
+        for name in ("ensemble_size", "iteration_budget"):
+            object.__setattr__(self, name, ScenarioError.integer(name, getattr(self, name)))
         if self.strategy != "ensemble" and self.ensemble_size != 1:
             raise ScenarioError("ensemble_size must be 1 unless strategy is 'ensemble'")
-        if self.iteration_budget < 1:
-            raise ScenarioError("iteration_budget must be >= 1")
         if self.eve_initial_overlap is not None and not 0.0 <= self.eve_initial_overlap <= 1.0:
             raise ScenarioError("eve_initial_overlap must be in [0, 1]")
 

@@ -34,6 +34,16 @@ class ScenarioError(ValueError):
     """Bad input: a value that a command-line flag or a scenario file sets,
     raised where the value is checked. The CLI reports it as a config error."""
 
+    @classmethod
+    def integer(cls, name: str, value: object, low: int = 1) -> int:
+        """``value`` as an int if it is an integer >= ``low`` (2.0 passes), else this error."""
+        try:
+            if int(value) == value and value >= low:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):  # a non-numeric string, a NaN, an infinity
+            pass
+        raise cls(f"{name} must be a {'non-negative' if low == 0 else 'positive'} integer, got {value!r}")
+
 
 class KeyMaterialError(ScenarioError):
     """Bit key is too short to fill the requested machine."""
@@ -56,11 +66,7 @@ class TpmParams:
 
     def __post_init__(self) -> None:
         for name in ("K", "N", "L"):
-            value = getattr(self, name)
-            as_int = int(value)
-            if as_int != value or as_int < 1:
-                raise ScenarioError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, as_int)
+            object.__setattr__(self, name, ScenarioError.integer(name, getattr(self, name)))
 
     @property
     def alphabet_size(self) -> int:

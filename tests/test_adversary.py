@@ -79,9 +79,11 @@ class TestAttackConfig:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"strategy": "ensemble", "ensemble_size": 0}, "ensemble_size must be >= 1"),
-            ({"iteration_budget": 0}, "iteration_budget must be >= 1"),
+            ({"strategy": "ensemble", "ensemble_size": 0}, "ensemble_size must be a positive integer, got 0"),
+            ({"iteration_budget": 0}, "iteration_budget must be a positive integer, got 0"),
             ({"eve_initial_overlap": 1.5}, "eve_initial_overlap must be in [0, 1]"),
+            ({"strategy": "ensemble", "ensemble_size": 2.5}, "ensemble_size must be a positive integer, got 2.5"),
+            ({"iteration_budget": 50.5}, "iteration_budget must be a positive integer, got 50.5"),
         ],
     )
     def test_out_of_range_values_are_rejected(self, override, message):

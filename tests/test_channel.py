@@ -87,7 +87,8 @@ class TestGenerateKeyPair:
     @pytest.mark.parametrize(
         "length, error_mode, message",
         [
-            (0, "uniform", "length must be >= 1"),
+            (0, "uniform", "length must be a positive integer, got 0"),
+            (100.5, "uniform", "length must be a positive integer, got 100.5"),
             (100, "bogus", "error_mode must be one of ('uniform', 'burst'), got 'bogus'"),
         ],
     )
@@ -176,7 +177,8 @@ class TestEstimateQber:
     @pytest.mark.parametrize(
         "length, fraction, message",
         [
-            (0, 0.1, "length must be >= 1"),
+            (0, 0.1, "length must be a positive integer, got 0"),
+            (100.5, 0.1, "length must be a positive integer, got 100.5"),
             (100, 1.0, "sample_fraction must be in (0, 1), got 1.0"),
             (5, 0.1, "sample would be empty; use a larger fraction or key"),
         ],

@@ -208,14 +208,17 @@ def test_digest_interval_help_shows_the_callee_default(capsys, monkeypatch, comm
     "argv, message",
     [
         (["sync", "--K", "0", "--N", "4", "--L", "2"], "K must be a positive integer, got 0"),
-        (["sync", "--budget", "0"], "max_iterations must be >= 1"),
-        (["sync", "--protocol-mode", "--digest-interval", "0"], "digest_check_interval must be >= 1"),
+        (["sync", "--budget", "0"], "max_iterations must be a positive integer, got 0"),
+        (
+            ["sync", "--protocol-mode", "--digest-interval", "0"],
+            "digest_check_interval must be a positive integer, got 0",
+        ),
         (["sync", "--L", "0"], "L must be a positive integer, got 0"),
-        (["pipeline", "--length", "0"], "length must be >= 1"),
+        (["pipeline", "--length", "0"], "length must be a positive integer, got 0"),
         (["pipeline", "--qber", "0.7"], "qber must be in [0, 0.5], got 0.7"),
         (["pipeline", "--K", "0"], "K must be a positive integer, got 0"),
         (["pipeline", "--sample-fraction", "1.5"], "sample_fraction must be in (0, 1), got 1.5"),
-        (["scenario", "fig4", "--trials", "0"], "trials must be >= 1"),
+        (["scenario", "fig4", "--trials", "0"], "trials must be a positive integer, got 0"),
     ],
     ids=["sync-K-0", "sync-budget-0", "sync-digest-interval-0", "sync-L-0", "pipeline-length-0",
          "pipeline-qber-0.7", "pipeline-K-0", "pipeline-sample-fraction-1.5", "scenario-trials-0"],
@@ -348,7 +351,7 @@ BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\n
     "text, message",
     [
         (BAD_COMPARE.format(2, "200:0.7:5"), "settings entry 200:0.7:5: compare qber must be in (0, 0.5], got 0.7"),
-        (BAD_COMPARE.format(2, "0:0.05:5"), "settings entry 0:0.05:5: compare key length and tpm_N must be positive"),
+        (BAD_COMPARE.format(2, "0:0.05:5"), "settings entry 0:0.05:5: length must be a positive integer, got 0"),
         (BAD_COMPARE.format(2, "200:0.0:5"), "settings entry 200:0.0:5: compare qber must be in (0, 0.5], got 0.0"),
         (BAD_COMPARE.format(0, "200:0.05:5"), ""),
         (BAD_SYNC.format(-5), ""),

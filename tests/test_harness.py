@@ -180,6 +180,8 @@ settings = 500:0.05:25, 600:0.03:30
             ("sync", {"name": "runs/k6/n8"}),
             ("sync", {"K_values": (6, 8.5)}),
             ("sync", {"N_values": (20, 22.5)}),
+            ("sync", {"trials": 2.5}),
+            ("sync", {"max_iterations": 50.5}),
         ],
     )
     def test_out_of_range_values_are_rejected(self, kind, override):
@@ -188,7 +190,7 @@ settings = 500:0.05:25, 600:0.03:30
             dataclasses.replace(base, **override)
 
     @pytest.mark.parametrize(
-        "setting", [(0, 0.05, 5), (200, 0.0, 5), (200, 0.7, 5), (200, -0.1, 5), (200, 0.05, 0)]
+        "setting", [(0, 0.05, 5), (200, 0.0, 5), (200, 0.7, 5), (200, -0.1, 5), (200, 0.05, 0), (500.5, 0.05, 25)]
     )
     def test_out_of_range_compare_settings_are_rejected(self, setting):
         with pytest.raises(ScenarioError):
@@ -320,7 +322,7 @@ settings = 500:0.05:25, 600:0.03:30
                 "strategy must be one of ('passive', 'geometric', 'ensemble'), got 'foo'",
             ),
             ("[scenario]\nK = 0\nN = 4\n", "K must be a positive integer, got 0"),
-            ("[scenario]\nK = 3\nN = 4\nmax_iterations = 0\n", "max_iterations must be >= 1"),
+            ("[scenario]\nK = 3\nN = 4\nmax_iterations = 0\n", "max_iterations must be a positive integer, got 0"),
         ],
         ids=[
             "unknown-scenario",
@@ -483,7 +485,12 @@ class TestRunScenario:
                 sum(r.wall_time for r in records if r.N == point.N)
             )
 
-    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_an_integral_float_trial_count_runs_as_an_int(self):
+        scenario = dataclasses.replace(SMALL_SYNC, trials=2.0)
+        assert type(scenario.trials) is int
+        assert [(r.N, r.trial) for r in run_scenario(scenario)] == [(4, 0), (4, 1), (5, 0), (5, 1)]
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1, 1.5])
     def test_worker_count_out_of_range_rejected_before_any_pool(self, workers, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("no pool may be created for a rejected worker count")
@@ -732,12 +739,17 @@ class TestPipeline:
             ({"security_bits": -5}, "security_bits=-5 must be in [0, K*N*(b-1)) = [0, 48)"),
             ({"security_bits": 48}, "security_bits=48 must be in [0, K*N*(b-1)) = [0, 48)"),
             ({"security_bits": 72}, "security_bits=72 must be in [0, K*N*(b-1)) = [0, 48)"),
-            ({"protocol_mode": True, "digest_check_interval": 0}, "digest_check_interval must be >= 1"),
+            (
+                {"protocol_mode": True, "digest_check_interval": 0},
+                "digest_check_interval must be a positive integer, got 0",
+            ),
             ({"digest_check_interval": 7}, "digest_check_interval applies only in protocol mode"),
             ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+            ({"security_bits": 30.5}, "security_bits must be a non-negative integer, got 30.5"),
+            ({"length": 2250.5}, "length must be a positive integer, got 2250.5"),
         ],
         ids=["margin-negative", "margin-min-entropy", "margin-key-bits", "digest-interval-0",
-             "digest-interval-in-simulation", "seed-fractional"],
+             "digest-interval-in-simulation", "seed-fractional", "margin-fractional", "length-fractional"],
     )
     def test_bad_input_fails_before_any_key_is_drawn(self, monkeypatch, kwargs, message):
         calls = []
@@ -749,7 +761,7 @@ class TestPipeline:
         monkeypatch.setattr(harness, "generate_key_pair", spy)
         params = TpmParams(K=4, N=6, L=2)
         with pytest.raises(ValueError) as excinfo:
-            run_pipeline(400, 0.02, params, **{"seed": 3, **kwargs})
+            run_pipeline(**{"length": 400, "qber": 0.02, "params": params, "seed": 3, **kwargs})
         assert not calls
         assert str(excinfo.value) == message
         # the spy sees the key draw of a run with a valid margin

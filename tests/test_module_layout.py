@@ -60,3 +60,31 @@ def test_no_module_imports_another_modules_private_names(path):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _calls(tree):
+    """(scope, call) for every call in a module: the scope is the enclosing
+    top-level function or Class.method, or "" at module level."""
+    for node in tree.body:
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for member in node.body if prefix else [node]:
+            scope = prefix + getattr(member, "name", "")
+            yield from ((scope, call) for call in ast.walk(member) if isinstance(call, ast.Call))
+
+
+def test_the_integer_rule_is_worded_only_by_scenario_error_integer():
+    # every count or seed a caller sets goes through ScenarioError.integer, so no
+    # other config error words the rule ("... integer", "must be >= 1") a second time
+    errors = {
+        name for module in EXPORTING_MODULES for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, tpm.ScenarioError)
+    }
+    worded = set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            callee = getattr(call.func, "id", None)
+            if callee in errors or (callee == "cls" and scope.split(".")[0] in errors):
+                text = "".join(n.value for n in ast.walk(call) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+                if "integer" in text or ">= 1" in text:
+                    worded.add(f"{path.name}:{scope}")
+    assert worded == {"tpm.py:ScenarioError.integer"}

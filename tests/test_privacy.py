@@ -97,12 +97,21 @@ class TestBudget:
             (0, 0, 0, "entropy_bits must be >= 1"),
             (1000, -1, 0, "disclosed_bits must be >= 0"),
             (1000, 0, -1, "security_bits must be >= 0"),
+            # flooring a fraction would undercount Eve's bits or the margin
+            (1000.5, 0, 0, "entropy_bits must be an integer, got 1000.5"),
+            (1000, 10.5, 30, "disclosed_bits must be an integer, got 10.5"),
+            (1000, 0, 30.5, "security_bits must be an integer, got 30.5"),
         ],
     )
     def test_out_of_range_inputs_are_rejected(self, length, disclosed, security, message):
         with pytest.raises(ValueError) as info:
             plan_budget(length, NO_LEAKAGE, disclosed, security)
         assert str(info.value) == message
+
+    def test_an_integral_float_input_is_counted_as_an_int(self):
+        # the hash takes the final length as a row count, which must be an int
+        final_length = plan_budget(1000.0, NO_LEAKAGE, 100.0, 50.0).final_length
+        assert final_length == 850 and type(final_length) is int
 
     @given(st.integers(100, 2000), st.integers(0, 50), st.data())
     def test_margin_trades_one_for_one(self, length, disclosed, data):

@@ -154,11 +154,16 @@ class TestSynchronize:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"max_iterations": 0}, "max_iterations must be >= 1"),
-            ({"digest_check_interval": 0}, "digest_check_interval must be >= 1"),
-            ({"digest_check_interval": 0, "protocol_mode": True}, "digest_check_interval must be >= 1"),
+            ({"max_iterations": 0}, "max_iterations must be a positive integer, got 0"),
+            ({"digest_check_interval": 0}, "digest_check_interval must be a positive integer, got 0"),
+            ({"digest_check_interval": 0, "protocol_mode": True}, "digest_check_interval must be a positive integer, got 0"),
             # simulation mode compares every round, so an interval would be a silent no-op
             ({"digest_check_interval": 7}, "digest_check_interval applies only in protocol mode"),
+            ({"max_iterations": 50.5}, "max_iterations must be a positive integer, got 50.5"),
+            (
+                {"digest_check_interval": 2.5, "protocol_mode": True},
+                "digest_check_interval must be a positive integer, got 2.5",
+            ),
         ],
     )
     def test_out_of_range_config_values_are_rejected(self, override, message):

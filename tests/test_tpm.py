@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from neurokey.tpm import (
     BitKey,
     KeyMaterialError,
+    ScenarioError,
     Tpm,
     TpmParams,
     bits_to_weights,
@@ -41,6 +42,16 @@ class TestParams:
             kwargs = {"K": 2, "N": 3, "L": 2, **bad}
             with pytest.raises(ValueError):
                 TpmParams(**kwargs)
+
+    @pytest.mark.parametrize("K", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_a_count_that_is_not_a_finite_integer_is_a_scenario_error(self, K):
+        with pytest.raises(ScenarioError) as excinfo:
+            TpmParams(K, 4, 2)
+        assert str(excinfo.value) == f"K must be a positive integer, got {K!r}"
+
+    def test_an_integral_float_is_stored_as_an_int(self):
+        K = TpmParams(4.0, 5, 2).K
+        assert K == 4 and type(K) is int
 
     def test_alphabet_and_chunk_width(self):
         assert TpmParams(1, 1, 2).alphabet_size == 5
