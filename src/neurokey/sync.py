@@ -17,7 +17,9 @@ equal, made at one of two cadences:
   iterations, counted as disclosed bits; it compares exactly (no collision).
 
 In a race (``run_attack``) Eve sees every input matrix and both public +/-1
-outputs. Three strategies:
+outputs. The race ends at the parties' stop, where ``synced`` is P_E's event,
+unless ``until = budget``, the paper's fig2 convention, runs it to the end of
+its budget. Three strategies:
 
 * passive: Eve applies the learning rule only on rounds where her own output
   matches the agreed one (when the parties disagree, nobody learns).
@@ -473,6 +475,8 @@ class AttackConfig:
     # None keeps Eve fully uninformed (random start); a fraction models a
     # partially informed attacker for sensitivity studies.
     eve_initial_overlap: float | None = None
+    # "stop" ends the race when the parties coincide, "budget" at the end of the budget
+    until: str = "stop"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -483,6 +487,8 @@ class AttackConfig:
             raise ScenarioError("ensemble_size must be 1 unless strategy is 'ensemble'")
         if self.eve_initial_overlap is not None and not 0.0 <= self.eve_initial_overlap <= 1.0:
             raise ScenarioError("eve_initial_overlap must be in [0, 1]")
+        if self.until not in ("stop", "budget"):
+            raise ScenarioError(f"until in [attack] must be 'stop' or 'budget', got {self.until!r}")
 
 
 @dataclass(frozen=True)
@@ -503,14 +509,16 @@ def run_attack(
     """Synchronize Alice and Bob while Eve eavesdrops on every round.
 
     ``seed`` spawns two seeds: one for the PCG64 stream of public inputs and
-    one for Eve's start. The exchange keeps running for the full attack
-    budget (the parties keep learning after they coincide), so Eve is
-    measured against the complete public stream. The run ends early only if
-    some Eve machine reaches full overlap. The returned transcript describes
-    the Alice/Bob process, frozen at their convergence round;
-    ``record_overlap`` also traces the parties' overlap, and then every block
-    is one round, as in a traced sync. The caller's machines are not
-    modified; the race runs on internal copies.
+    one for Eve's start. Under ``until="stop"`` the race ends at the round
+    the parties first coincide, where Eve is scored, so ``synced`` (and
+    ``summarize``'s ``eve_synced``) counts P_E's event: an Eve equal to Alice
+    when the parties stop. Under ``until="budget"``, fig2's convention, the
+    exchange runs the full budget, the parties learning on after they
+    coincide. Either race ends early if some Eve machine reaches full
+    overlap. The returned transcript describes the Alice/Bob process, frozen
+    at their convergence round; ``record_overlap`` also traces the parties'
+    overlap, and then every block is one round, as in a traced sync. The
+    caller's machines are not modified; the race runs on internal copies.
     """
     if alice.params != bob.params:
         raise ValueError(f"machine shapes differ: {alice.params} vs {bob.params}")
@@ -543,10 +551,11 @@ def run_attack(
         return float((eves == w[0]).mean(axis=(1, 2)).max())
 
     differ = (w[1:] != w[0]).any(axis=(1, 2))  # Bob and the Eves against Alice: the kernel's stop flags
+    ending = differ if attack.until == "stop" else differ[1:]  # the rows whose event ends the race
     while True:
         if at_convergence is None and not differ[0]:
             at_convergence = (iterations, steps, best_eve_overlap())
-        if iterations >= budget or not differ[1:].all():
+        if iterations >= budget or not ending.all():
             break
         slot = iterations % _INPUT_CHUNK
         if slot == 0:

@@ -171,7 +171,7 @@ def test_criterion_5_attacker_race():
         start_modes=(StartMode("random"),),
         trials=500,
         base_seed=4105,
-        attack=AttackConfig(strategy="passive", iteration_budget=1000),
+        attack=AttackConfig(strategy="passive", iteration_budget=1000, until="budget"),
     )
     records = list(run_scenario(scenario, workers=WORKERS))
     converged = sorted(r.iterations for r in records if r.converged)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from neurokey import harness, sync
-from neurokey.adversary import AttackConfig, leakage_after, run_attack
+from neurokey.adversary import AttackConfig, AttackResult, leakage_after, run_attack
 from neurokey.channel import generate_key_pair
 from neurokey.sync import (
     SyncConfig,
@@ -113,7 +113,8 @@ class TestRunAttack:
         trials, failures = 60, 0
         for seed in range(trials):
             alice, bob = fresh_pair(200 + seed)
-            _, result = run_attack(alice, bob, 300 + seed, AttackConfig("passive", iteration_budget=1000))
+            attack = AttackConfig("passive", iteration_budget=1000, until="budget")
+            _, result = run_attack(alice, bob, 300 + seed, attack)
             failures += not result.synced
         assert failures / trials >= 0.8
 
@@ -124,7 +125,7 @@ class TestRunAttack:
             for seed in range(trials):
                 alice, bob = fresh_pair(400 + seed)
                 _, result = run_attack(
-                    alice, bob, 500 + seed, AttackConfig(strategy, iteration_budget=400)
+                    alice, bob, 500 + seed, AttackConfig(strategy, iteration_budget=400, until="budget")
                 )
                 totals[strategy] += result.best_overlap
         assert totals["geometric"] >= totals["passive"]
@@ -133,8 +134,8 @@ class TestRunAttack:
         # the ensemble's first machine is the passive race's Eve: both draw
         # her first from the same Eve seed, and both see the same inputs
         alice, bob = fresh_pair(600)
-        _, passive = run_attack(alice, bob, 601, AttackConfig("passive", iteration_budget=300))
-        _, ensemble = run_attack(alice, bob, 601, AttackConfig("ensemble", 4, iteration_budget=300))
+        _, passive = run_attack(alice, bob, 601, AttackConfig("passive", iteration_budget=300, until="budget"))
+        _, ensemble = run_attack(alice, bob, 601, AttackConfig("ensemble", 4, iteration_budget=300, until="budget"))
         assert ensemble.best_overlap >= passive.best_overlap
 
     def test_parties_converge_while_eve_watches(self):
@@ -187,13 +188,17 @@ def race_parties(start, seed):
     return bits_to_weights(pair.alice, PARAMS), bits_to_weights(pair.bob, PARAMS)
 
 
+def golden_race(index, until):
+    (strategy, size), start, eve_overlap, record = GOLDEN_CASES[index]
+    alice, bob = race_parties(start, seed=7000 + index)
+    attack = AttackConfig(strategy, size, iteration_budget=300, eve_initial_overlap=eve_overlap, until=until)
+    return run_attack(alice, bob, 8000 + index, attack, record_overlap=record)
+
+
 def race_digest(index):
     """First 16 hex digits of the sha256 of one race's transcript record and
     every AttackResult field."""
-    (strategy, size), start, eve_overlap, record = GOLDEN_CASES[index]
-    alice, bob = race_parties(start, seed=7000 + index)
-    attack = AttackConfig(strategy, size, iteration_budget=300, eve_initial_overlap=eve_overlap)
-    transcript, result = run_attack(alice, bob, 8000 + index, attack, record_overlap=record)
+    transcript, result = golden_race(index, "budget")
     payload = json.dumps([transcript.to_record(), dataclasses.asdict(result)])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -297,6 +302,21 @@ def test_golden_fig2_slice():
     assert fig2_slice_digest() == GOLDEN_FIG2_SLICE
 
 
+@pytest.mark.parametrize("index", range(len(GOLDEN_CASES)), ids=[golden_case_id(c) for c in GOLDEN_CASES])
+def test_a_stop_race_is_the_budget_race_cut_at_the_parties_stop(index):
+    stop_transcript, stop = golden_race(index, "stop")
+    transcript, result = golden_race(index, "budget")
+    if not transcript.converged:  # an Eve synced first, or the parties never met: one race
+        assert (stop_transcript, stop) == (transcript, result)
+        return
+    if transcript.overlap_trace is not None:  # a budget race traces on past the parties' stop
+        cut = [(i, overlap) for i, overlap in transcript.overlap_trace if i <= transcript.iterations]
+        transcript = dataclasses.replace(transcript, overlap_trace=cut)
+    assert stop_transcript == transcript
+    at_stop = result.best_overlap_at_convergence
+    assert stop == AttackResult(at_stop, at_stop == 1.0, transcript.iterations, at_stop)
+
+
 # ---------------------------------------------------------------------------
 # an untraced race runs each block of rounds on a copy of the kernel's stop
 # flags compared once, after its last round, and re-runs a block whose copy
@@ -323,7 +343,7 @@ def test_untraced_race_equals_the_traced_race(case):
     (strategy, size), start, eve_overlap = case
     alice, bob = race_parties(start, seed=9000 + size)
     for budget in (1, 15, 16, 17, 64, 65, 300):
-        attack = AttackConfig(strategy, size, iteration_budget=budget, eve_initial_overlap=eve_overlap)
+        attack = AttackConfig(strategy, size, iteration_budget=budget, eve_initial_overlap=eve_overlap, until="budget")
         untraced, traced = untraced_and_traced(alice, bob, 9100 + budget, attack)
         assert untraced == traced
 
@@ -359,7 +379,7 @@ BOUNDARY_RACES = {
 def test_untraced_race_finds_events_at_interval_boundaries(case):
     strategy, start, seed, budget, event, round_ = BOUNDARY_RACES[case]
     alice, bob = race_parties(start, seed)
-    attack = AttackConfig(strategy, iteration_budget=budget, eve_initial_overlap=0.9)
+    attack = AttackConfig(strategy, iteration_budget=budget, eve_initial_overlap=0.9, until="budget")
     untraced, traced = untraced_and_traced(alice, bob, seed + 1, attack)
     assert untraced == traced
     transcript, result = untraced
@@ -535,7 +555,7 @@ def test_run_attack_replays_with_the_reference_operations(strategy):
     # over the whole race and when a shorter budget cuts it at any round
     for seed in range(4):
         alice, bob = fresh_pair(1100 + seed)
-        attack = AttackConfig(strategy, iteration_budget=500)
+        attack = AttackConfig(strategy, iteration_budget=500, until="budget")
         transcript, result = run_attack(alice, bob, 1200 + seed, attack, record_overlap=True)
 
         input_seq, eve_seq = np.random.SeedSequence(1200 + seed).spawn(2)

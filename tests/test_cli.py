@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import pytest
@@ -357,6 +358,7 @@ BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\n
         (BAD_SYNC.format(-5), ""),
         (BAD_SYNC.format(0), ""),
         (BAD_ATTACK.format("passive", 4), ""),
+        (BAD_ATTACK.format("passive", "1\nuntil = later"), "until in [attack] must be 'stop' or 'budget', got 'later'"),
         (BAD_COMPARE.format(2, "500:x:25"), "bad compare setting '500:x:25'"),
         ("[scenario]\nname = runs/x\nK = 3\nN = 4\n", "scenario name must not contain '/', got 'runs/x'"),
     ],
@@ -368,6 +370,7 @@ BAD_ATTACK = "[scenario]\nkind = attack\nK = 4\nN = 6\n[attack]\nstrategy = {}\n
         "max_iterations-negative",
         "max_iterations-0",
         "ensemble_size-passive",
+        "until-later",
         "setting-not-a-number",
         "name-with-slash",
     ],
@@ -503,6 +506,18 @@ def test_attack_summary_and_csv(capsys, tmp_path):
     assert main(["scenario", "fig2", "--trials", "3", "--out", str(out)]) == 0
     assert "eve_synced" in capsys.readouterr().err.splitlines()[0].split()
     assert len(out.read_text().splitlines()) == 2 + 3
+
+
+# sha256 of `neurokey scenario fig2 --trials 2`'s CSV: fig2 runs each race to
+# the end of its budget, the paper's convention, so these bytes never move
+FIG2_TWO_TRIALS = "7b604c5a6c0711d361786090c767a13f92585d17472677e6a2acab68aee4f386"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fig2_writes_the_end_of_budget_csv(tmp_path, workers):
+    out = tmp_path / "fig2.csv"
+    assert main(["scenario", "fig2", "--trials", "2", "--workers", workers, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG2_TWO_TRIALS
 
 
 @pytest.mark.parametrize(

@@ -321,6 +321,10 @@ settings = 500:0.05:25, 600:0.03:30
                 "[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\nstrategy = foo\n",
                 "strategy must be one of ('passive', 'geometric', 'ensemble'), got 'foo'",
             ),
+            (
+                "[scenario]\nkind = attack\nK = 3\nN = 4\n[attack]\nuntil = later\n",
+                "until in [attack] must be 'stop' or 'budget', got 'later'",
+            ),
             ("[scenario]\nK = 0\nN = 4\n", "K must be a positive integer, got 0"),
             ("[scenario]\nK = 3\nN = 4\nmax_iterations = 0\n", "max_iterations must be a positive integer, got 0"),
         ],
@@ -345,6 +349,7 @@ settings = 500:0.05:25, 600:0.03:30
             "compare-setting-two-fields",
             "compare-setting-not-a-number",
             "attack-strategy",
+            "attack-until",
             "K-zero",
             "max_iterations-zero",
         ],
@@ -1025,7 +1030,7 @@ def _qber_slice(protocol_mode):
     )
 
 
-def _attack_slice(strategy, size):
+def _attack_slice(strategy, size, until):
     return Scenario(
         name=f"atk-{strategy}",
         kind="attack",
@@ -1035,7 +1040,7 @@ def _attack_slice(strategy, size):
         start_modes=tuple(StartMode.parse(m) for m in ("random", "overlap:0.9", "from_qber:0.05")),
         trials=3,
         base_seed=52,
-        attack=AttackConfig(strategy, size, 300),
+        attack=AttackConfig(strategy, size, 300, until=until),
     )
 
 
@@ -1045,9 +1050,12 @@ GOLDEN_SLICES = {
     "from_qber-simulation": lambda: _qber_slice(False),
     "from_qber-protocol": lambda: _qber_slice(True),
     "table1": lambda: dataclasses.replace(load_scenario("table1"), trials=3),
-    "attack-passive": lambda: _attack_slice("passive", 1),
-    "attack-geometric": lambda: _attack_slice("geometric", 1),
-    "attack-ensemble": lambda: _attack_slice("ensemble", 3),
+    "attack-passive": lambda: _attack_slice("passive", 1, "budget"),
+    "attack-geometric": lambda: _attack_slice("geometric", 1, "budget"),
+    "attack-ensemble": lambda: _attack_slice("ensemble", 3, "budget"),
+    "attack-passive-stop": lambda: _attack_slice("passive", 1, "stop"),
+    "attack-geometric-stop": lambda: _attack_slice("geometric", 1, "stop"),
+    "attack-ensemble-stop": lambda: _attack_slice("ensemble", 3, "stop"),
 }
 
 # sha256 of each slice's CSV
@@ -1055,6 +1063,10 @@ GOLDEN_SLICE_DIGESTS = {
     "attack-ensemble": "380386de06608166af60606446c6327ea8b436092564b19b145efd10e4597045",
     "attack-geometric": "d4c75a71590f200255c4fadb6c86bab21893700ad945ac8c3ef6eec1cbbf1ad5",
     "attack-passive": "66bac1f9a6d18a1f577bc62dedd12332e85360a37f451aa487c804bd88b94cce",
+    # the same races ended at the parties' stop
+    "attack-ensemble-stop": "aaecdfb4606785e232fca68292cd9fd1cde2dbd0fbb95b296075cdb979499cab",
+    "attack-geometric-stop": "7329e76bd499bea18aabdcf7f802ad18d663982437353b42ec7f5619c94a7d58",
+    "attack-passive-stop": "d5a16d3b8baf657e1da7f23e028246c6d5cad1c63114a0158e8196ad13e1e1ca",
     "fig3-protocol": "fd0d35b49ccfd25f8da1d20d706e54d54d015b3157dad7b96ba2c6ce8c34abfb",
     "fig4": "e7e20fe832fc4732ff6d744f96b53db14b2366209552f92c80e5d6cf86c5fdde",
     "from_qber-protocol": "6eb904cc77a1c53b1b3a1b1f9f2a65677426245e2d3119d6106ad35ef2b51182",
